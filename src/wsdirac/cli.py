@@ -293,9 +293,10 @@ def _cmd_wavefunction(args) -> int:
     dc = derive_coefficients(p, state)
     pk = pekeris_coefficients(p.R, p.a)
     sp = solve_susy_parameters(dc, pk, p, result.e_upper)
-    if sp.A >= 0.0:
-        print(f"error: selected root has A = {_num(sp.A)} >= 0; "
-              "ground state not normalizable", file=sys.stderr)
+    if not result.normalizable or sp.A >= 0.0:
+        print(f"error: selected root is not a bound state (A = {_num(sp.A)}, "
+              f"A + B = {_num(sp.A + sp.B)}); ground state not normalizable",
+              file=sys.stderr)
         return EXIT_NOT_NORMALIZABLE
     wf = normalize(sp.A, sp.B, p.a, p.R)
     writer = _Writer(args)

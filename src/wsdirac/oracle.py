@@ -6,12 +6,16 @@ outward from r_min and inward from r_max with a fixed-step classical
 Runge-Kutta scheme, and the Wronskian of the two sweeps' (F, F') vectors at
 the match radius, each scaled to unit length, is driven to zero over E.
 
-The equation is linear, so one RK4 step is a 2x2 transfer matrix; the sweep
-is the ordered product of those matrices, evaluated as a pairwise tree with
+The equation is linear, so one RK4 step is a 2x2 transfer matrix whose four
+entries are closed-form polynomials in h and the step's three stage values
+of U; they are built as four flat arrays over the steps.  A sweep's end
+state is the ordered product of those matrices, a pairwise tree with
 per-pass renormalization by positive factors (the direction of the end
 state, sign included, is unaffected).  The mismatch is therefore bounded,
-has no poles, and changes sign only at eigenvalues.  The stepwise path is
-kept for node counting and eigenfunction recovery.
+has no poles, and changes sign only at eigenvalues, so each sign change on
+the scan grid is refined with Brent's method.  The amplitudes along a sweep,
+for node counting and eigenfunction recovery, are the prefix products of
+the same matrices, taken by a Hillis-Steele scan with per-pass log scales.
 """
 from __future__ import annotations
 
@@ -23,9 +27,6 @@ import numpy as np
 from .errors import IntegrationBlowup, NoEigenvalueInBracket, NotBoundRegime
 from .params import PhysicalParams, QuantumState, derive_coefficients
 from .pekeris import pekeris_coefficients, shape_factor
-
-_RENORM_LIMIT = 1e250
-_SEED_AMPLITUDE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -87,53 +88,56 @@ class _Coefficients:
         return self.tail(E) + (k + self._g1) * f + self._g2 * f * f
 
 
-def _transfer_matrices(coeff: _Coefficients, E: float, r0: float, h: float,
-                       steps: int) -> np.ndarray:
-    """Per-step RK4 transfer matrices for y = (F, F'), shape (steps, 2, 2).
+def _transfer_entries(coeff: _Coefficients, E: float, r0: float, h: float,
+                      steps: int) -> np.ndarray:
+    """Closed-form RK4 transfer matrices for y = (F, F'), shape (4, steps).
 
-    Step j maps y(r0 + j h) to y(r0 + (j+1) h); h may be negative.
+    Column j holds the entries (t00, t01, t10, t11) of the step mapping
+    y(r0 + j h) to y(r0 + (j+1) h); h may be negative.  With A = [[0, 1],
+    [u, 0]] each RK4 stage is a polynomial in h and the stage values u1, u2,
+    u3 of U at the step's start, midpoint and end, and so is their sum.
     """
-    idx = np.arange(steps, dtype=float)
-    u1 = coeff.u(r0 + h * idx, E)
-    u2 = coeff.u(r0 + h * (idx + 0.5), E)
-    u3 = coeff.u(r0 + h * (idx + 1.0), E)
+    u = coeff.u(r0 + (h / 2.0) * np.arange(2 * steps + 1, dtype=float), E)
+    u1, u2, u3 = u[0:-1:2], u[1::2], u[2::2]
+    h2, h3 = h * h, h * h * h
+    return np.stack([
+        1.0 + h2 / 6.0 * (u1 + 2.0 * u2) + h2 * h2 / 24.0 * u1 * u2,
+        h + h3 / 6.0 * u2,
+        h / 6.0 * (u1 + 4.0 * u2 + u3) + h3 / 12.0 * u2 * (u1 + u3),
+        1.0 + h2 / 6.0 * (2.0 * u2 + u3) + h2 * h2 / 24.0 * u2 * u3,
+    ])
 
-    def amat(u):
-        A = np.zeros((steps, 2, 2))
-        A[:, 0, 1] = 1.0
-        A[:, 1, 0] = u
-        return A
 
-    A1, A2, A3 = amat(u1), amat(u2), amat(u3)
-    K1 = A1
-    K2 = A2 + (h / 2.0) * (A2 @ K1)
-    K3 = A2 + (h / 2.0) * (A2 @ K2)
-    K4 = A3 + h * (A3 @ K3)
-    T = (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-    T[:, 0, 0] += 1.0
-    T[:, 1, 1] += 1.0
-    return T
+def _compose(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Entries of the 2x2 products b @ a, column by column."""
+    return np.stack([b[0] * a[0] + b[1] * a[2], b[0] * a[1] + b[1] * a[3],
+                     b[2] * a[0] + b[3] * a[2], b[2] * a[1] + b[3] * a[3]])
+
+
+def _renormalize(M: np.ndarray):
+    """Divide each column by its max-abs entry, a positive factor: (M, factors)."""
+    scale = np.abs(M).max(axis=0)
+    if not np.all(np.isfinite(scale)):
+        raise IntegrationBlowup("transfer-matrix product overflowed")
+    scale = np.maximum(scale, 1e-300)
+    return M / scale, scale
 
 
 def _chain_product(T: np.ndarray) -> np.ndarray:
-    """Ordered product T[-1] @ ... @ T[0] by pairwise reduction.
+    """Entries of the ordered product T[-1] @ ... @ T[0] by pairwise reduction.
 
-    Each pass renormalizes by the max-abs entry, a positive factor, so only
-    the direction of the resulting map is meaningful.
+    Each pass renormalizes by positive factors, so only the direction of the
+    resulting map is meaningful.
     """
     M = T
-    while M.shape[0] > 1:
-        n = M.shape[0]
+    while M.shape[1] > 1:
+        n = M.shape[1]
         even = n - (n % 2)
-        paired = np.matmul(M[1:even:2], M[0:even:2])
+        paired = _compose(M[:, 1:even:2], M[:, 0:even:2])
         if n % 2:
-            paired = np.concatenate([paired, M[-1:]], axis=0)
-        scale = np.abs(paired).max(axis=(1, 2), keepdims=True)
-        if not np.all(np.isfinite(scale)):
-            raise IntegrationBlowup("transfer-matrix product overflowed")
-        paired = paired / np.maximum(scale, 1e-300)
-        M = paired
-    return M[0]
+            paired = np.concatenate([paired, M[:, -1:]], axis=1)
+        M, _ = _renormalize(paired)
+    return M[:, 0]
 
 
 def _match_state(coeff: _Coefficients, E: float, r0: float, h: float,
@@ -143,8 +147,8 @@ def _match_state(coeff: _Coefficients, E: float, r0: float, h: float,
     The chain product only rescales by positive factors, so the direction,
     sign included, is that of the true solution.
     """
-    T = _transfer_matrices(coeff, E, r0, h, steps)
-    y = _chain_product(T) @ np.array([1.0, slope0])
+    t = _chain_product(_transfer_entries(coeff, E, r0, h, steps))
+    y = np.array([t[0] + t[1] * slope0, t[2] + t[3] * slope0])
     return y / math.hypot(y[0], y[1])
 
 
@@ -186,23 +190,22 @@ def shoot_mismatch(E: float, cfg: ShootingConfig, p: PhysicalParams,
 
 def _trajectory(coeff: _Coefficients, E: float, r0: float, h: float,
                 steps: int, slope0: float):
-    """Stepwise amplitudes (renormalization-consistent): (values, log_scales)."""
-    T = _transfer_matrices(coeff, E, r0, h, steps)
-    y = np.array([_SEED_AMPLITUDE, _SEED_AMPLITUDE * slope0])
-    values = np.empty(steps + 1)
-    logs = np.empty(steps + 1)
-    cur_log = 0.0
-    values[0], logs[0] = y[0], 0.0
-    for j in range(steps):
-        y = T[j] @ y
-        if not np.all(np.isfinite(y)):
-            raise IntegrationBlowup(f"non-finite amplitude at step {j}")
-        big = max(abs(y[0]), abs(y[1]))
-        if big > _RENORM_LIMIT:
-            y = y / big
-            cur_log += math.log(big)
-        values[j + 1], logs[j + 1] = y[0], cur_log
-    return values, logs
+    """Amplitudes F of the sweep from (1, slope0) as (values, log_scales).
+
+    F at r0 + j h is values[j] * exp(log_scales[j]).  The prefix products
+    T[j] @ ... @ T[0] come from a Hillis-Steele scan, log2(steps) passes of
+    products at doubling offsets, each column renormalized by a positive
+    factor whose log is accumulated.
+    """
+    P = _transfer_entries(coeff, E, r0, h, steps)
+    logs = np.zeros(steps)
+    d = 1
+    while d < steps:
+        P[:, d:], scale = _renormalize(_compose(P[:, d:], P[:, :-d]))
+        logs[d:] = logs[d:] + logs[:-d] + np.log(scale)
+        d *= 2
+    values = np.concatenate([[1.0], P[0] + P[1] * slope0])
+    return values, np.concatenate([[0.0], logs])
 
 
 def _count_nodes(values: np.ndarray) -> int:
@@ -215,11 +218,13 @@ def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
     """Up to `count` shooting eigenvalues inside the energy bracket, ascending.
 
     Scans the bracket on a grid, brackets sign changes of the mismatch and
-    refines each by bisection to `tol`.  The mismatch has no poles, so every
+    refines each with Brent's method to `tol`.  The mismatch has no poles, so every
     sign change holds an eigenvalue; a grid cell that holds an even number
     of them shows none.  States are ordered by outward node count, then
     energy.
     """
+    from scipy.optimize import brentq
+
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     coeff = _Coefficients(p, state)
@@ -235,16 +240,8 @@ def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
         f_lo, f_hi = mm[i], mm[i + 1]
         if not (np.isfinite(f_lo) and np.isfinite(f_hi)) or f_lo * f_hi >= 0.0:
             continue
-        e_lo, e_hi = float(grid[i]), float(grid[i + 1])
-        g_lo = f_lo
-        while e_hi - e_lo > tol:
-            mid = 0.5 * (e_lo + e_hi)
-            f_mid = _mismatch(coeff, mid, cfg)
-            if g_lo * f_mid <= 0.0:
-                e_hi = mid
-            else:
-                e_lo, g_lo = mid, f_mid
-        e_star = 0.5 * (e_lo + e_hi)
+        e_star = float(brentq(lambda E: _mismatch(coeff, E, cfg), grid[i],
+                              grid[i + 1], xtol=tol))
         slope_in = math.sqrt(max(float(coeff.u(cfg.r_min, e_star)), 0.0))
         values, _ = _trajectory(coeff, e_star, cfg.r_min, h, i_match, slope_in)
         found.append((_count_nodes(values), e_star))

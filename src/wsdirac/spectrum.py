@@ -19,9 +19,8 @@ import numpy as np
 from .errors import DegenerateSuperpotential, LadderSingular, NoRealRoot, WsdiracError
 from .params import PhysicalParams, QuantumState, derive_coefficients, kappa
 from .pekeris import pekeris_coefficients
-from .susyqm import ladder, shifted_A, slope_parameter, solve_susy_parameters
-
-_SINGULAR_RTOL = 1e-12
+from .susyqm import (_SINGULAR_RTOL, ladder, shifted_A, slope_parameter,
+                     solve_susy_parameters)
 
 
 @dataclass(frozen=True)

@@ -100,6 +100,14 @@ class TestWavefunction:
         assert code == 5
         assert "not normalizable" in out.err
 
+    def test_monotone_profile_exit_code(self, capsys):
+        # A < 0 but A + B < 0: the profile falls from r = 0, no bound state
+        code, out = run(capsys, "wavefunction", "--depth", "10", "--dim", "1")
+        assert code == 5
+        assert out.out == ""
+        assert len(out.err.strip().splitlines()) == 1
+        assert "not normalizable" in out.err
+
     def test_rejects_bad_sample_count(self, capsys):
         code, _ = run(capsys, "wavefunction", "--samples", "0")
         assert code == 2

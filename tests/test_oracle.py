@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from wsdirac import oracle
 from wsdirac import (
     NoEigenvalueInBracket,
     NotBoundRegime,
@@ -28,6 +29,45 @@ from conftest import BOUND, BOUND_STATE, RICHARDSON
 @pytest.fixture(scope="module")
 def bound_root():
     return solve_energy(BOUND, BOUND_STATE).e_upper
+
+
+def rk4_stage_matrices(coeff, E, r0, h, steps):
+    """Reference RK4 step maps, shape (steps, 2, 2), from the stages K1..K4.
+
+    With A(r) = [[0, 1], [U(r; E), 0]] the step from y to y + h/6 (k1 + 2 k2
+    + 2 k3 + k4) is linear in y; composing its stages as 2x2 matrices gives
+    the map.
+    """
+    idx = np.arange(steps, dtype=float)
+
+    def amat(r):
+        A = np.zeros((steps, 2, 2))
+        A[:, 0, 1] = 1.0
+        A[:, 1, 0] = coeff.u(r, E)
+        return A
+
+    A1 = amat(r0 + h * idx)
+    A2 = amat(r0 + h * (idx + 0.5))
+    A3 = amat(r0 + h * (idx + 1.0))
+    K1 = A1
+    K2 = A2 + (h / 2.0) * (A2 @ K1)
+    K3 = A2 + (h / 2.0) * (A2 @ K2)
+    K4 = A3 + h * (A3 @ K3)
+    return np.eye(2) + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+
+
+def stepwise_trajectory(coeff, E, r0, h, steps, slope0):
+    """Reference sweep y <- T[j] @ y, one step at a time: (values, log_scales)."""
+    y = np.array([1.0, slope0])
+    values, logs, log = [y[0]], [0.0], 0.0
+    for T in rk4_stage_matrices(coeff, E, r0, h, steps):
+        y = T @ y
+        big = np.abs(y).max()
+        if big > 1e100:
+            y, log = y / big, log + math.log(big)
+        values.append(y[0])
+        logs.append(log)
+    return np.array(values), np.array(logs)
 
 
 class TestShootingConfig:
@@ -111,6 +151,25 @@ class TestFindEigenvalues:
             find_eigenvalues(cfg, BOUND, BOUND_STATE, count=0)
 
 
+class TestTransferEntries:
+    @pytest.mark.parametrize("offset", [-0.05, 0.0, 0.3])
+    @pytest.mark.parametrize("outward", [True, False])
+    def test_closed_form_matches_stage_composition(self, bound_root, offset,
+                                                   outward):
+        E = bound_root + offset
+        cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
+        coeff = oracle._Coefficients(BOUND, BOUND_STATE)
+        h, i_match = oracle._match_geometry(cfg)
+        r0, h, steps = ((cfg.r_min, h, i_match) if outward else
+                        (cfg.r_max, -h, cfg.step_count - i_match))
+        T = rk4_stage_matrices(coeff, E, r0, h, steps)
+        entries = oracle._transfer_entries(coeff, E, r0, h, steps)
+        assert entries.shape == (4, steps)
+        scale = np.abs(T).max(axis=(1, 2))
+        err = np.abs(entries.T.reshape(steps, 2, 2) - T).max(axis=(1, 2))
+        assert np.max(err / scale) <= 1e-14
+
+
 class TestEigenfunction:
     def test_normalized_and_localized(self, bound_root):
         cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
@@ -153,3 +212,35 @@ class TestConvergenceOrder:
         assert err_h > 1e-12  # error must dominate the bisection tolerance
         ratio = err_h / err_h2
         assert 10.0 < ratio < 24.0
+
+
+class TestScanTrajectory:
+    @pytest.fixture(scope="class")
+    def lowest_states(self, bound_root):
+        lo, step = bound_root - 0.05, 3.05 / 299
+        cfg = default_config(BOUND, (lo, lo + 39 * step))
+        eigs = find_eigenvalues(cfg, BOUND, BOUND_STATE, count=4,
+                                scan_points=40, tol=1e-10)
+        assert eigs == pytest.approx(
+            [7.215478, 7.474239, 7.515806, 7.544646], abs=1e-6)
+        return cfg, eigs
+
+    def test_matches_stepwise_sweep(self, lowest_states, monkeypatch):
+        cfg, eigs = lowest_states
+        coeff = oracle._Coefficients(BOUND, BOUND_STATE)
+        h, i_match = oracle._match_geometry(cfg)
+        nodes_scan, nodes_step = [], []
+        for e in eigs:
+            slope = math.sqrt(max(coeff.u(cfg.r_min, e), 0.0))
+            args = (coeff, e, cfg.r_min, h, i_match, slope)
+            nodes_scan.append(oracle._count_nodes(oracle._trajectory(*args)[0]))
+            nodes_step.append(oracle._count_nodes(stepwise_trajectory(*args)[0]))
+        assert nodes_scan == nodes_step == [0, 1, 2, 3]
+
+        _, F_scan = zip(*(shoot_eigenfunction(e, cfg, BOUND, BOUND_STATE)
+                          for e in eigs))
+        monkeypatch.setattr(oracle, "_trajectory", stepwise_trajectory)
+        _, F_step = zip(*(shoot_eigenfunction(e, cfg, BOUND, BOUND_STATE)
+                          for e in eigs))
+        for a, b in zip(F_scan, F_step):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
