@@ -29,7 +29,8 @@ from .spectrum import (
     solve_energy,
     sweep,
 )
-from .susyqm import closed_form_A, slope_parameter, solve_susy_parameters
+from .susyqm import (closed_form_A, ladder, shifted_A, slope_parameter,
+                     solve_susy_parameters)
 from .wavefunction import evaluate, normalize
 
 EXIT_OK = 0
@@ -293,7 +294,7 @@ def _cmd_wavefunction(args) -> int:
     dc = derive_coefficients(p, state)
     pk = pekeris_coefficients(p.R, p.a)
     sp = solve_susy_parameters(dc, pk, p, result.e_upper)
-    if not result.normalizable or sp.A >= 0.0:
+    if not (result.normalizable and sp.A < 0.0 < sp.A + sp.B):
         print(f"error: selected root is not a bound state (A = {_num(sp.A)}, "
               f"A + B = {_num(sp.A + sp.B)}); ground state not normalizable",
               file=sys.stderr)
@@ -311,10 +312,10 @@ def _cmd_verify(args) -> int:
     failures = 0
 
     def report(name: str, ok: bool | None, detail: str):
+        # ok may be a numpy bool, never `is False`: count every falsy value
         nonlocal failures
         status = "skip" if ok is None else ("pass" if ok else "fail")
-        if ok is False:
-            failures += 1
+        failures += status == "fail"
         writer.line(f"{status} {name} {detail}")
 
     try:
@@ -348,10 +349,16 @@ def _cmd_verify(args) -> int:
     g = dc.gamma / p.R**2
     o_term = dc.ml_quartic - (E * E - p.M * p.M)
     kap = dc.kappa_const - dc.kappa_slope * (E + p.M)
+    # level n: the superpotential -(A_n + B_n f) against the partner potential
+    # reached by n shape-invariant steps, whose f and f^2 coefficients those
+    # steps shift by +s and -s, s = sum of 2 B_k / a over k < n (0 at n = 0)
+    b_n = ladder(sp.B, args.n, p.a)
+    a_n = shifted_A(sp.frak_u, b_n)
+    s = args.n / p.a * (2.0 * b_n + (args.n + 1) / p.a)
     res = (
-        abs(sp.A**2 - (o_term + g * pk.c0)),
-        abs(2 * sp.A * sp.B - sp.B / p.a - (kap + g * pk.c1)),
-        abs(sp.B**2 + sp.B / p.a - (dc.v + g * pk.c2)),
+        abs(a_n**2 - (o_term + g * pk.c0)),
+        abs(2 * a_n * b_n - b_n / p.a - (kap + g * pk.c1 + s)),
+        abs(b_n**2 + b_n / p.a - (dc.v + g * pk.c2 - s)),
     )
     report("superpotential-matching-residuals", max(res) < 1e-10,
            f"max_residual={max(res):.3e}")
@@ -373,19 +380,23 @@ def _cmd_verify(args) -> int:
 
     if getattr(args, "with_oracle", False):
         # the routes agree when a bound root has a shooting eigenvalue within
-        # 1e-3 and a root that is not bound has none in its bracket
+        # 1e-3.  At n = 0 that is the lowest-node state in the bracket, and a
+        # root that is not bound must have none there; at n >= 1 it is the
+        # nearest one, and a root that is not bound must have none within
+        # 1e-3, since genuine neighbouring levels share its bracket.
         bound = result.normalizable
         flag = f"normalizable={str(bound).lower()}"
         cfg = oracle.default_config(p, (E - 0.5, E + 0.5))
         try:
-            eigs = oracle.find_eigenvalues(cfg, p, state, count=1)
+            # every eigenvalue in the bracket, in node order
+            eigs = oracle.find_eigenvalues(cfg, p, state, count=sys.maxsize)
         except NoEigenvalueInBracket:
             report("shooting-cross-check", not bound,
                    f"{flag}, no eigenvalue in bracket")
         else:
-            o_gap = min(abs(e - E) for e in eigs)
-            report("shooting-cross-check", bound and o_gap < 1e-3,
-                   f"{flag}, gap={o_gap:.3e}")
+            o_gap = min(abs(e - E) for e in (eigs if args.n else eigs[:1]))
+            ok = o_gap < 1e-3 if bound else (args.n > 0 and o_gap >= 1e-3)
+            report("shooting-cross-check", ok, f"{flag}, gap={o_gap:.3e}")
     else:
         report("shooting-cross-check", None, "oracle disabled")
 

@@ -240,8 +240,10 @@ def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
         f_lo, f_hi = mm[i], mm[i + 1]
         if not (np.isfinite(f_lo) and np.isfinite(f_hi)) or f_lo * f_hi >= 0.0:
             continue
-        e_star = float(brentq(lambda E: _mismatch(coeff, E, cfg), grid[i],
-                              grid[i + 1], xtol=tol))
+        # brentq starts by evaluating both ends, which the scan already holds
+        ends = {float(grid[i]): f_lo, float(grid[i + 1]): f_hi}
+        f = lambda E: ends[E] if E in ends else _mismatch(coeff, E, cfg)
+        e_star = float(brentq(f, grid[i], grid[i + 1], xtol=tol))
         slope_in = math.sqrt(max(float(coeff.u(cfg.r_min, e_star)), 0.0))
         values, _ = _trajectory(coeff, e_star, cfg.r_min, h, i_match, slope_in)
         found.append((_count_nodes(values), e_star))

@@ -186,8 +186,6 @@ def solve_energy_by_bracketing(
     Independent of the closed-form route: only evaluates
     energy_equation_residual.  Returns ascending roots (possibly empty).
     """
-    from scipy.optimize import minimize_scalar
-
     if e_lo is None:
         e_lo = -p.M - 50.0
     if e_hi is None:
@@ -202,6 +200,8 @@ def solve_energy_by_bracketing(
     ]
     if not brackets:
         # a root pair closer than the grid spacing straddles the minimum
+        from scipy.optimize import minimize_scalar
+
         i_min = int(np.argmin(vals))
         lo = float(grid[max(i_min - 1, 0)])
         hi = float(grid[min(i_min + 1, len(grid) - 1)])

@@ -4,9 +4,9 @@ The reduced radial function is
 
     F(r) = N exp(A r) (1 + exp(-(r - R)/a))^(-a B)
 
-evaluated in log space throughout; the r^-(D-1)/2 spinor prefactor is not
-folded in.  F(0) is small but nonzero, an inherent feature of the
-centrifugal replacement.
+evaluated in log space throughout, N included; the r^-(D-1)/2 spinor
+prefactor is not folded in.  F(0) is small but nonzero, an inherent feature
+of the centrifugal replacement.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NotNormalizable
 from .params import PhysicalParams, QuantumState, derive_coefficients, kappa
@@ -23,17 +22,17 @@ from .pekeris import pekeris_coefficients, shape_factor
 
 @dataclass(frozen=True)
 class RadialWaveFunction:
-    """Ground-state radial amplitude on [0, r_max].
+    """Ground-state radial amplitude exp(log_norm + log_profile(r)).
 
-    norm_constant is 1.0 for an unnormalized profile (as built directly);
-    normalize() returns an instance with unit L2 norm on [0, r_max].
+    log_norm is 0.0 for an unnormalized profile (as built directly);
+    normalize() returns unit L2 norm on [0, inf) and a sampling range r_max.
     """
 
     A: float
     B: float
     a: float
     R: float
-    norm_constant: float
+    log_norm: float
     r_max: float
 
 
@@ -45,7 +44,7 @@ def log_profile(A: float, B: float, a: float, R: float, r):
 
 def evaluate(wf: RadialWaveFunction, r):
     """Amplitude N exp(A r) (1 + exp(-(r-R)/a))^(-a B), log-space evaluation."""
-    out = wf.norm_constant * np.exp(log_profile(wf.A, wf.B, wf.a, wf.R, r))
+    out = np.exp(wf.log_norm + log_profile(wf.A, wf.B, wf.a, wf.R, r))
     if np.ndim(r) == 0:
         return float(out)
     return out
@@ -62,28 +61,27 @@ def peak_radius(A: float, B: float, a: float, R: float) -> float:
     return 0.0 if A + B * shape_factor(0.0, R, a) <= 0.0 else math.inf
 
 
-def normalize(A: float, B: float, a: float, R: float,
-              r_max: float | None = None) -> RadialWaveFunction:
-    """Normalized wave function on [0, r_max]; requires decay at infinity (A < 0).
+def normalize(A: float, B: float, a: float, R: float) -> RadialWaveFunction:
+    """Wave function with unit L2 norm on [0, inf); requires A < 0 < A + B.
 
-    r_max defaults to a radius beyond which the tail bound exp(2 A r)
-    contributes less than ~1e-13 of the integral.  Adaptive quadrature with
-    absolute tolerance 1e-14 and relative tolerance 1e-10.
+    With y = 1 - f the norm is an incomplete beta function (DLMF 8.17),
+    int_0^inf exp(2 log_profile) dr = a exp(2AR) B(p, q) [1 - I_y0(p, q)],
+    p = 2a(A + B) > 0, q = -2aA > 0, y0 = 1/(1 + exp(R/a)); taken in log
+    space, so log N stays finite where N would overflow (wide wells).
     """
-    if A >= 0.0:
-        raise NotNormalizable(
-            f"A = {A}: amplitude grows like exp(A r); cannot normalize"
-        )
-    r_peak = peak_radius(A, B, a, R)
-    if r_max is None:
-        r_max = max(r_peak, R + 5.0 * a) + 30.0 / abs(A)
-    shift = log_profile(A, B, a, R, r_peak if math.isfinite(r_peak) else 0.0)
-    integrand = lambda r: math.exp(2.0 * (log_profile(A, B, a, R, r) - shift))
-    pts = sorted({p for p in (r_peak, R) if 0.0 < p < r_max})
-    integral, _ = quad(integrand, 0.0, r_max, points=pts or None,
-                       epsabs=1e-14, epsrel=1e-10, limit=200)
-    norm = math.exp(-shift) / math.sqrt(integral)
-    return RadialWaveFunction(A=A, B=B, a=a, R=R, norm_constant=norm, r_max=r_max)
+    if not A < 0.0 < A + B:
+        raise NotNormalizable(f"A = {A}, A + B = {A + B}: no decaying profile "
+                              "with an interior peak; cannot normalize")
+    # imported here so that `import wsdirac` loads no scipy module
+    from scipy.special import betaincc, betaln, expit
+
+    p, q = 2.0 * a * (A + B), -2.0 * a * A
+    log_integral = (math.log(a) + 2.0 * A * R + betaln(p, q)
+                    + math.log(betaincc(p, q, expit(-R / a))))
+    # past r_max the tail exp(2 A r) holds less than ~1e-13 of the norm
+    r_max = max(peak_radius(A, B, a, R), R + 5.0 * a) + 30.0 / abs(A)
+    return RadialWaveFunction(A=A, B=B, a=a, R=R,
+                              log_norm=float(-0.5 * log_integral), r_max=r_max)
 
 
 def second_derivative(wf: RadialWaveFunction, r):

@@ -1,10 +1,17 @@
 """End-to-end CLI behavior: output formats, exit codes, config files."""
 from __future__ import annotations
 
+import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import wsdirac
+from wsdirac import cli
 from wsdirac.cli import CSV_HEADER, main
 
 
@@ -108,6 +115,16 @@ class TestWavefunction:
         assert len(out.err.strip().splitlines()) == 1
         assert "not normalizable" in out.err
 
+    def test_wide_well_normalized(self, capsys):
+        # N ~ e^888 at R = 120 fm overflows a float; the profile is built
+        # from log N
+        code, out = run(capsys, "wavefunction", "--radius", "120", *BOUND_FLAGS)
+        assert code == 0 and out.err == ""
+        r, F = np.loadtxt(io.StringIO(out.out), delimiter=",", skiprows=1,
+                          unpack=True)
+        assert np.all(np.isfinite(F))
+        assert np.trapezoid(F * F, r) == pytest.approx(1.0, abs=1e-6)
+
     def test_rejects_bad_sample_count(self, capsys):
         code, _ = run(capsys, "wavefunction", "--samples", "0")
         assert code == 2
@@ -134,6 +151,35 @@ class TestVerify:
         assert code == 0
         assert any(l.startswith("pass shooting-cross-check")
                    for l in out.out.strip().splitlines())
+
+    @pytest.mark.parametrize("flags", [[], BOUND_FLAGS])
+    def test_excited_level_passes(self, capsys, flags):
+        code, out = run(capsys, "verify", *flags, "--n", "1")
+        assert code == 0
+        assert not any(l.startswith("fail") for l in out.out.splitlines())
+
+    def test_failed_check_sets_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "closed_form_A", lambda *args: 1e3)
+        code, out = run(capsys, "verify")
+        assert code == 1
+        assert "fail superpotential-elimination-agreement" in out.out
+
+    @pytest.mark.parametrize("n, flag, gap_range", [
+        # the bound n = 1 root sits on the oracle's 1-node state
+        ("1", "normalizable=true", (0.0, 1e-3)),
+        # the n = 2 root is not bound; the 1-node state 5.5e-3 below shares
+        # its bracket but is not a match
+        ("2", "normalizable=false", (1e-3, 1e-2)),
+    ])
+    def test_with_oracle_on_excited_levels(self, capsys, n, flag, gap_range):
+        code, out = run(capsys, "verify", *BOUND_FLAGS, "--n", n,
+                        "--with-oracle")
+        assert code == 0
+        line = next(l for l in out.out.splitlines()
+                    if "shooting-cross-check" in l)
+        assert line.startswith(f"pass shooting-cross-check {flag}, gap=")
+        gap = float(line.rsplit("gap=", 1)[1])
+        assert gap_range[0] <= gap < gap_range[1]
 
     def test_degenerate_fails(self, capsys):
         code, out = run(capsys, "verify", "--ell", "0")
@@ -168,3 +214,26 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--config", str(tmp_path / "absent.cfg")])
         assert exc.value.code == 2
+
+
+def test_common_commands_load_no_scipy():
+    # scipy is imported only where it is used (normalize, the oracle and the
+    # bracketing route's near-tangent fallback), not by `import wsdirac`
+    script = (
+        "import contextlib, io, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import wsdirac\n"
+        "from wsdirac import cli\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded(), loaded()\n"
+        "bound = ['--depth', '10', '--alpha-prime', '0.0015']\n"
+        "for argv in (['table', '1'], ['table', '2'], ['solve'],\n"
+        "             ['verify', *bound], ['verify', *bound, '--n', '1']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    assert not loaded(), (argv, loaded())\n"
+    )
+    src = str(Path(wsdirac.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -140,6 +140,30 @@ class TestFindEigenvalues:
         assert nodes == [0, 1, 2, 3]
         assert eigs[2] == pytest.approx(7.515806, abs=1e-5)
 
+    def test_refinement_reuses_scan_values(self, bound_root, monkeypatch):
+        # brentq starts at both bracket ends, which the scan already holds:
+        # no energy is evaluated twice, 25 scan points plus one refinement
+        cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
+        mismatch, calls = oracle._mismatch, {}
+
+        def counted(coeff, E, cfg):
+            calls.setdefault(E, []).append(mismatch(coeff, E, cfg))
+            return calls[E][-1]
+
+        monkeypatch.setattr(oracle, "_mismatch", counted)
+        eig, = find_eigenvalues(cfg, BOUND, BOUND_STATE, count=1,
+                                scan_points=25, tol=1e-11)
+        assert sum(map(len, calls.values())) == len(calls) == 26
+        # reference: Brent on the same scan cell, recomputing every value
+        from scipy.optimize import brentq
+        coeff = oracle._Coefficients(BOUND, BOUND_STATE)
+        grid = np.linspace(*cfg.energy_bracket, 25)
+        i = next(i for i in range(24)
+                 if calls[grid[i]][0] * calls[grid[i + 1]][0] < 0.0)
+        ref = brentq(lambda E: mismatch(coeff, E, cfg), grid[i], grid[i + 1],
+                     xtol=1e-11)
+        assert abs(eig - ref) <= 1e-11
+
     def test_empty_bracket_raises(self, bound_root):
         cfg = default_config(BOUND, (bound_root - 0.04, bound_root - 0.02))
         with pytest.raises(NoEigenvalueInBracket):

@@ -1,6 +1,7 @@
 """Analytic ground-state profile: evaluation, normalization, ODE residual."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,9 @@ from scipy.integrate import quad
 
 from wsdirac import (
     NotNormalizable,
+    PhysicalParams,
+    QuantumState,
+    WsdiracError,
     derive_coefficients,
     evaluate,
     log_profile,
@@ -59,7 +63,55 @@ class TestProfile:
         assert peak_radius(2.0, 1.0, 0.5, 7.0) == math.inf
 
 
+def quad_log_norm(A, B, a, R):
+    """Reference log N by adaptive quadrature of the profile on [0, inf)."""
+    r_peak = peak_radius(A, B, a, R)
+    shift = log_profile(A, B, a, R, r_peak)
+    r_max = max(r_peak, R + 5.0 * a) + 30.0 / abs(A)
+    f = lambda r: math.exp(2.0 * (log_profile(A, B, a, R, r) - shift))
+    body, _ = quad(f, 0.0, r_max, points=sorted({r_peak, R}), epsabs=1e-14,
+                   epsrel=1e-13, limit=200)
+    tail, _ = quad(f, r_max, math.inf)
+    return -shift - 0.5 * math.log(body + tail)
+
+
+def attractive_wells():
+    """(A, B, a, R) of every bound ground state on a spread of wells."""
+    out = []
+    for V0, alpha, ell, D, R in itertools.product(
+            (6.0, 10.0, 12.0), (0.0, 0.0015, 0.005), (10, 20, 25), (1, 3, 5),
+            (5.0, 7.0, 30.0)):
+        p = PhysicalParams(M=10.0, a=0.5, R=R, V0=V0, E0=10.0,
+                           alpha_prime=alpha)
+        state = QuantumState(n=0, ell=ell, D=D)
+        try:
+            result = solve_energy(p, state)
+        except WsdiracError:
+            continue
+        if result.normalizable:
+            sp = solve_susy_parameters(derive_coefficients(p, state),
+                                       pekeris_coefficients(R, p.a), p,
+                                       result.e_upper)
+            out.append((sp.A, sp.B, p.a, R))
+    return out
+
+
 class TestNormalize:
+    def test_closed_form_matches_quadrature(self, bound_solution):
+        _, sp = bound_solution
+        wells = [(sp.A, sp.B, BOUND.a, BOUND.R)] + attractive_wells()
+        assert len(wells) >= 20
+        for A, B, a, R in wells:
+            wf = normalize(A, B, a, R)
+            rel = math.expm1(wf.log_norm - quad_log_norm(A, B, a, R))
+            assert abs(rel) <= 1e-12, (A, B, a, R)
+
+    def test_monotone_profile_rejected(self):
+        # A < 0 but A + B <= 0: the profile falls from r = 0, no interior peak
+        for B in (1.0, 2.0):
+            with pytest.raises(NotNormalizable):
+                normalize(-2.0, B, 0.5, 7.0)
+
     def test_unit_norm(self, bound_solution):
         _, sp = bound_solution
         wf = normalize(sp.A, sp.B, BOUND.a, BOUND.R)
