@@ -29,8 +29,7 @@ from .spectrum import (
     solve_energy,
     sweep,
 )
-from .susyqm import (closed_form_A, ladder, shifted_A, slope_parameter,
-                     solve_susy_parameters)
+from .susyqm import closed_form_A, ladder, shifted_A, solve_susy_parameters
 from .wavefunction import evaluate, normalize
 
 EXIT_OK = 0
@@ -155,15 +154,23 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     return argv
 
 
-def _physical_params(args, alpha_prime: float | None = None) -> PhysicalParams:
-    return PhysicalParams(
-        M=args.mass,
-        a=args.surface_thickness,
-        R=args.radius,
-        V0=args.depth,
-        E0=args.e0,
-        alpha_prime=args.alpha_prime if alpha_prime is None else alpha_prime,
-    )
+class _InvalidInput(Exception):
+    """A parameter or label outside its domain: exit 2."""
+
+
+def _inputs(args, alpha_prime: float | None = None
+            ) -> tuple[PhysicalParams, QuantumState]:
+    try:
+        return PhysicalParams(
+            M=args.mass,
+            a=args.surface_thickness,
+            R=args.radius,
+            V0=args.depth,
+            E0=args.e0,
+            alpha_prime=args.alpha_prime if alpha_prime is None else alpha_prime,
+        ), QuantumState(n=args.n, ell=args.ell, D=args.dim)
+    except ValueError as exc:
+        raise _InvalidInput(exc) from None
 
 
 class _Writer:
@@ -233,42 +240,21 @@ def _cmd_table(args) -> int:
         dims, ells = TABLE1_DIMS, [20]
     else:
         dims, ells = [3], TABLE2_ELLS
-    try:
-        base = _physical_params(args, alpha_prime=0.0)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    p, _ = _inputs(args, alpha_prime=0.0)
+    cells = sweep(p, TABLE_ALPHAS, dims, ells, [args.n])
     writer = _Writer(args)
-    failed = False
-    # rows are D (table 1) or ell (table 2), columns the deformation values
-    for dim in dims:
-        for ell in ells:
-            for cell in sweep(base, TABLE_ALPHAS, [dim], [ell], [args.n]):
-                writer.spectrum_row(cell.alpha_prime, cell.D, cell.ell,
-                                    cell.n, cell.result, cell.error)
-                failed = failed or cell.error is not None
+    # rows are D (table 1) or ell (table 2), columns the deformation values:
+    # the sort is stable, so each row keeps the sweep's alpha order
+    for cell in sorted(cells, key=lambda c: (c.D, c.ell)):
+        writer.spectrum_row(cell.alpha_prime, cell.D, cell.ell, cell.n,
+                            cell.result, cell.error)
     writer.close()
+    failed = any(cell.error is not None for cell in cells)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def _solve_one(args) -> tuple[PhysicalParams, QuantumState, SpectrumResult]:
-    p = _physical_params(args)
-    state = QuantumState(n=args.n, ell=args.ell, D=args.dim)
-    return p, state, solve_energy(p, state)
-
-
 def _cmd_solve(args) -> int:
-    try:
-        _, _, result = _solve_one(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DegenerateSuperpotential as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except WsdiracError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    result = solve_energy(*_inputs(args))
     writer = _Writer(args)
     writer.spectrum_row(args.alpha_prime, args.dim, args.ell, args.n,
                         result, None if result.roots_real else "NoRealRoot")
@@ -280,14 +266,13 @@ def _cmd_wavefunction(args) -> int:
     if args.samples < 1:
         print("error: --samples must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        p, state, result = _solve_one(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.n != 0:
+        # the analytic profile solves the radial equation at n = 0 only
+        print("error: wavefunction emits the ground state; --n must be 0",
+              file=sys.stderr)
         return EXIT_USAGE
-    except DegenerateSuperpotential as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    p, state = _inputs(args)
+    result = solve_energy(p, state)
     if not result.roots_real:
         print("error: no real energy root for this configuration", file=sys.stderr)
         return EXIT_NO_REAL_ROOT
@@ -318,13 +303,7 @@ def _cmd_verify(args) -> int:
         failures += status == "fail"
         writer.line(f"{status} {name} {detail}")
 
-    try:
-        p = _physical_params(args)
-        state = QuantumState(n=args.n, ell=args.ell, D=args.dim)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    p, state = _inputs(args)
     pk = pekeris_coefficients(p.R, p.a)
     t = taylor_match_report(pk)
     gap = max(abs(t[0] - 1.0), abs(t[1] + 2.0), abs(t[2] - 3.0))
@@ -415,7 +394,15 @@ def main(argv: list[str] | None = None) -> int:
         "wavefunction": _cmd_wavefunction,
         "verify": _cmd_verify,
     }[args.command]
-    return handler(args)
+    # the exit codes of the typed failures, for every command
+    try:
+        return handler(args)
+    except (_InvalidInput, WsdiracError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, _InvalidInput):
+            return EXIT_USAGE
+        return (EXIT_DEGENERATE if isinstance(exc, DegenerateSuperpotential)
+                else EXIT_CHECK_FAILED)
 
 
 if __name__ == "__main__":

@@ -93,7 +93,7 @@ def gamma(state: QuantumState) -> float:
 
 
 def derive_coefficients(p: PhysicalParams, state: QuantumState) -> DerivedCoefficients:
-    """Assemble the energy-independent coefficients for the given inputs."""
+    """The energy-independent coefficients; alpha_prime, ell and D may be arrays."""
     ml = p.E0 * p.E0 - p.M * p.M
     return DerivedCoefficients(
         gamma=gamma(state),

@@ -12,15 +12,20 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import DegenerateSuperpotential, LadderSingular, NoRealRoot, WsdiracError
-from .params import PhysicalParams, QuantumState, derive_coefficients, kappa
+from .params import PhysicalParams, QuantumState, derive_coefficients
 from .pekeris import pekeris_coefficients
 from .susyqm import (_SINGULAR_RTOL, ladder, shifted_A, slope_parameter,
                      solve_susy_parameters)
+
+# per-cell codes of the typed errors, in the order the checks apply
+_DEGENERATE, _SINGULAR = 1, 2
 
 
 @dataclass(frozen=True)
@@ -43,32 +48,31 @@ class SpectrumResult:
     branch: str | None
     roots_real: bool
     normalizable: bool
-    ladder_valid: bool
 
 
-@dataclass(frozen=True)
-class _EnergyQuadratic:
-    """Coefficients of the residual E^2 - M^2 - Q - g0 + (p E + q)^2."""
-
-    p: float
-    q: float
-    M: float
-    const: float  # Q + gamma c0 / R^2
-    B: float
-    B_n: float
+_NO_ROOT_RESULT = SpectrumResult(e_upper=None, e_lower=None, e_binding=None,
+                                 branch=None, roots_real=False,
+                                 normalizable=False)
 
 
-def _assemble(p: PhysicalParams, state: QuantumState) -> _EnergyQuadratic:
+# coefficients of the residual E^2 - M^2 - const + (p E + q)^2 per cell, with
+# const = Q + gamma c0 / R^2.  code is _DEGENERATE where B = 0 and _SINGULAR
+# where B_n = 0, else 0; B_n, and with it p and q, is NaN at those cells.
+_EnergyQuadratic = namedtuple("_EnergyQuadratic", "p q M const B_n code")
+
+
+def _assemble(p, state) -> _EnergyQuadratic:
+    """The energy quadratic of a PhysicalParams and QuantumState, or of every
+    cell of a sweep passed as both (arrays of alpha_prime, D, ell and n)."""
     dc = derive_coefficients(p, state)
     pk = pekeris_coefficients(p.R, p.a)
     B = slope_parameter(dc, pk, p)
-    if abs(B) <= _SINGULAR_RTOL / (2.0 * p.a):
-        raise DegenerateSuperpotential(
-            "B = 0: energy equation undefined for this configuration"
-        )
     b_n = ladder(B, state.n, p.a)
-    if abs(b_n) <= _SINGULAR_RTOL * max(abs(B), 1.0 / p.a):
-        raise LadderSingular(f"B_n = 0 at n = {state.n}")
+    code = np.where(
+        np.abs(B) <= _SINGULAR_RTOL / (2.0 * p.a), _DEGENERATE,
+        np.where(np.abs(b_n) <= _SINGULAR_RTOL * np.maximum(np.abs(B), 1.0 / p.a),
+                 _SINGULAR, 0))
+    b_n = np.where(code == 0, b_n, np.nan)
     # frak_u(E) = kappa_const - V0 (E + M) + v + gamma (c1 + c2)/R^2
     u0 = dc.kappa_const - dc.kappa_slope * p.M + dc.v \
         + dc.gamma * (pk.c1 + pk.c2) / p.R**2
@@ -78,16 +82,18 @@ def _assemble(p: PhysicalParams, state: QuantumState) -> _EnergyQuadratic:
         q=u0 / (2.0 * b_n) - b_n / 2.0,
         M=p.M,
         const=dc.ml_quartic + dc.gamma * pk.c0 / p.R**2,
-        B=B,
         B_n=b_n,
+        code=code,
     )
 
 
-def energy_equation_residual(E: float, p: PhysicalParams, state: QuantumState) -> float:
+def energy_equation_residual(E, p: PhysicalParams, state: QuantumState):
     """Residual of the total-energy condition at trial energy E (fm^-2).
 
     Zero iff E solves the condition.  Assembled from the coefficient modules
-    directly (kappa, frak_u, shifted A), not from the reduced quadratic.
+    directly (kappa, frak_u, shifted A), not from the reduced quadratic.  E
+    may be an array; an array's residuals can differ from scalar ones in the
+    last bit (numpy squares by a multiply, Python by pow).
     """
     dc = derive_coefficients(p, state)
     pk = pekeris_coefficients(p.R, p.a)
@@ -101,43 +107,45 @@ def energy_equation_residual(E: float, p: PhysicalParams, state: QuantumState) -
     )
 
 
-def _solve_quadratic(eq: _EnergyQuadratic) -> tuple[float, float] | None:
-    """Real roots of the residual quadratic, or None; numerically stable form."""
+def _solve_quadratic(eq: _EnergyQuadratic):
+    """(upper, lower, no_root) per cell from the numerically stable form.
+
+    no_root marks a negative discriminant; the roots are NaN there.
+    """
     a2 = 1.0 + eq.p * eq.p
     a1 = 2.0 * eq.p * eq.q
     a0 = eq.q * eq.q - eq.M * eq.M - eq.const
     disc = a1 * a1 - 4.0 * a2 * a0
-    if disc < 0.0:
-        return None
-    s = math.sqrt(disc)
-    if a1 >= 0.0:
-        t = -(a1 + s) / 2.0
-    else:
-        t = -(a1 - s) / 2.0
-    if t == 0.0:
-        r1 = r2 = 0.0
-    else:
-        r1, r2 = t / a2, a0 / t
-    return (max(r1, r2), min(r1, r2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sqrt(disc)
+        # a sign test, not copysign: a1 = -0.0 takes the first branch
+        t = np.where(a1 >= 0.0, -(a1 + s) / 2.0, -(a1 - s) / 2.0)
+        r1 = np.where(t == 0.0, 0.0, t / a2)
+        r2 = np.where(t == 0.0, 0.0, a0 / t)
+    # the first root unless the second is strictly beyond it, as max and min
+    return np.where(r2 > r1, r2, r1), np.where(r2 < r1, r2, r1), disc < 0.0
 
 
-def _result_from_roots(eq: _EnergyQuadratic, roots) -> SpectrumResult:
-    if roots is None:
-        return SpectrumResult(
-            e_upper=None, e_lower=None, e_binding=None, branch=None,
-            roots_real=False, normalizable=False, ladder_valid=True,
-        )
-    upper, lower = float(roots[0]), float(roots[1])
+def _records(eq: _EnergyQuadratic, upper, lower, no_root) -> list:
+    """The SpectrumResult of every cell, in C order: None where B = 0 or
+    B_n = 0, the no-root record where the discriminant is negative."""
     a_n = eq.p * upper + eq.q
-    return SpectrumResult(
-        e_upper=upper,
-        e_lower=lower,
-        e_binding=upper - eq.M,
-        branch="upper",
-        roots_real=True,
-        normalizable=bool(a_n < 0.0 < a_n + eq.B_n),
-        ladder_valid=True,
-    )
+    normalizable = (a_n < 0.0) & (0.0 < a_n + eq.B_n)
+    columns = (eq.code, no_root, upper, lower, upper - eq.M, normalizable)
+    return [None if code else _NO_ROOT_RESULT if none else SpectrumResult(
+                e_upper=e_up, e_lower=e_lo, e_binding=e_b, branch="upper",
+                roots_real=True, normalizable=bound)
+            for code, none, e_up, e_lo, e_b, bound  # every column has one shape
+            in zip(*(np.ravel(x).tolist() for x in columns))]
+
+
+def _raise_typed(code: int, state: QuantumState) -> None:
+    if code == _DEGENERATE:
+        raise DegenerateSuperpotential(
+            "B = 0: energy equation undefined for this configuration"
+        )
+    if code == _SINGULAR:
+        raise LadderSingular(f"B_n = 0 at n = {state.n}")
 
 
 def solve_energy(p: PhysicalParams, state: QuantumState) -> SpectrumResult:
@@ -147,7 +155,9 @@ def solve_energy(p: PhysicalParams, state: QuantumState) -> SpectrumResult:
     raised, so sweeps can record the complex-eigenvalue boundary as data.
     """
     eq = _assemble(p, state)
-    return _result_from_roots(eq, _solve_quadratic(eq))
+    _raise_typed(int(eq.code), state)
+    result, = _records(eq, *_solve_quadratic(eq))
+    return result
 
 
 def ground_state_energy(p: PhysicalParams, state: QuantumState) -> SpectrumResult:
@@ -159,6 +169,7 @@ def ground_state_energy(p: PhysicalParams, state: QuantumState) -> SpectrumResul
     if state.n != 0:
         raise ValueError(f"ground_state_energy requires n = 0, got n = {state.n}")
     eq = _assemble(p, state)  # B_n = B at n = 0
+    _raise_typed(int(eq.code), state)
     # (E - M)(E + M) - const + (p E + q)^2 as monomial coefficients
     poly = [
         1.0 + eq.p * eq.p,
@@ -167,9 +178,9 @@ def ground_state_energy(p: PhysicalParams, state: QuantumState) -> SpectrumResul
     ]
     roots = np.roots(poly)
     real = sorted(float(r.real) for r in roots if abs(r.imag) <= 1e-9 * max(1.0, abs(r)))
-    if not real:
-        return _result_from_roots(eq, None)
-    return _result_from_roots(eq, (real[-1], real[0]))
+    roots = (real[-1], real[0], False) if real else (math.nan, math.nan, True)
+    result, = _records(eq, *roots)
+    return result
 
 
 def solve_energy_by_bracketing(
@@ -184,35 +195,27 @@ def solve_energy_by_bracketing(
     """Roots of the residual found by grid scan plus bisection (oracle path).
 
     Independent of the closed-form route: only evaluates
-    energy_equation_residual.  Returns ascending roots (possibly empty).
+    energy_equation_residual, over the whole scan grid in one call and at
+    each bisection midpoint.  max_steps bounds each bisection and the number
+    of re-scans.  Returns ascending roots (possibly empty).
     """
     if e_lo is None:
         e_lo = -p.M - 50.0
     if e_hi is None:
         e_hi = p.M + 50.0
     residual = lambda E: energy_equation_residual(float(E), p, state)
-    grid = np.linspace(e_lo, e_hi, grid_points)
-    vals = [residual(E) for E in grid]
-    brackets = [
-        (float(grid[i]), float(grid[i + 1]))
-        for i in range(len(grid) - 1)
-        if vals[i] * vals[i + 1] < 0.0
-    ]
-    if not brackets:
-        # a root pair closer than the grid spacing straddles the minimum
-        from scipy.optimize import minimize_scalar
-
+    for _ in range(max_steps):
+        grid = np.linspace(e_lo, e_hi, grid_points)
+        vals = energy_equation_residual(grid, p, state)
+        brackets = [(float(grid[i]), float(grid[i + 1]))
+                    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)]
+        if brackets or e_hi - e_lo < tol * max(1.0, abs(e_lo)):
+            break
+        # a root pair closer than the grid spacing straddles the minimum:
+        # re-scan the two cells around it
         i_min = int(np.argmin(vals))
-        lo = float(grid[max(i_min - 1, 0)])
-        hi = float(grid[min(i_min + 1, len(grid) - 1)])
-        opt = minimize_scalar(residual, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-12})
-        if opt.fun < 0.0:
-            vertex = float(opt.x)
-            if residual(lo) > 0.0:
-                brackets.append((lo, vertex))
-            if residual(hi) > 0.0:
-                brackets.append((vertex, hi))
+        e_lo = float(grid[max(i_min - 1, 0)])
+        e_hi = float(grid[min(i_min + 1, grid_points - 1)])
     roots = []
     for lo, hi in brackets:
         f_lo = residual(lo)
@@ -267,21 +270,31 @@ def sweep(
     """Evaluate the Cartesian product of the grids; failures become cell records.
 
     Ordering is row-major in (alpha_prime, D, ell, n).  A typed solver error
-    in one cell never aborts the sweep.
+    in one cell never aborts the sweep.  The whole grid is solved in one
+    broadcast pass, and each cell equals solve_energy on it to the bit; a
+    cell's typed error is the one solve_energy raises on it.
     """
-    for name, grid in (("alpha_prime", alpha_primes), ("D", dims),
-                       ("ell", ells), ("n", ns)):
+    grids = (alpha_primes, dims, ells, ns)
+    for name, grid in zip(("alpha_prime", "D", "ell", "n"), grids):
         if not grid:
             raise ValueError(f"sweep grid '{name}' must be non-empty")
-    cells = []
-    for alpha, D, ell, n in itertools.product(alpha_primes, dims, ells, ns):
-        phys = PhysicalParams(M=p.M, a=p.a, R=p.R, V0=p.V0, E0=p.E0,
-                              alpha_prime=alpha)
-        try:
-            result = solve_energy(phys, QuantumState(n=n, ell=ell, D=D))
-            error = None if result.roots_real else NoRealRoot.__name__
-        except WsdiracError as exc:
-            result, error = None, type(exc).__name__
-        cells.append(SweepCell(alpha_prime=alpha, D=D, ell=ell, n=n,
-                               result=result, error=error))
-    return cells
+    for alpha in alpha_primes:
+        replace(p, alpha_prime=alpha)  # ValueError outside [0, 1]
+    QuantumState(n=min(ns), ell=min(ells), D=min(dims))  # and on a negative label
+    # an open mesh, grid k along axis k, of float64 labels (exact for integers,
+    # lighter than int64); the cells stand in for both params and state
+    alpha, D, ell, n = np.ix_(*(np.asarray(g, dtype=float) for g in grids))
+    cells = SimpleNamespace(**{**vars(p), "alpha_prime": alpha}, D=D, ell=ell, n=n)
+    eq = _assemble(cells, cells)
+    out = []
+    for (alpha, D, ell, n), result in zip(itertools.product(*grids),
+                                          _records(eq, *_solve_quadratic(eq))):
+        error = None if result is None or result.roots_real else NoRealRoot.__name__
+        if result is None:  # B = 0 or B_n = 0, at a few cells per sweep
+            try:
+                solve_energy(replace(p, alpha_prime=alpha),
+                             QuantumState(n=n, ell=ell, D=D))
+            except WsdiracError as exc:
+                error = type(exc).__name__
+        out.append(SweepCell(alpha, D, ell, n, result=result, error=error))
+    return out

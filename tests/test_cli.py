@@ -42,6 +42,15 @@ class TestTable:
         assert {l.split(",")[2] for l in lines[1:]} == \
             {"20", "21", "22", "23", "24"}
 
+    @pytest.mark.parametrize("which, key", [("1", 1), ("2", 2)])
+    def test_rows_ordered_by_row_label_then_alpha(self, capsys, which, key):
+        code, out = run(capsys, "table", which)
+        assert code == 0
+        rows = [l.split(",") for l in out.out.strip().splitlines()[1:]]
+        labels = cli.TABLE1_DIMS if which == "1" else cli.TABLE2_ELLS
+        assert [(int(r[key]), float(r[0])) for r in rows] == \
+            [(v, a) for v in labels for a in cli.TABLE_ALPHAS]
+
     def test_rejects_unknown_table(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["table", "3"])
@@ -125,6 +134,14 @@ class TestWavefunction:
         assert np.all(np.isfinite(F))
         assert np.trapezoid(F * F, r) == pytest.approx(1.0, abs=1e-6)
 
+    def test_excited_level_rejected(self, capsys):
+        # the analytic profile solves the radial equation at n = 0 only
+        code, out = run(capsys, "wavefunction", *BOUND_FLAGS, "--n", "1")
+        assert code == 2
+        assert out.out == ""
+        assert len(out.err.strip().splitlines()) == 1
+        assert "ground state" in out.err
+
     def test_rejects_bad_sample_count(self, capsys):
         code, _ = run(capsys, "wavefunction", "--samples", "0")
         assert code == 2
@@ -187,6 +204,23 @@ class TestVerify:
         assert "fail energy-solve" in out.out
 
 
+@pytest.mark.parametrize("command", [["table", "1"], ["solve"], ["verify"]])
+def test_negative_label_exit_code(capsys, command):
+    code, out = run(capsys, *command, "--n", "-1")
+    assert code == 2
+    assert out.err.startswith("error: ") and "Traceback" not in out.err
+
+
+def test_solver_value_error_is_not_a_usage_error(monkeypatch):
+    # exit 2 is for inputs outside their domain; a ValueError raised inside
+    # the solver is a fault and propagates
+    def broken(p, state):
+        raise ValueError("inside the solver")
+    monkeypatch.setattr(cli, "solve_energy", broken)
+    with pytest.raises(ValueError, match="inside the solver"):
+        main(["solve"])
+
+
 class TestConfigFile:
     def test_values_loaded(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -217,8 +251,9 @@ class TestConfigFile:
 
 
 def test_common_commands_load_no_scipy():
-    # scipy is imported only where it is used (normalize, the oracle and the
-    # bracketing route's near-tangent fallback), not by `import wsdirac`
+    # scipy is imported only where it is used (normalize and the oracle), not
+    # by `import wsdirac`; the bracketing route resolves the reference well's
+    # sub-grid root pair by re-scanning, without scipy.optimize
     script = (
         "import contextlib, io, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
@@ -227,7 +262,7 @@ def test_common_commands_load_no_scipy():
         "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded(), loaded()\n"
         "bound = ['--depth', '10', '--alpha-prime', '0.0015']\n"
-        "for argv in (['table', '1'], ['table', '2'], ['solve'],\n"
+        "for argv in (['table', '1'], ['table', '2'], ['solve'], ['verify'],\n"
         "             ['verify', *bound], ['verify', *bound, '--n', '1']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"

@@ -1,18 +1,24 @@
 """Closed-form energy solve, independent root-finding routes and sweeps."""
 from __future__ import annotations
 
+import hashlib
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wsdirac import (
     DegenerateSuperpotential,
     PhysicalParams,
     QuantumState,
+    WsdiracError,
     closed_form_vs_bracketing_gap,
     energy_equation_residual,
+    gamma,
     ground_state_energy,
     solve_energy,
     solve_energy_by_bracketing,
@@ -155,3 +161,106 @@ class TestQuadraticConditioning:
             bound = math.sqrt(p.M**2 + 1.0) + 50.0
             assert abs(result.e_upper) < bound
             assert abs(result.e_lower) < bound
+
+
+def _outcome(p, alpha, D, ell, n):
+    """(error, repr of the record) from the scalar route, as a sweep cell has them."""
+    try:
+        r = solve_energy(replace(p, alpha_prime=alpha),
+                         QuantumState(n=n, ell=ell, D=D))
+    except WsdiracError as exc:
+        return type(exc).__name__, repr(None)
+    return (None if r.roots_real else "NoRealRoot"), repr(r)
+
+
+def _ladder_radius(a, ell, D):
+    # B - 1/a = 0 at alpha' = 0: the n = 1 ladder step is singular
+    return a * (24.0 * gamma(QuantumState(0, ell, D))) ** 0.25
+
+
+@st.composite
+def _sweep_grids(draw):
+    a = draw(st.floats(0.3, 0.9))
+    ells = sorted(set(draw(st.lists(st.integers(0, 30), min_size=1, max_size=3))))
+    dims = sorted(set(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))))
+    ladder_cells = [(ell, D) for ell in ells for D in dims
+                    if gamma(QuantumState(0, ell, D)) >= 30.0]
+    if ladder_cells and draw(st.booleans()):
+        R = _ladder_radius(a, *draw(st.sampled_from(ladder_cells)))
+    else:
+        R = a * draw(st.floats(5.0, 15.0))
+    p = PhysicalParams(
+        M=draw(st.floats(2.0, 10.0)), a=a, R=R,
+        V0=draw(st.one_of(st.just(0.0), st.floats(-12.0, 12.0))),
+        E0=draw(st.floats(1.0, 12.0)), alpha_prime=0.0,
+    )
+    alphas = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.01)),
+                           min_size=1, max_size=3))
+    ns = sorted(set(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))))
+    return p, alphas, dims, ells, ns
+
+
+class TestSweepMatchesScalar:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(_sweep_grids())
+    # the corners: DegenerateSuperpotential (alpha' = 0, ell = 0, D = 3),
+    # LadderSingular (R = a (24 gamma)^(1/4), n = 1), V0 = 0 and NoRealRoot
+    @example((reference_params(0.0), [0.0, 0.01], [3], [0, 5, 20], [0, 1]))
+    @example((replace(reference_params(0.0), R=_ladder_radius(0.5, 20, 3)),
+              [0.0], [3], [20], [0, 1, 2]))
+    @example((replace(BOUND, V0=0.0), [0.0, 0.0015], [1, 3], [0, 20], [0, 2]))
+    def test_every_cell_equals_scalar_solve(self, grid):
+        p, alphas, dims, ells, ns = grid
+        cells = sweep(p, alphas, dims, ells, ns)
+        assert [(c.alpha_prime, c.D, c.ell, c.n) for c in cells] == \
+            list(itertools.product(alphas, dims, ells, ns))
+        for c in cells:
+            assert (c.error, repr(c.result)) == \
+                _outcome(p, c.alpha_prime, c.D, c.ell, c.n)
+
+    def test_examples_reach_the_corners(self):
+        ref = reference_params(0.0)
+        assert _outcome(ref, 0.0, 3, 0, 0)[0] == "DegenerateSuperpotential"
+        assert _outcome(ref, 0.0, 3, 5, 0)[0] == "NoRealRoot"
+        singular = replace(ref, R=_ladder_radius(0.5, 20, 3))
+        assert _outcome(singular, 0.0, 3, 20, 1)[0] == "LadderSingular"
+        # V0 = 0: the linear coefficient a1 = 2 p q is a signed zero
+        assert _outcome(replace(BOUND, V0=0.0), 0.0, 3, 20, 0)[0] is None
+
+
+# sha256 over repr of every cell outcome of _digest_grids(), recorded from the
+# per-cell scalar implementation the array-native sweep replaced
+_DIGEST = "a83a7f06fa5291bcae666e4193519647b185567a23fa79c2f1d021e007045f7c"
+
+
+def _digest_grids():
+    ref = reference_params(0.0)
+    return [
+        (ref, [0.0, 0.001, 0.005, 0.01], [1, 2, 3, 4, 5], [0, 1, 5, 20, 24],
+         [0, 1, 2, 3]),
+        (BOUND, [0.0, 0.0015, 0.005], [1, 2, 3], [0, 2, 20], [0, 1, 2, 3]),
+        (replace(ref, R=_ladder_radius(0.5, 20, 3)), [0.0, 0.002], [3],
+         [0, 20], [0, 1, 2]),
+        (replace(BOUND, V0=0.0), [0.0, 0.0015], [1, 3], [0, 3, 20], [0, 1]),
+        (PhysicalParams(M=3.7, a=0.41, R=5.3, V0=-7.9, E0=2.2,
+                        alpha_prime=0.0),
+         [0.0, 0.0037, 0.0091], [1, 2, 4], [1, 7, 13, 29], [0, 1, 3]),
+    ]
+
+
+def test_sweep_outcomes_digest():
+    h = hashlib.sha256()
+    for p, *grids in _digest_grids():
+        for c in sweep(p, *grids):
+            r = c.result
+            h.update(repr((c.alpha_prime, c.D, c.ell, c.n, c.error,
+                           None if r is None else (
+                               r.e_upper, r.e_lower, r.e_binding, r.branch,
+                               r.roots_real, r.normalizable))).encode())
+    assert h.hexdigest() == _DIGEST
+
+
+@pytest.mark.parametrize("alphas", [[1.5], [0.0, -0.001]])
+def test_sweep_rejects_out_of_range_alpha(alphas):
+    with pytest.raises(ValueError):
+        sweep(reference_params(0.0), alphas, [3], [20], [0])
