@@ -23,10 +23,11 @@ from .params import (
     DerivedCoefficients,
     PhysicalParams,
     QuantumState,
+    RadialCoefficients,
     SurfaceRegimeWarning,
     derive_coefficients,
     gamma,
-    kappa,
+    radial_coefficients,
 )
 from .pekeris import (
     PekerisCoefficients,

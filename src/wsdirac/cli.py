@@ -17,10 +17,12 @@ import numpy as np
 from .errors import (
     DegenerateSuperpotential,
     NoEigenvalueInBracket,
+    NotNormalizable,
     WsdiracError,
 )
 from . import oracle
-from .params import PhysicalParams, QuantumState, derive_coefficients
+from .params import (PhysicalParams, QuantumState, RadialCoefficients,
+                     derive_coefficients)
 from .pekeris import pekeris_coefficients, taylor_match_report
 from .spectrum import (
     SpectrumResult,
@@ -276,14 +278,8 @@ def _cmd_wavefunction(args) -> int:
     if not result.roots_real:
         print("error: no real energy root for this configuration", file=sys.stderr)
         return EXIT_NO_REAL_ROOT
-    dc = derive_coefficients(p, state)
-    pk = pekeris_coefficients(p.R, p.a)
-    sp = solve_susy_parameters(dc, pk, p, result.e_upper)
-    if not (result.normalizable and sp.A < 0.0 < sp.A + sp.B):
-        print(f"error: selected root is not a bound state (A = {_num(sp.A)}, "
-              f"A + B = {_num(sp.A + sp.B)}); ground state not normalizable",
-              file=sys.stderr)
-        return EXIT_NOT_NORMALIZABLE
+    sp = solve_susy_parameters(derive_coefficients(p, state),
+                               pekeris_coefficients(p.R, p.a), p, result.e_upper)
     wf = normalize(sp.A, sp.B, p.a, p.R)
     writer = _Writer(args)
     for r in np.linspace(0.0, wf.r_max, args.samples):
@@ -325,9 +321,7 @@ def _cmd_verify(args) -> int:
 
     E = result.e_upper
     sp = solve_susy_parameters(dc, pk, p, E)
-    g = dc.gamma / p.R**2
-    o_term = dc.ml_quartic - (E * E - p.M * p.M)
-    kap = dc.kappa_const - dc.kappa_slope * (E + p.M)
+    rc = RadialCoefficients(dc, pk, p)
     # level n: the superpotential -(A_n + B_n f) against the partner potential
     # reached by n shape-invariant steps, whose f and f^2 coefficients those
     # steps shift by +s and -s, s = sum of 2 B_k / a over k < n (0 at n = 0)
@@ -335,9 +329,9 @@ def _cmd_verify(args) -> int:
     a_n = shifted_A(sp.frak_u, b_n)
     s = args.n / p.a * (2.0 * b_n + (args.n + 1) / p.a)
     res = (
-        abs(a_n**2 - (o_term + g * pk.c0)),
-        abs(2 * a_n * b_n - b_n / p.a - (kap + g * pk.c1 + s)),
-        abs(b_n**2 + b_n / p.a - (dc.v + g * pk.c2 - s)),
+        abs(a_n**2 - rc.c0(E)),
+        abs(2 * a_n * b_n - b_n / p.a - (rc.frak_u(E) - rc.c2 + s)),
+        abs(b_n**2 + b_n / p.a - (rc.c2 - s)),
     )
     report("superpotential-matching-residuals", max(res) < 1e-10,
            f"max_residual={max(res):.3e}")
@@ -399,10 +393,10 @@ def main(argv: list[str] | None = None) -> int:
         return handler(args)
     except (_InvalidInput, WsdiracError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, _InvalidInput):
-            return EXIT_USAGE
-        return (EXIT_DEGENERATE if isinstance(exc, DegenerateSuperpotential)
-                else EXIT_CHECK_FAILED)
+        return {_InvalidInput: EXIT_USAGE,
+                DegenerateSuperpotential: EXIT_DEGENERATE,
+                NotNormalizable: EXIT_NOT_NORMALIZABLE,
+                }.get(type(exc), EXIT_CHECK_FAILED)
 
 
 if __name__ == "__main__":

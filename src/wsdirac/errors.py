@@ -6,7 +6,7 @@ class WsdiracError(Exception):
 
 
 class DegenerateSuperpotential(WsdiracError):
-    """The superpotential slope parameter B vanishes; the factorization ansatz collapses."""
+    """The superpotential slope B vanishes or is not real; the factorization collapses."""
 
 
 class LadderSingular(WsdiracError):
@@ -18,7 +18,7 @@ class NoRealRoot(WsdiracError):
 
 
 class NotNormalizable(WsdiracError):
-    """The analytic radial function grows at large r (A >= 0) and cannot be normalized."""
+    """The analytic radial function fails A < 0 < A + B and cannot be normalized."""
 
 
 class NotBoundRegime(WsdiracError):

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationBlowup, NoEigenvalueInBracket, NotBoundRegime
-from .params import PhysicalParams, QuantumState, derive_coefficients
-from .pekeris import pekeris_coefficients, shape_factor
+from .params import PhysicalParams, QuantumState, RadialCoefficients, radial_coefficients
+from .pekeris import shape_factor
 
 
 @dataclass(frozen=True)
@@ -64,31 +64,12 @@ def default_config(p: PhysicalParams, energy_bracket: tuple[float, float],
     )
 
 
-class _Coefficients:
-    """Frozen-E radial coefficient U(r; E) of F'' = U F."""
-
-    def __init__(self, p: PhysicalParams, state: QuantumState):
-        dc = derive_coefficients(p, state)
-        pk = pekeris_coefficients(p.R, p.a)
-        g = dc.gamma / p.R**2
-        self._p = p
-        self._g0 = dc.ml_quartic + g * pk.c0
-        self._g1 = g * pk.c1
-        self._g2 = dc.v + g * pk.c2
-        self._kc = dc.kappa_const
-        self._ks = dc.kappa_slope
-
-    def tail(self, E: float) -> float:
-        """Asymptotic coefficient; its square root is the far decay rate."""
-        return self._g0 - (E * E - self._p.M**2)
-
-    def u(self, r, E: float):
-        f = shape_factor(r, self._p.R, self._p.a)
-        k = self._kc - self._ks * (E + self._p.M)
-        return self.tail(E) + (k + self._g1) * f + self._g2 * f * f
+def _u(rc: RadialCoefficients, r, E: float):
+    """U(r; E) at radii r, frozen at trial energy E."""
+    return rc.u(shape_factor(r, rc.p.R, rc.p.a), E)
 
 
-def _transfer_entries(coeff: _Coefficients, E: float, r0: float, h: float,
+def _transfer_entries(rc: RadialCoefficients, E: float, r0: float, h: float,
                       steps: int) -> np.ndarray:
     """Closed-form RK4 transfer matrices for y = (F, F'), shape (4, steps).
 
@@ -97,7 +78,7 @@ def _transfer_entries(coeff: _Coefficients, E: float, r0: float, h: float,
     [u, 0]] each RK4 stage is a polynomial in h and the stage values u1, u2,
     u3 of U at the step's start, midpoint and end, and so is their sum.
     """
-    u = coeff.u(r0 + (h / 2.0) * np.arange(2 * steps + 1, dtype=float), E)
+    u = _u(rc, r0 + (h / 2.0) * np.arange(2 * steps + 1, dtype=float), E)
     u1, u2, u3 = u[0:-1:2], u[1::2], u[2::2]
     h2, h3 = h * h, h * h * h
     return np.stack([
@@ -140,14 +121,14 @@ def _chain_product(T: np.ndarray) -> np.ndarray:
     return M[:, 0]
 
 
-def _match_state(coeff: _Coefficients, E: float, r0: float, h: float,
+def _match_state(rc: RadialCoefficients, E: float, r0: float, h: float,
                  steps: int, slope0: float) -> np.ndarray:
     """(F, F') at the end of the sweep from (1, slope0), scaled to unit length.
 
     The chain product only rescales by positive factors, so the direction,
     sign included, is that of the true solution.
     """
-    t = _chain_product(_transfer_entries(coeff, E, r0, h, steps))
+    t = _chain_product(_transfer_entries(rc, E, r0, h, steps))
     y = np.array([t[0] + t[1] * slope0, t[2] + t[3] * slope0])
     return y / math.hypot(y[0], y[1])
 
@@ -158,12 +139,12 @@ def _match_geometry(cfg: ShootingConfig) -> tuple[float, int]:
     return h, min(max(i_match, 1), cfg.step_count - 1)
 
 
-def _mismatch(coeff: _Coefficients, E: float, cfg: ShootingConfig) -> float:
+def _mismatch(rc: RadialCoefficients, E: float, cfg: ShootingConfig) -> float:
     h, i_match = _match_geometry(cfg)
-    slope_in = math.sqrt(max(float(coeff.u(cfg.r_min, E)), 0.0))
-    out = _match_state(coeff, E, cfg.r_min, h, i_match, slope_in)
-    slope_out = -math.sqrt(coeff.tail(E))
-    inw = _match_state(coeff, E, cfg.r_max, -h, cfg.step_count - i_match,
+    slope_in = math.sqrt(max(float(_u(rc, cfg.r_min, E)), 0.0))
+    out = _match_state(rc, E, cfg.r_min, h, i_match, slope_in)
+    slope_out = -math.sqrt(rc.c0(E))
+    inw = _match_state(rc, E, cfg.r_max, -h, cfg.step_count - i_match,
                        slope_out)
     return float(out[0] * inw[1] - out[1] * inw[0])
 
@@ -180,15 +161,15 @@ def shoot_mismatch(E: float, cfg: ShootingConfig, p: PhysicalParams,
     Raises NotBoundRegime when the asymptotic coefficient is non-positive
     (oscillatory tail, no bound state possible at this E).
     """
-    coeff = _Coefficients(p, state)
-    if coeff.tail(E) <= 0.0:
+    rc = radial_coefficients(p, state)
+    if rc.c0(E) <= 0.0:
         raise NotBoundRegime(
             f"asymptotic coefficient <= 0 at E = {E}: oscillatory tail"
         )
-    return _mismatch(coeff, E, cfg)
+    return _mismatch(rc, E, cfg)
 
 
-def _trajectory(coeff: _Coefficients, E: float, r0: float, h: float,
+def _trajectory(rc: RadialCoefficients, E: float, r0: float, h: float,
                 steps: int, slope0: float):
     """Amplitudes F of the sweep from (1, slope0) as (values, log_scales).
 
@@ -197,7 +178,7 @@ def _trajectory(coeff: _Coefficients, E: float, r0: float, h: float,
     products at doubling offsets, each column renormalized by a positive
     factor whose log is accumulated.
     """
-    P = _transfer_entries(coeff, E, r0, h, steps)
+    P = _transfer_entries(rc, E, r0, h, steps)
     logs = np.zeros(steps)
     d = 1
     while d < steps:
@@ -227,11 +208,11 @@ def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
 
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    coeff = _Coefficients(p, state)
+    rc = radial_coefficients(p, state)
     lo, hi = cfg.energy_bracket
     grid = np.linspace(lo, hi, scan_points)
     mm = np.array([
-        _mismatch(coeff, float(E), cfg) if coeff.tail(float(E)) > 0.0 else np.nan
+        _mismatch(rc, float(E), cfg) if rc.c0(float(E)) > 0.0 else np.nan
         for E in grid
     ])
     found = []
@@ -242,10 +223,10 @@ def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
             continue
         # brentq starts by evaluating both ends, which the scan already holds
         ends = {float(grid[i]): f_lo, float(grid[i + 1]): f_hi}
-        f = lambda E: ends[E] if E in ends else _mismatch(coeff, E, cfg)
+        f = lambda E: ends[E] if E in ends else _mismatch(rc, E, cfg)
         e_star = float(brentq(f, grid[i], grid[i + 1], xtol=tol))
-        slope_in = math.sqrt(max(float(coeff.u(cfg.r_min, e_star)), 0.0))
-        values, _ = _trajectory(coeff, e_star, cfg.r_min, h, i_match, slope_in)
+        slope_in = math.sqrt(max(float(_u(rc, cfg.r_min, e_star)), 0.0))
+        values, _ = _trajectory(rc, e_star, cfg.r_min, h, i_match, slope_in)
         found.append((_count_nodes(values), e_star))
     if not found:
         raise NoEigenvalueInBracket(
@@ -263,14 +244,14 @@ def shoot_eigenfunction(E: float, cfg: ShootingConfig, p: PhysicalParams,
     continuity at the match radius.  Intended for overlap diagnostics at a
     converged eigenvalue.
     """
-    coeff = _Coefficients(p, state)
-    if coeff.tail(E) <= 0.0:
+    rc = radial_coefficients(p, state)
+    if rc.c0(E) <= 0.0:
         raise NotBoundRegime(f"asymptotic coefficient <= 0 at E = {E}")
     h, i_match = _match_geometry(cfg)
-    slope_in = math.sqrt(max(float(coeff.u(cfg.r_min, E)), 0.0))
-    val_o, log_o = _trajectory(coeff, E, cfg.r_min, h, i_match, slope_in)
-    slope_out = -math.sqrt(coeff.tail(E))
-    val_i, log_i = _trajectory(coeff, E, cfg.r_max, -h,
+    slope_in = math.sqrt(max(float(_u(rc, cfg.r_min, E)), 0.0))
+    val_o, log_o = _trajectory(rc, E, cfg.r_min, h, i_match, slope_in)
+    slope_out = -math.sqrt(rc.c0(E))
+    val_i, log_i = _trajectory(rc, E, cfg.r_max, -h,
                                cfg.step_count - i_match, slope_out)
     # restore true relative magnitudes within each branch
     out = val_o * np.exp(log_o - log_o[-1])

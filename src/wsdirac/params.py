@@ -8,6 +8,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
+from .pekeris import PekerisCoefficients, pekeris_coefficients
+
 
 class SurfaceRegimeWarning(UserWarning):
     """The Woods-Saxon form assumes a thin surface (a << R)."""
@@ -46,7 +48,7 @@ class PhysicalParams:
                 f"a/R = {self.a / self.R:.3g} > 0.2: outside the thin-surface "
                 "regime the potential form assumes",
                 SurfaceRegimeWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to the caller
             )
 
 
@@ -74,16 +76,14 @@ class DerivedCoefficients:
     gamma : centrifugal constant (dimensionless)
     v : quadratic Woods-Saxon coefficient 2 alpha' V0^2 (E0 + M)^2  (fm^-2)
     ml_quartic : constant 2 alpha' ((E0)^2 - M^2)^2  (fm^-2)
-    kappa_const : E-independent part of kappa,
+    kappa_const : E-independent part of kappa(E) = kappa_const - V0 (E + M),
         V0 * 4 alpha' ((E0)^2 - M^2)(E0 + M)  (fm^-2)
-    kappa_slope : coefficient of -(E + M) inside kappa, i.e. V0  (fm^-1)
     """
 
     gamma: float
     v: float
     ml_quartic: float
     kappa_const: float
-    kappa_slope: float
 
 
 def gamma(state: QuantumState) -> float:
@@ -100,10 +100,45 @@ def derive_coefficients(p: PhysicalParams, state: QuantumState) -> DerivedCoeffi
         v=2.0 * p.alpha_prime * p.V0 * p.V0 * (p.E0 + p.M) ** 2,
         ml_quartic=2.0 * p.alpha_prime * ml * ml,
         kappa_const=p.V0 * 4.0 * p.alpha_prime * ml * (p.E0 + p.M),
-        kappa_slope=p.V0,
     )
 
 
-def kappa(coeffs: DerivedCoefficients, E: float, M: float) -> float:
-    """Linear-in-energy coefficient of the first Woods-Saxon power (fm^-2)."""
-    return coeffs.kappa_const - coeffs.kappa_slope * (E + M)
+class RadialCoefficients:
+    """U(r; E) = c0(E) + c1(E) f + c2 f^2 of F'' = U F, f the Woods-Saxon shape.
+
+    Built by the one fold of the Pekeris surrogate into the deformation
+    terms (fm^-2); the fields broadcast over arrays of alpha_prime, ell and D.
+
+    c0_const : Q + gamma c0P/R^2, so that c0(E) = c0_const - (E^2 - M^2)
+    c2 : v + gamma c2P/R^2
+    frak_u0 : frak_u(0) of the SUSY constant frak_u(E) = c1(E) + c2 =
+        frak_u0 - V0 E, c1(E) = kappa(E) + gamma c1P/R^2; stored in place
+        of c1, as this sum gives the closed-form energies their bits
+    p : the folded configuration (M, V0, and R and a of the shape f)
+    """
+
+    def __init__(self, coeffs: DerivedCoefficients, pk: PekerisCoefficients,
+                 p: PhysicalParams):
+        self.c0_const = coeffs.ml_quartic + coeffs.gamma * pk.c0 / p.R**2
+        self.c2 = coeffs.v + coeffs.gamma * pk.c2 / p.R**2
+        self.frak_u0 = (coeffs.kappa_const - p.V0 * p.M + coeffs.v
+                        + coeffs.gamma * (pk.c1 + pk.c2) / p.R**2)
+        self.p = p
+
+    def c0(self, E):
+        """Constant term; U(r; E) tends to it at large r (fm^-2)."""
+        return self.c0_const - (E * E - self.p.M * self.p.M)
+
+    def frak_u(self, E):
+        """SUSY constant c1(E) + c2 (fm^-2)."""
+        return self.frak_u0 - self.p.V0 * E
+
+    def u(self, f, E):
+        """U at shape-factor values f (fm^-2)."""
+        return self.c0(E) + (self.frak_u(E) - self.c2) * f + self.c2 * f * f
+
+
+def radial_coefficients(p: PhysicalParams, state: QuantumState) -> RadialCoefficients:
+    """The folded U(r; E) of a configuration; alpha_prime, ell and D may be arrays."""
+    return RadialCoefficients(derive_coefficients(p, state),
+                              pekeris_coefficients(p.R, p.a), p)

@@ -19,10 +19,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DegenerateSuperpotential, LadderSingular, NoRealRoot, WsdiracError
-from .params import PhysicalParams, QuantumState, derive_coefficients
-from .pekeris import pekeris_coefficients
-from .susyqm import (_SINGULAR_RTOL, ladder, shifted_A, slope_parameter,
-                     solve_susy_parameters)
+from .params import PhysicalParams, QuantumState, radial_coefficients
+from .susyqm import _SINGULAR_RTOL, ladder, shifted_A, slope_parameter
 
 # per-cell codes of the typed errors, in the order the checks apply
 _DEGENERATE, _SINGULAR = 1, 2
@@ -56,32 +54,28 @@ _NO_ROOT_RESULT = SpectrumResult(e_upper=None, e_lower=None, e_binding=None,
 
 
 # coefficients of the residual E^2 - M^2 - const + (p E + q)^2 per cell, with
-# const = Q + gamma c0 / R^2.  code is _DEGENERATE where B = 0 and _SINGULAR
-# where B_n = 0, else 0; B_n, and with it p and q, is NaN at those cells.
+# const = Q + gamma c0 / R^2.  code is _DEGENERATE where B = 0 (or not real)
+# and _SINGULAR where B_n = 0, else 0; B_n, p and q are NaN at those cells.
 _EnergyQuadratic = namedtuple("_EnergyQuadratic", "p q M const B_n code")
 
 
 def _assemble(p, state) -> _EnergyQuadratic:
     """The energy quadratic of a PhysicalParams and QuantumState, or of every
     cell of a sweep passed as both (arrays of alpha_prime, D, ell and n)."""
-    dc = derive_coefficients(p, state)
-    pk = pekeris_coefficients(p.R, p.a)
-    B = slope_parameter(dc, pk, p)
+    rc = radial_coefficients(p, state)
+    B = slope_parameter(rc.c2, p.a)
     b_n = ladder(B, state.n, p.a)
     code = np.where(
         np.abs(B) <= _SINGULAR_RTOL / (2.0 * p.a), _DEGENERATE,
         np.where(np.abs(b_n) <= _SINGULAR_RTOL * np.maximum(np.abs(B), 1.0 / p.a),
                  _SINGULAR, 0))
     b_n = np.where(code == 0, b_n, np.nan)
-    # frak_u(E) = kappa_const - V0 (E + M) + v + gamma (c1 + c2)/R^2
-    u0 = dc.kappa_const - dc.kappa_slope * p.M + dc.v \
-        + dc.gamma * (pk.c1 + pk.c2) / p.R**2
-    slope = -dc.kappa_slope
+    # A_n = frak_u(E)/(2 B_n) - B_n/2 = p E + q, frak_u(E) = frak_u0 - V0 E
     return _EnergyQuadratic(
-        p=slope / (2.0 * b_n),
-        q=u0 / (2.0 * b_n) - b_n / 2.0,
+        p=-p.V0 / (2.0 * b_n),
+        q=rc.frak_u0 / (2.0 * b_n) - b_n / 2.0,
         M=p.M,
-        const=dc.ml_quartic + dc.gamma * pk.c0 / p.R**2,
+        const=rc.c0_const,
         B_n=b_n,
         code=code,
     )
@@ -90,21 +84,19 @@ def _assemble(p, state) -> _EnergyQuadratic:
 def energy_equation_residual(E, p: PhysicalParams, state: QuantumState):
     """Residual of the total-energy condition at trial energy E (fm^-2).
 
-    Zero iff E solves the condition.  Assembled from the coefficient modules
-    directly (kappa, frak_u, shifted A), not from the reduced quadratic.  E
-    may be an array; an array's residuals can differ from scalar ones in the
-    last bit (numpy squares by a multiply, Python by pow).
+    Zero iff E solves the condition A_n(E)^2 = c0(E).  Assembled from the
+    radial coefficient and the shifted A directly, not from the reduced
+    quadratic.  E may be an array; an array's residuals can differ from
+    scalar ones in the last bit (numpy squares by a multiply, Python by pow).
     """
-    dc = derive_coefficients(p, state)
-    pk = pekeris_coefficients(p.R, p.a)
-    sp = solve_susy_parameters(dc, pk, p, E)
-    b_n = ladder(sp.B, state.n, p.a)
-    if abs(b_n) <= _SINGULAR_RTOL * max(abs(sp.B), 1.0 / p.a):
-        raise LadderSingular(f"B_n = 0 at n = {state.n}")
-    g0 = dc.gamma * pk.c0 / p.R**2
-    return (E * E - p.M * p.M) - (
-        dc.ml_quartic + g0 - shifted_A(sp.frak_u, b_n) ** 2
-    )
+    rc = radial_coefficients(p, state)
+    B = slope_parameter(rc.c2, p.a)
+    if abs(B) <= _SINGULAR_RTOL / (2.0 * p.a):
+        _raise_typed(_DEGENERATE, state)
+    b_n = ladder(B, state.n, p.a)
+    if abs(b_n) <= _SINGULAR_RTOL * max(abs(B), 1.0 / p.a):
+        _raise_typed(_SINGULAR, state)
+    return shifted_A(rc.frak_u(E), b_n) ** 2 - rc.c0(E)
 
 
 def _solve_quadratic(eq: _EnergyQuadratic):
@@ -142,7 +134,7 @@ def _records(eq: _EnergyQuadratic, upper, lower, no_root) -> list:
 def _raise_typed(code: int, state: QuantumState) -> None:
     if code == _DEGENERATE:
         raise DegenerateSuperpotential(
-            "B = 0: energy equation undefined for this configuration"
+            "B = 0 or not real: energy equation undefined for this configuration"
         )
     if code == _SINGULAR:
         raise LadderSingular(f"B_n = 0 at n = {state.n}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSuperpotential, LadderSingular
-from .params import DerivedCoefficients, PhysicalParams, kappa
+from .params import DerivedCoefficients, PhysicalParams, RadialCoefficients
 from .pekeris import PekerisCoefficients, shape_factor
 
 # relative threshold below which B (or a shifted B_n) counts as vanishing
@@ -24,39 +24,40 @@ class SusyParameters:
     """Solved superpotential constants for one configuration and trial energy.
 
     A, B : superpotential constants (fm^-1)
-    frak_u : kappa + v + gamma (c1 + c2)/R^2 at the recorded energy (fm^-2)
-    energy : energy at which kappa was evaluated (fm^-1), kept for provenance
+    frak_u : the SUSY constant c1(E) + c2 at the trial energy (fm^-2)
     """
 
     A: float
     B: float
     frak_u: float
-    energy: float
 
 
-def slope_parameter(coeffs: DerivedCoefficients, pk: PekerisCoefficients,
-                    p: PhysicalParams) -> float:
-    """Energy-independent constant B = -1/(2a) + sqrt(v + gamma c2/R^2 + 1/(4a^2))."""
-    radicand = coeffs.v + coeffs.gamma * pk.c2 / p.R**2 + 1.0 / (4.0 * p.a**2)
-    return -1.0 / (2.0 * p.a) + np.sqrt(radicand)
+def slope_parameter(c2, a: float):
+    """Energy-independent constant B = -1/(2a) + sqrt(c2 + 1/(4a^2)); c2 may be an array.
+
+    0 where B is not real (ell = 0, D = 2 and R/a < 48^(1/4)): the ansatz
+    collapses there as at B = 0.
+    """
+    radicand = c2 + 1.0 / (4.0 * a**2)
+    return (-1.0 / (2.0 * a) + np.sqrt(np.abs(radicand))) * (radicand >= 0.0)
 
 
 def solve_susy_parameters(coeffs: DerivedCoefficients, pk: PekerisCoefficients,
                           p: PhysicalParams, E: float) -> SusyParameters:
-    """Solve the three matching relations for (A, B) at trial energy E.
+    """Solve A^2 = c0, 2AB - B/a = c1, B^2 + B/a = c2 of U(r; E) for (A, B) at E.
 
     Raises DegenerateSuperpotential when B = 0 (the ansatz collapses; occurs
-    iff v = 0 and gamma c2 = 0, e.g. alpha_prime = 0 with ell = 0, D = 3).
+    iff v = 0 and gamma c2 = 0, e.g. alpha_prime = 0 with ell = 0, D = 3) or
+    when B is not real.
     """
-    B = slope_parameter(coeffs, pk, p)
+    rc = RadialCoefficients(coeffs, pk, p)
+    B = slope_parameter(rc.c2, p.a)
     if abs(B) <= _SINGULAR_RTOL / (2.0 * p.a):
         raise DegenerateSuperpotential(
-            "B = 0: the factorization ansatz collapses for this configuration"
+            "B = 0 or not real: the factorization ansatz collapses here"
         )
-    k = kappa(coeffs, E, p.M)
-    frak_u = k + coeffs.v + coeffs.gamma * (pk.c1 + pk.c2) / p.R**2
-    A = frak_u / (2.0 * B) - B / 2.0
-    return SusyParameters(A=A, B=B, frak_u=frak_u, energy=E)
+    frak_u = rc.frak_u(E)
+    return SusyParameters(A=shifted_A(frak_u, B), B=B, frak_u=frak_u)
 
 
 def closed_form_A(coeffs: DerivedCoefficients, pk: PekerisCoefficients,
@@ -69,7 +70,7 @@ def closed_form_A(coeffs: DerivedCoefficients, pk: PekerisCoefficients,
     denom = -1.0 / p.a + 2.0 * np.sqrt(radicand)
     if abs(denom) <= _SINGULAR_RTOL / p.a:
         raise DegenerateSuperpotential("B = 0 in the closed-form elimination")
-    k = kappa(coeffs, E, p.M)
+    k = coeffs.kappa_const - p.V0 * (E + p.M)
     return (k + coeffs.gamma * pk.c1 / p.R**2) / denom + 1.0 / (2.0 * p.a)
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNormalizable
-from .params import PhysicalParams, QuantumState, derive_coefficients, kappa
-from .pekeris import pekeris_coefficients, shape_factor
+from .params import PhysicalParams, QuantumState, radial_coefficients
+from .pekeris import shape_factor
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,8 @@ def normalize(A: float, B: float, a: float, R: float) -> RadialWaveFunction:
     space, so log N stays finite where N would overflow (wide wells).
     """
     if not A < 0.0 < A + B:
-        raise NotNormalizable(f"A = {A}, A + B = {A + B}: no decaying profile "
-                              "with an interior peak; cannot normalize")
+        raise NotNormalizable(f"A = {A:.10g}, A + B = {A + B:.10g}: no decaying "
+                              "profile with an interior peak; not normalizable")
     # imported here so that `import wsdirac` loads no scipy module
     from scipy.special import betaincc, betaln, expit
 
@@ -101,11 +101,5 @@ def ode_residual(wf: RadialWaveFunction, E: float, p: PhysicalParams,
 
     Zero for the solved ground-state (A, B, E) configuration.
     """
-    dc = derive_coefficients(p, state)
-    pk = pekeris_coefficients(p.R, p.a)
-    f = shape_factor(r, p.R, p.a)
-    k = kappa(dc, E, p.M)
-    g2 = dc.gamma / p.R**2
-    u = (dc.ml_quartic - (E * E - p.M * p.M) + g2 * pk.c0
-         + (k + g2 * pk.c1) * f + (dc.v + g2 * pk.c2) * f * f)
+    u = radial_coefficients(p, state).u(shape_factor(r, p.R, p.a), E)
     return second_derivative(wf, r) - u * evaluate(wf, r)

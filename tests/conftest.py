@@ -11,6 +11,7 @@ from wsdirac import (
     slope_parameter,
     derive_coefficients,
     pekeris_coefficients,
+    radial_coefficients,
     solve_energy,
     solve_susy_parameters,
 )
@@ -84,7 +85,7 @@ def random_valid_config(rng: np.random.Generator,
                              D=int(rng.integers(1, 6)))
         dc = derive_coefficients(p, state)
         pk = pekeris_coefficients(p.R, p.a)
-        B = slope_parameter(dc, pk, p)
+        B = slope_parameter(radial_coefficients(p, state).c2, p.a)
         if B < 1.0:
             continue
         if require_ladder and min(abs(B - i / p.a) for i in range(1, 4)) < 0.5:

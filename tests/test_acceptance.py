@@ -136,7 +136,7 @@ def test_05_superpotential_consistency(rng):
         pk = pekeris_coefficients(p.R, p.a)
         sp = solve_susy_parameters(dc, pk, p, E)
         g = dc.gamma / p.R**2
-        kap = dc.kappa_const - dc.kappa_slope * (E + p.M)
+        kap = dc.kappa_const - p.V0 * (E + p.M)
         o_term = dc.ml_quartic - (E * E - p.M * p.M)
         worst_match = max(
             worst_match,
@@ -147,7 +147,7 @@ def test_05_superpotential_consistency(rng):
         worst_elim = max(worst_elim, abs(closed_form_A(dc, pk, p, E) - sp.A))
         b1 = ladder(sp.B, 1, p.a)
         sp1 = SusyParameters(A=shifted_A(sp.frak_u, b1), B=b1,
-                             frak_u=sp.frak_u, energy=E)
+                             frak_u=sp.frak_u)
         r = np.linspace(0.1, p.R + 10 * p.a, 40)
         _, v_plus = partner_potentials(sp, r, p.a, p.R)
         v_minus_shifted, _ = partner_potentials(sp1, r, p.a, p.R)

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,17 @@ class TestSolve:
         code, out = run(capsys, "solve", "--ell", "0")
         assert code == 3
         assert "error" in out.err
+
+    def test_non_real_slope_exit_code(self, capsys):
+        # gamma < 0 (ell = 0, D = 2) and R/a < 48^(1/4): B is not real
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", wsdirac.SurfaceRegimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run(capsys, "solve", "--radius", "1.2", "--ell", "0",
+                            "--dim", "2")
+        assert code == 3
+        assert out.out == ""
+        assert out.err.startswith("error: ") and len(out.err.splitlines()) == 1
 
     def test_no_real_root_exit_code(self, capsys):
         code, out = run(capsys, "solve", "--ell", "5")

@@ -17,6 +17,7 @@ from wsdirac import (
     find_eigenvalues,
     normalize,
     pekeris_coefficients,
+    radial_coefficients,
     shoot_eigenfunction,
     shoot_mismatch,
     solve_energy,
@@ -31,7 +32,7 @@ def bound_root():
     return solve_energy(BOUND, BOUND_STATE).e_upper
 
 
-def rk4_stage_matrices(coeff, E, r0, h, steps):
+def rk4_stage_matrices(rc, E, r0, h, steps):
     """Reference RK4 step maps, shape (steps, 2, 2), from the stages K1..K4.
 
     With A(r) = [[0, 1], [U(r; E), 0]] the step from y to y + h/6 (k1 + 2 k2
@@ -43,7 +44,7 @@ def rk4_stage_matrices(coeff, E, r0, h, steps):
     def amat(r):
         A = np.zeros((steps, 2, 2))
         A[:, 0, 1] = 1.0
-        A[:, 1, 0] = coeff.u(r, E)
+        A[:, 1, 0] = oracle._u(rc, r, E)
         return A
 
     A1 = amat(r0 + h * idx)
@@ -56,11 +57,11 @@ def rk4_stage_matrices(coeff, E, r0, h, steps):
     return np.eye(2) + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
 
 
-def stepwise_trajectory(coeff, E, r0, h, steps, slope0):
+def stepwise_trajectory(rc, E, r0, h, steps, slope0):
     """Reference sweep y <- T[j] @ y, one step at a time: (values, log_scales)."""
     y = np.array([1.0, slope0])
     values, logs, log = [y[0]], [0.0], 0.0
-    for T in rk4_stage_matrices(coeff, E, r0, h, steps):
+    for T in rk4_stage_matrices(rc, E, r0, h, steps):
         y = T @ y
         big = np.abs(y).max()
         if big > 1e100:
@@ -146,8 +147,8 @@ class TestFindEigenvalues:
         cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
         mismatch, calls = oracle._mismatch, {}
 
-        def counted(coeff, E, cfg):
-            calls.setdefault(E, []).append(mismatch(coeff, E, cfg))
+        def counted(rc, E, cfg):
+            calls.setdefault(E, []).append(mismatch(rc, E, cfg))
             return calls[E][-1]
 
         monkeypatch.setattr(oracle, "_mismatch", counted)
@@ -156,11 +157,11 @@ class TestFindEigenvalues:
         assert sum(map(len, calls.values())) == len(calls) == 26
         # reference: Brent on the same scan cell, recomputing every value
         from scipy.optimize import brentq
-        coeff = oracle._Coefficients(BOUND, BOUND_STATE)
+        rc = radial_coefficients(BOUND, BOUND_STATE)
         grid = np.linspace(*cfg.energy_bracket, 25)
         i = next(i for i in range(24)
                  if calls[grid[i]][0] * calls[grid[i + 1]][0] < 0.0)
-        ref = brentq(lambda E: mismatch(coeff, E, cfg), grid[i], grid[i + 1],
+        ref = brentq(lambda E: mismatch(rc, E, cfg), grid[i], grid[i + 1],
                      xtol=1e-11)
         assert abs(eig - ref) <= 1e-11
 
@@ -182,12 +183,12 @@ class TestTransferEntries:
                                                    outward):
         E = bound_root + offset
         cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
-        coeff = oracle._Coefficients(BOUND, BOUND_STATE)
+        rc = radial_coefficients(BOUND, BOUND_STATE)
         h, i_match = oracle._match_geometry(cfg)
         r0, h, steps = ((cfg.r_min, h, i_match) if outward else
                         (cfg.r_max, -h, cfg.step_count - i_match))
-        T = rk4_stage_matrices(coeff, E, r0, h, steps)
-        entries = oracle._transfer_entries(coeff, E, r0, h, steps)
+        T = rk4_stage_matrices(rc, E, r0, h, steps)
+        entries = oracle._transfer_entries(rc, E, r0, h, steps)
         assert entries.shape == (4, steps)
         scale = np.abs(T).max(axis=(1, 2))
         err = np.abs(entries.T.reshape(steps, 2, 2) - T).max(axis=(1, 2))
@@ -251,12 +252,12 @@ class TestScanTrajectory:
 
     def test_matches_stepwise_sweep(self, lowest_states, monkeypatch):
         cfg, eigs = lowest_states
-        coeff = oracle._Coefficients(BOUND, BOUND_STATE)
+        rc = radial_coefficients(BOUND, BOUND_STATE)
         h, i_match = oracle._match_geometry(cfg)
         nodes_scan, nodes_step = [], []
         for e in eigs:
-            slope = math.sqrt(max(coeff.u(cfg.r_min, e), 0.0))
-            args = (coeff, e, cfg.r_min, h, i_match, slope)
+            slope = math.sqrt(max(oracle._u(rc, cfg.r_min, e), 0.0))
+            args = (rc, e, cfg.r_min, h, i_match, slope)
             nodes_scan.append(oracle._count_nodes(oracle._trajectory(*args)[0]))
             nodes_step.append(oracle._count_nodes(stepwise_trajectory(*args)[0]))
         assert nodes_scan == nodes_step == [0, 1, 2, 3]

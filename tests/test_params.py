@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,10 +15,10 @@ from wsdirac import (
     SurfaceRegimeWarning,
     derive_coefficients,
     gamma,
-    kappa,
+    radial_coefficients,
 )
 
-from conftest import reference_params
+from conftest import BOUND, BOUND_STATE, reference_params
 
 
 class TestPhysicalParams:
@@ -35,9 +37,11 @@ class TestPhysicalParams:
             PhysicalParams(**kwargs)
 
     def test_thick_surface_warns(self):
-        with pytest.warns(SurfaceRegimeWarning):
+        with pytest.warns(SurfaceRegimeWarning) as caught:
             PhysicalParams(M=10.0, a=2.0, R=7.0, V0=-10.0, E0=10.0,
                            alpha_prime=0.0)
+        # the warning names the line that built the params
+        assert caught[0].filename == __file__
 
     def test_thin_surface_silent(self):
         with warnings.catch_warnings():
@@ -87,7 +91,6 @@ class TestDerivedCoefficients:
         assert dc.ml_quartic == pytest.approx(2 * 0.005 * ml * ml, rel=1e-15)
         assert dc.kappa_const == pytest.approx(p.V0 * 4 * 0.005 * ml * (p.E0 + p.M),
                                                rel=1e-15)
-        assert dc.kappa_slope == p.V0
 
     def test_massless_deformation_terms_vanish_when_e0_equals_m(self):
         # E0 = M kills every (E0^2 - M^2) factor
@@ -100,9 +103,40 @@ class TestDerivedCoefficients:
         dc = derive_coefficients(reference_params(0.0), QuantumState(0, 20, 3))
         assert dc.v == 0.0 and dc.ml_quartic == 0.0 and dc.kappa_const == 0.0
 
-    def test_kappa_linear_in_energy(self):
-        p = reference_params(0.005)
-        dc = derive_coefficients(p, QuantumState(0, 20, 3))
-        for E in np.linspace(-15.0, 15.0, 7):
-            expected = dc.kappa_const - p.V0 * (E + p.M)
-            assert kappa(dc, E, p.M) == pytest.approx(expected, rel=1e-15)
+
+class TestRadialCoefficients:
+    def test_u_matches_hand_written_U(self):
+        ell, D = BOUND_STATE.ell, BOUND_STATE.D
+        f = np.linspace(0.0, 1.0, 41)
+        # BOUND has E0 = M; the second well keeps the (E0^2 - M^2) terms
+        for p in (BOUND, dataclasses.replace(BOUND, E0=12.0, alpha_prime=0.005)):
+            g = (4 * ell * (ell + D - 2) + (D - 1) * (D - 3)) / 4 / p.R**2
+            w = p.R / p.a
+            ml = p.E0**2 - p.M**2
+            rc = radial_coefficients(p, BOUND_STATE)
+            for E in np.linspace(-15.0, 15.0, 7):
+                kappa = (p.V0 * 4 * p.alpha_prime * ml * (p.E0 + p.M)
+                         - p.V0 * (E + p.M))
+                U = (2 * p.alpha_prime * ml**2 - (E**2 - p.M**2)
+                     + g * (1 - 4 / w + 12 / w**2)
+                     + (kappa + g * (8 / w - 48 / w**2)) * f
+                     + (2 * p.alpha_prime * p.V0**2 * (p.E0 + p.M)**2
+                        + g * 48 / w**2) * f**2)
+                assert np.max(np.abs(rc.u(f, E) - U)) <= 1e-13 * np.max(np.abs(U))
+
+    def test_broadcast_equals_per_cell_records(self):
+        alphas, ells, dims = [0.0, 0.0015, 0.01], [0, 1, 20, 24], [1, 2, 3, 5]
+        alpha, ell, D = np.ix_(*(np.asarray(g, dtype=float)
+                                 for g in (alphas, ells, dims)))
+        # PhysicalParams takes no array alpha_prime; the sweep's stand-in does
+        cells = SimpleNamespace(**{**vars(BOUND), "alpha_prime": alpha},
+                                ell=ell, D=D)
+        grid = radial_coefficients(cells, cells)
+        shape = (len(alphas), len(ells), len(dims))
+        for (i, a), (j, l), (k, d) in itertools.product(
+                *map(enumerate, (alphas, ells, dims))):
+            one = radial_coefficients(dataclasses.replace(BOUND, alpha_prime=a),
+                                      QuantumState(0, l, d))
+            for name in ("c0_const", "c2", "frak_u0"):
+                cell = np.broadcast_to(getattr(grid, name), shape)[i, j, k]
+                assert float(cell).hex() == float(getattr(one, name)).hex()

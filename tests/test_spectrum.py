@@ -15,6 +15,7 @@ from wsdirac import (
     DegenerateSuperpotential,
     PhysicalParams,
     QuantumState,
+    SurfaceRegimeWarning,
     WsdiracError,
     closed_form_vs_bracketing_gap,
     energy_equation_residual,
@@ -133,6 +134,15 @@ class TestSweep:
         assert cells[0].error == "DegenerateSuperpotential"
         assert cells[0].result is None
         assert cells[1].error is None
+
+    def test_non_real_slope_cell_recorded(self):
+        # gamma < 0 at ell = 0, D = 2, and R/a = 2.4 < 48^(1/4): B is not real
+        with pytest.warns(SurfaceRegimeWarning):
+            cells = sweep(replace(reference_params(0.0), R=1.2), [0.0], [2],
+                          [0, 1], [0])
+        assert cells[0].error == "DegenerateSuperpotential"
+        assert cells[0].result is None
+        assert cells[1].error is None and cells[1].result.roots_real
 
     def test_no_real_root_cell_recorded(self):
         cells = sweep(reference_params(0.0), [0.0], [3], [5], [0])
@@ -258,6 +268,21 @@ def test_sweep_outcomes_digest():
                                r.e_upper, r.e_lower, r.e_binding, r.branch,
                                r.roots_real, r.normalizable))).encode())
     assert h.hexdigest() == _DIGEST
+
+
+@pytest.mark.parametrize("p", [BOUND, reference_params(0.0)],
+                         ids=["bound", "reference"])
+def test_sweep_interdimensional_degeneracy(p):
+    # gamma = ((2 ell + D - 2)^2 - 1)/4 sees (ell, D) only through 2 ell + D,
+    # so cell (ell, D) must equal cell (ell + 1, D - 2) to the bit
+    cells = {(c.alpha_prime, c.D, c.ell, c.n): c
+             for c in sweep(p, [0.0, 0.0015, 0.01], list(range(1, 9)),
+                            list(range(21)), [0, 1, 2])}
+    pairs = [(c, cells[(a, D - 2, ell + 1, n)])
+             for (a, D, ell, n), c in cells.items() if D >= 3 and ell < 20]
+    assert len(pairs) == 3 * 6 * 20 * 3
+    for c, twin in pairs:
+        assert (c.error, repr(c.result)) == (twin.error, repr(twin.result))
 
 
 @pytest.mark.parametrize("alphas", [[1.5], [0.0, -0.001]])

@@ -10,10 +10,10 @@ from wsdirac import (
     SusyParameters,
     closed_form_A,
     derive_coefficients,
-    kappa,
     ladder,
     partner_potentials,
     pekeris_coefficients,
+    radial_coefficients,
     remainder,
     shape_factor,
     shifted_A,
@@ -40,7 +40,7 @@ class TestMatchingRelations:
             E = result.e_upper
             dc, pk, sp = _solved(p, state, E)
             g = dc.gamma / p.R**2
-            k = kappa(dc, E, p.M)
+            k = dc.kappa_const - p.V0 * (E + p.M)
             # relations for the f and f^2 coefficients hold at any energy
             assert 2 * sp.A * sp.B - sp.B / p.a == pytest.approx(k + g * pk.c1,
                                                                 abs=1e-9)
@@ -48,10 +48,11 @@ class TestMatchingRelations:
                                                          abs=1e-9)
 
     def test_slope_parameter_energy_independent(self):
-        dc, pk, sp1 = _solved(BOUND, BOUND_STATE, 2.0)
+        _, _, sp1 = _solved(BOUND, BOUND_STATE, 2.0)
         _, _, sp2 = _solved(BOUND, BOUND_STATE, 9.0)
         assert sp1.B == sp2.B
-        assert sp1.B == slope_parameter(dc, pk, BOUND)
+        assert sp1.B == slope_parameter(
+            radial_coefficients(BOUND, BOUND_STATE).c2, BOUND.a)
 
     def test_elimination_route_agrees(self, rng):
         for _ in range(25):
@@ -96,7 +97,7 @@ class TestShapeInvariance:
             _, _, sp = _solved(p, state, result.e_upper)
             b1 = ladder(sp.B, 1, p.a)
             sp1 = SusyParameters(A=shifted_A(sp.frak_u, b1), B=b1,
-                                 frak_u=sp.frak_u, energy=sp.energy)
+                                 frak_u=sp.frak_u)
             r = np.linspace(0.1, p.R + 10 * p.a, 60)
             _, v_plus = partner_potentials(sp, r, p.a, p.R)
             v_minus_shifted, _ = partner_potentials(sp1, r, p.a, p.R)
@@ -124,13 +125,13 @@ class TestLadder:
         assert shifted_A(sp.frak_u, sp.B) == pytest.approx(sp.A, rel=1e-15)
 
     def test_remainder_rejects_step_zero(self):
-        sp = SusyParameters(A=1.0, B=3.0, frak_u=2.0, energy=0.0)
+        sp = SusyParameters(A=1.0, B=3.0, frak_u=2.0)
         with pytest.raises(ValueError):
             remainder(sp, 0, 0.5)
 
     def test_remainder_singular_ladder_step(self):
         # B = 1/a makes B_1 vanish exactly
-        sp = SusyParameters(A=1.0, B=2.0, frak_u=2.0, energy=0.0)
+        sp = SusyParameters(A=1.0, B=2.0, frak_u=2.0)
         with pytest.raises(LadderSingular):
             remainder(sp, 1, 0.5)
 
