@@ -25,6 +25,7 @@ from .params import (PhysicalParams, QuantumState, RadialCoefficients,
                      derive_coefficients)
 from .pekeris import pekeris_coefficients, taylor_match_report
 from .spectrum import (
+    _NO_ROOT_RESULT,
     SpectrumResult,
     closed_form_vs_bracketing_gap,
     ground_state_energy,
@@ -41,28 +42,21 @@ EXIT_DEGENERATE = 3
 EXIT_NO_REAL_ROOT = 4
 EXIT_NOT_NORMALIZABLE = 5
 
-CSV_HEADER = ("alpha_prime,dim,ell,n,e_upper,e_lower,e_binding,"
-              "branch,roots_real,normalizable,error")
-
 TABLE_ALPHAS = [0.0, 0.001, 0.005, 0.01]
 TABLE1_DIMS = [1, 2, 3, 4, 5]
 TABLE2_ELLS = [20, 21, 22, 23, 24]
 
-_PHYSICS_KEYS = {
-    "mass": float,
-    "surface_thickness": float,
-    "radius": float,
-    "depth": float,
-    "e0": float,
-    "alpha_prime": float,
-    "ell": int,
-    "dim": int,
-    "n": int,
-}
+# the keys a --config file may set, each the name of a flag
+_CONFIG_KEYS = ("mass", "surface_thickness", "radius", "depth", "e0",
+                "alpha_prime", "ell", "dim", "n", "format", "output")
 
 
-def _num(x) -> str:
-    return "%.10g" % x
+def _csv_cell(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return str(x).lower()
+    return "%.10g" % x if isinstance(x, float) else str(x)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -117,20 +111,19 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="run the self-consistency checks")
     p_ver.add_argument("--with-oracle", action="store_true",
                        help="also cross-check against the shooting solver")
-    # subparsers parse into a fresh namespace, so config-file defaults must
-    # be installed on each of them, not on the root parser
-    parser.command_parsers = [p_table, p_solve, p_wf, p_ver]
     return parser
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Load key=value defaults from a --config file, if given."""
+    """argv with each key=value line of a --config file, if given, inserted
+    as a --key=value flag right after the command word: argparse converts
+    and checks it like a typed flag, and a later flag overrides it."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     if not known.config:
         return argv
-    defaults = {}
+    flags = []
     try:
         with open(known.config, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -141,19 +134,15 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
                     raise ValueError(f"line {lineno}: expected key=value")
                 key, value = (s.strip() for s in line.split("=", 1))
                 key = key.replace("-", "_")
-                if key in _PHYSICS_KEYS:
-                    defaults[key] = _PHYSICS_KEYS[key](value)
-                elif key in ("format", "output"):
-                    defaults[key] = value
-                else:
+                if key not in _CONFIG_KEYS:
                     raise ValueError(f"line {lineno}: unknown key '{key}'")
+                flags.append(f"--{key.replace('_', '-')}={value}")
     except OSError as exc:
         parser.error(f"cannot read config file: {exc}")
     except ValueError as exc:
         parser.error(f"bad config file: {exc}")
-    for sub in parser.command_parsers:
-        sub.set_defaults(**defaults)
-    return argv
+    # the root parser takes no argument but the command word, so that is argv[0]
+    return argv[:1] + flags + argv[1:]
 
 
 class _InvalidInput(Exception):
@@ -188,46 +177,20 @@ class _Writer:
             else:
                 self._fh.write(json.dumps({"timestamp": stamp}) + "\n")
 
-    def spectrum_row(self, alpha: float, dim: int, ell: int, n: int,
-                     result: SpectrumResult | None, error: str | None):
-        fields = {
-            "alpha_prime": alpha, "dim": dim, "ell": ell, "n": n,
-            "e_upper": None, "e_lower": None, "e_binding": None,
-            "branch": None, "roots_real": False, "normalizable": False,
-            "error": error or "",
-        }
-        if result is not None:
-            fields.update(
-                e_upper=result.e_upper, e_lower=result.e_lower,
-                e_binding=result.e_binding, branch=result.branch,
-                roots_real=result.roots_real, normalizable=result.normalizable,
-            )
+    def row(self, **fields):
         if self.fmt == "json-lines":
             self._fh.write(json.dumps(fields) + "\n")
             return
         if not self._wrote_header:
-            self._fh.write(CSV_HEADER + "\n")
+            self._fh.write(",".join(fields) + "\n")
             self._wrote_header = True
-        cells = [
-            _num(fields["alpha_prime"]), str(dim), str(ell), str(n),
-            _num(fields["e_upper"]) if fields["e_upper"] is not None else "",
-            _num(fields["e_lower"]) if fields["e_lower"] is not None else "",
-            _num(fields["e_binding"]) if fields["e_binding"] is not None else "",
-            fields["branch"] or "",
-            str(bool(fields["roots_real"])).lower(),
-            str(bool(fields["normalizable"])).lower(),
-            fields["error"],
-        ]
-        self._fh.write(",".join(cells) + "\n")
+        self._fh.write(",".join(map(_csv_cell, fields.values())) + "\n")
 
-    def sample_row(self, r: float, F: float):
-        if self.fmt == "json-lines":
-            self._fh.write(json.dumps({"r": r, "F": F}) + "\n")
-            return
-        if not self._wrote_header:
-            self._fh.write("r,F\n")
-            self._wrote_header = True
-        self._fh.write(f"{_num(r)},{_num(F)}\n")
+    def spectrum_row(self, alpha: float, dim: int, ell: int, n: int,
+                     result: SpectrumResult | None, error: str | None):
+        # a typed-error cell has no result: the no-root record stands in
+        self.row(alpha_prime=alpha, dim=dim, ell=ell, n=n,
+                 **vars(result or _NO_ROOT_RESULT), error=error or "")
 
     def line(self, text: str):
         self._fh.write(text + "\n")
@@ -282,8 +245,9 @@ def _cmd_wavefunction(args) -> int:
                                pekeris_coefficients(p.R, p.a), p, result.e_upper)
     wf = normalize(sp.A, sp.B, p.a, p.R)
     writer = _Writer(args)
-    for r in np.linspace(0.0, wf.r_max, args.samples):
-        writer.sample_row(float(r), evaluate(wf, float(r)))
+    r = np.linspace(0.0, wf.r_max, args.samples)
+    for r_k, F_k in zip(r.tolist(), evaluate(wf, r).tolist()):
+        writer.row(r=r_k, F=F_k)
     writer.close()
     return EXIT_OK
 
@@ -317,7 +281,7 @@ def _cmd_verify(args) -> int:
         report("energy-solve", False, "no real root")
         writer.close()
         return EXIT_CHECK_FAILED
-    report("energy-solve", True, f"e_binding={_num(result.e_binding)}")
+    report("energy-solve", True, f"e_binding={result.e_binding:.10g}")
 
     E = result.e_upper
     sp = solve_susy_parameters(dc, pk, p, E)

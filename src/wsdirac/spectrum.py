@@ -25,6 +25,10 @@ from .susyqm import _SINGULAR_RTOL, ladder, shifted_A, slope_parameter
 # per-cell codes of the typed errors, in the order the checks apply
 _DEGENERATE, _SINGULAR = 1, 2
 
+# the bracketing route's scan: points, margin beyond +-M (fm^-1), relative
+# width at which a re-scan or bisection stops, and the cap on either
+_SCAN_POINTS, _SCAN_MARGIN, _SCAN_TOL, _SCAN_MAX_STEPS = 400, 50.0, 1e-12, 200
+
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -175,46 +179,36 @@ def ground_state_energy(p: PhysicalParams, state: QuantumState) -> SpectrumResul
     return result
 
 
-def solve_energy_by_bracketing(
-    p: PhysicalParams,
-    state: QuantumState,
-    e_lo: float | None = None,
-    e_hi: float | None = None,
-    grid_points: int = 400,
-    tol: float = 1e-12,
-    max_steps: int = 200,
-) -> list[float]:
+def solve_energy_by_bracketing(p: PhysicalParams, state: QuantumState) -> list[float]:
     """Roots of the residual found by grid scan plus bisection (oracle path).
 
     Independent of the closed-form route: only evaluates
     energy_equation_residual, over the whole scan grid in one call and at
-    each bisection midpoint.  max_steps bounds each bisection and the number
-    of re-scans.  Returns ascending roots (possibly empty).
+    each bisection midpoint.  The scan covers (-M - 50, M + 50) with 400
+    points; _SCAN_MAX_STEPS bounds each bisection and the number of
+    re-scans.  Returns ascending roots (possibly empty).
     """
-    if e_lo is None:
-        e_lo = -p.M - 50.0
-    if e_hi is None:
-        e_hi = p.M + 50.0
+    e_lo, e_hi = -p.M - _SCAN_MARGIN, p.M + _SCAN_MARGIN
     residual = lambda E: energy_equation_residual(float(E), p, state)
-    for _ in range(max_steps):
-        grid = np.linspace(e_lo, e_hi, grid_points)
+    for _ in range(_SCAN_MAX_STEPS):
+        grid = np.linspace(e_lo, e_hi, _SCAN_POINTS)
         vals = energy_equation_residual(grid, p, state)
         brackets = [(float(grid[i]), float(grid[i + 1]))
                     for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)]
-        if brackets or e_hi - e_lo < tol * max(1.0, abs(e_lo)):
+        if brackets or e_hi - e_lo < _SCAN_TOL * max(1.0, abs(e_lo)):
             break
         # a root pair closer than the grid spacing straddles the minimum:
         # re-scan the two cells around it
         i_min = int(np.argmin(vals))
         e_lo = float(grid[max(i_min - 1, 0)])
-        e_hi = float(grid[min(i_min + 1, grid_points - 1)])
+        e_hi = float(grid[min(i_min + 1, _SCAN_POINTS - 1)])
     roots = []
     for lo, hi in brackets:
         f_lo = residual(lo)
-        for _ in range(max_steps):
+        for _ in range(_SCAN_MAX_STEPS):
             mid = 0.5 * (lo + hi)
             f_mid = residual(mid)
-            if f_mid == 0.0 or hi - lo < tol * 1e-3 * max(1.0, abs(mid)):
+            if f_mid == 0.0 or hi - lo < _SCAN_TOL * 1e-3 * max(1.0, abs(mid)):
                 lo = hi = mid
                 break
             if f_lo * f_mid < 0.0:

@@ -67,6 +67,8 @@ def closed_form_A(coeffs: DerivedCoefficients, pk: PekerisCoefficients,
     A = (kappa + gamma c1/R^2) / (-1/a + 2 sqrt(v + gamma c2/R^2 + 1/(4a^2))) + 1/(2a)
     """
     radicand = coeffs.v + coeffs.gamma * pk.c2 / p.R**2 + 1.0 / (4.0 * p.a**2)
+    if radicand < 0.0:
+        raise DegenerateSuperpotential("B not real in the closed-form elimination")
     denom = -1.0 / p.a + 2.0 * np.sqrt(radicand)
     if abs(denom) <= _SINGULAR_RTOL / p.a:
         raise DegenerateSuperpotential("B = 0 in the closed-form elimination")

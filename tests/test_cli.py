@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output formats, exit codes, config files."""
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import subprocess
@@ -13,10 +14,12 @@ import pytest
 
 import wsdirac
 from wsdirac import cli
-from wsdirac.cli import CSV_HEADER, main
+from wsdirac.cli import main
 
 
 BOUND_FLAGS = ["--depth", "10", "--alpha-prime", "0.0015"]
+CSV_HEADER = ("alpha_prime,dim,ell,n,e_upper,e_lower,e_binding,"
+              "branch,roots_real,normalizable,error")
 
 
 def run(capsys, *argv):
@@ -223,6 +226,22 @@ def test_negative_label_exit_code(capsys, command):
     assert out.err.startswith("error: ") and "Traceback" not in out.err
 
 
+# sha256 over the exit code and stdout of each run below: every byte the
+# spectrum commands write in both formats, typed-error cells included
+_OUTPUT_DIGEST = "510209e6d5e51e72ffbda2f896554c4216d14e39d5319ead626251133e3f0588"
+
+
+def test_output_bytes_digest(capsys):
+    h = hashlib.sha256()
+    for command in (["table", "1"], ["table", "2"], ["solve"]):
+        for fmt in ("csv", "json-lines"):
+            for flags in ([], BOUND_FLAGS, ["--ell", "0"], ["--ell", "5"],
+                          ["--n", "2"], ["--depth", "10", "--dim", "1"]):
+                code, out = run(capsys, *command, *flags, "--format", fmt)
+                h.update(repr((code, out.out)).encode())
+    assert h.hexdigest() == _OUTPUT_DIGEST
+
+
 def test_solver_value_error_is_not_a_usage_error(monkeypatch):
     # exit 2 is for inputs outside their domain; a ValueError raised inside
     # the solver is a fault and propagates
@@ -255,6 +274,17 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--config", str(cfg)])
         assert exc.value.code == 2
+
+    def test_value_checked_like_its_flag(self, capsys, tmp_path):
+        # `--format xml` is not a choice, and neither is the config entry
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", str(cfg)])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "--format" in out.err and "xml" in out.err
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,9 @@
 """Superpotential matching, partner potentials and shape invariance."""
 from __future__ import annotations
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from wsdirac import (
     solve_susy_parameters,
     superpotential,
     QuantumState,
+    SurfaceRegimeWarning,
 )
 
 from conftest import BOUND, BOUND_STATE, DEGENERATE_STATE, random_valid_config, \
@@ -69,6 +73,17 @@ class TestMatchingRelations:
             solve_susy_parameters(dc, pk, p, 5.0)
         with pytest.raises(DegenerateSuperpotential):
             closed_form_A(dc, pk, p, 5.0)
+
+    def test_non_real_slope_elimination_raises(self):
+        # gamma < 0 at ell = 0, D = 2, and R/a = 2.4 < 48^(1/4): the
+        # elimination's radicand is negative, so B is not real
+        with pytest.warns(SurfaceRegimeWarning):
+            p = replace(reference_params(0.0), R=1.2)
+        dc = derive_coefficients(p, QuantumState(n=0, ell=0, D=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegenerateSuperpotential):
+                closed_form_A(dc, pekeris_coefficients(p.R, p.a), p, 5.0)
 
 
 class TestPartnerPotentials:
