@@ -12,6 +12,7 @@ from .errors import (
     NotNormalizable,
     WsdiracError,
 )
+from .checks import closed_form_vs_bracketing_gap
 from .oracle import (
     ShootingConfig,
     default_config,
@@ -39,7 +40,6 @@ from .pekeris import (
 from .spectrum import (
     SpectrumResult,
     SweepCell,
-    closed_form_vs_bracketing_gap,
     energy_equation_residual,
     ground_state_energy,
     solve_energy,

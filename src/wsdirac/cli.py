@@ -10,29 +10,17 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 
 import numpy as np
 
-from .errors import (
-    DegenerateSuperpotential,
-    NoEigenvalueInBracket,
-    NotNormalizable,
-    WsdiracError,
-)
-from . import oracle
-from .params import (PhysicalParams, QuantumState, RadialCoefficients,
-                     derive_coefficients)
-from .pekeris import pekeris_coefficients, taylor_match_report
-from .spectrum import (
-    _NO_ROOT_RESULT,
-    SpectrumResult,
-    closed_form_vs_bracketing_gap,
-    ground_state_energy,
-    solve_energy,
-    sweep,
-)
-from .susyqm import closed_form_A, ladder, shifted_A, solve_susy_parameters
+from . import checks
+from .errors import DegenerateSuperpotential, NotNormalizable, WsdiracError
+from .params import PhysicalParams, QuantumState, derive_coefficients
+from .pekeris import pekeris_coefficients
+from .spectrum import _NO_ROOT_RESULT, SpectrumResult, solve_energy, sweep
+from .susyqm import solve_susy_parameters
 from .wavefunction import evaluate, normalize
 
 EXIT_OK = 0
@@ -263,80 +251,33 @@ def _cmd_verify(args) -> int:
         failures += status == "fail"
         writer.line(f"{status} {name} {detail}")
 
-    p, state = _inputs(args)
-    pk = pekeris_coefficients(p.R, p.a)
-    t = taylor_match_report(pk)
-    gap = max(abs(t[0] - 1.0), abs(t[1] + 2.0), abs(t[2] - 3.0))
-    report("centrifugal-surrogate-taylor-match", gap < 1e-10, f"max_gap={gap:.3e}")
+    def run(check: checks.Check, E: float | None):
+        value = check.metric(p, state, E)
+        if value is None:
+            return report(check.name, None, check.skip)
+        report(check.name, value < check.bound, f"{check.label}={value:.3e}")
 
-    dc = derive_coefficients(p, state)
+    p, state = _inputs(args)
+    run(checks.TAYLOR_MATCH, None)
     try:
         result = solve_energy(p, state)
+        failed = "" if result.roots_real else "no real root"
     except DegenerateSuperpotential as exc:
-        report("energy-solve", False, f"degenerate: {exc}")
-        writer.close()
-        return EXIT_CHECK_FAILED
-
-    if not result.roots_real:
-        report("energy-solve", False, "no real root")
-        writer.close()
-        return EXIT_CHECK_FAILED
-    report("energy-solve", True, f"e_binding={result.e_binding:.10g}")
-
-    E = result.e_upper
-    sp = solve_susy_parameters(dc, pk, p, E)
-    rc = RadialCoefficients(dc, pk, p)
-    # level n: the superpotential -(A_n + B_n f) against the partner potential
-    # reached by n shape-invariant steps, whose f and f^2 coefficients those
-    # steps shift by +s and -s, s = sum of 2 B_k / a over k < n (0 at n = 0)
-    b_n = ladder(sp.B, args.n, p.a)
-    a_n = shifted_A(sp.frak_u, b_n)
-    s = args.n / p.a * (2.0 * b_n + (args.n + 1) / p.a)
-    res = (
-        abs(a_n**2 - rc.c0(E)),
-        abs(2 * a_n * b_n - b_n / p.a - (rc.frak_u(E) - rc.c2 + s)),
-        abs(b_n**2 + b_n / p.a - (rc.c2 - s)),
-    )
-    report("superpotential-matching-residuals", max(res) < 1e-10,
-           f"max_residual={max(res):.3e}")
-
-    a_gap = abs(closed_form_A(dc, pk, p, E) - sp.A)
-    report("superpotential-elimination-agreement", a_gap < 1e-10,
-           f"gap={a_gap:.3e}")
-
-    if args.n == 0:
-        gs = ground_state_energy(p, state)
-        gs_gap = abs(gs.e_upper - result.e_upper)
-        report("ground-state-route-agreement", gs_gap < 1e-10,
-               f"gap={gs_gap:.3e}")
-    else:
-        report("ground-state-route-agreement", None, "n > 0")
-
-    br_gap = closed_form_vs_bracketing_gap(p, state)
-    report("closed-form-vs-bracketing", br_gap < 1e-10, f"gap={br_gap:.3e}")
-
-    if getattr(args, "with_oracle", False):
-        # the routes agree when a bound root has a shooting eigenvalue within
-        # 1e-3.  At n = 0 that is the lowest-node state in the bracket, and a
-        # root that is not bound must have none there; at n >= 1 it is the
-        # nearest one, and a root that is not bound must have none within
-        # 1e-3, since genuine neighbouring levels share its bracket.
-        bound = result.normalizable
-        flag = f"normalizable={str(bound).lower()}"
-        cfg = oracle.default_config(p, (E - 0.5, E + 0.5))
-        try:
-            # every eigenvalue in the bracket, in node order
-            eigs = oracle.find_eigenvalues(cfg, p, state, count=sys.maxsize)
-        except NoEigenvalueInBracket:
-            report("shooting-cross-check", not bound,
-                   f"{flag}, no eigenvalue in bracket")
+        failed = f"degenerate: {exc}"
+    report("energy-solve", not failed,
+           failed or f"e_binding={result.e_binding:.10g}")
+    if not failed:
+        for check in checks.ROOT_CHECKS:
+            run(check, result.e_upper)
+        if args.with_oracle:
+            gap = checks.SHOOTING.metric(p, state, result.e_upper)
+            bound = result.normalizable
+            report(checks.SHOOTING.name, checks.shooting_agrees(bound, state.n, gap),
+                   f"normalizable={str(bound).lower()}, "
+                   + ("no eigenvalue in bracket" if gap == math.inf
+                      else f"gap={gap:.3e}"))
         else:
-            o_gap = min(abs(e - E) for e in (eigs if args.n else eigs[:1]))
-            ok = o_gap < 1e-3 if bound else (args.n > 0 and o_gap >= 1e-3)
-            report("shooting-cross-check", ok, f"{flag}, gap={o_gap:.3e}")
-    else:
-        report("shooting-cross-check", None, "oracle disabled")
-
+            report(checks.SHOOTING.name, None, "oracle disabled")
     writer.close()
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 

@@ -19,6 +19,7 @@ the same matrices, taken by a Hillis-Steele scan with per-pass log scales.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -133,19 +134,25 @@ def _match_state(rc: RadialCoefficients, E: float, r0: float, h: float,
     return y / math.hypot(y[0], y[1])
 
 
-def _match_geometry(cfg: ShootingConfig) -> tuple[float, int]:
+def _sweeps(rc: RadialCoefficients, E: float, cfg: ShootingConfig):
+    """The outward sweep from r_min and the inward one from r_max at E, each
+    as (r0, h, steps, slope0), meeting at the grid point nearest the match
+    radius.  Raises NotBoundRegime where c0(E) <= 0 (oscillatory tail)."""
+    c0 = rc.c0(E)
+    if c0 <= 0.0:
+        raise NotBoundRegime(
+            f"asymptotic coefficient <= 0 at E = {E}: oscillatory tail"
+        )
     h = (cfg.r_max - cfg.r_min) / cfg.step_count
     i_match = int(round((cfg.match_radius - cfg.r_min) / h))
-    return h, min(max(i_match, 1), cfg.step_count - 1)
+    i_match = min(max(i_match, 1), cfg.step_count - 1)
+    slope_in = math.sqrt(max(float(_u(rc, cfg.r_min, E)), 0.0))
+    return ((cfg.r_min, h, i_match, slope_in),
+            (cfg.r_max, -h, cfg.step_count - i_match, -math.sqrt(c0)))
 
 
 def _mismatch(rc: RadialCoefficients, E: float, cfg: ShootingConfig) -> float:
-    h, i_match = _match_geometry(cfg)
-    slope_in = math.sqrt(max(float(_u(rc, cfg.r_min, E)), 0.0))
-    out = _match_state(rc, E, cfg.r_min, h, i_match, slope_in)
-    slope_out = -math.sqrt(rc.c0(E))
-    inw = _match_state(rc, E, cfg.r_max, -h, cfg.step_count - i_match,
-                       slope_out)
+    out, inw = (_match_state(rc, E, *sweep) for sweep in _sweeps(rc, E, cfg))
     return float(out[0] * inw[1] - out[1] * inw[0])
 
 
@@ -161,12 +168,7 @@ def shoot_mismatch(E: float, cfg: ShootingConfig, p: PhysicalParams,
     Raises NotBoundRegime when the asymptotic coefficient is non-positive
     (oscillatory tail, no bound state possible at this E).
     """
-    rc = radial_coefficients(p, state)
-    if rc.c0(E) <= 0.0:
-        raise NotBoundRegime(
-            f"asymptotic coefficient <= 0 at E = {E}: oscillatory tail"
-        )
-    return _mismatch(rc, E, cfg)
+    return _mismatch(radial_coefficients(p, state), E, cfg)
 
 
 def _trajectory(rc: RadialCoefficients, E: float, r0: float, h: float,
@@ -211,12 +213,11 @@ def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
     rc = radial_coefficients(p, state)
     lo, hi = cfg.energy_bracket
     grid = np.linspace(lo, hi, scan_points)
-    mm = np.array([
-        _mismatch(rc, float(E), cfg) if rc.c0(float(E)) > 0.0 else np.nan
-        for E in grid
-    ])
+    mm = np.full(scan_points, np.nan)  # NaN where the tail oscillates
+    for i, E in enumerate(grid.tolist()):
+        with contextlib.suppress(NotBoundRegime):
+            mm[i] = _mismatch(rc, E, cfg)
     found = []
-    h, i_match = _match_geometry(cfg)
     for i in range(scan_points - 1):
         f_lo, f_hi = mm[i], mm[i + 1]
         if not (np.isfinite(f_lo) and np.isfinite(f_hi)) or f_lo * f_hi >= 0.0:
@@ -225,8 +226,7 @@ def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
         ends = {float(grid[i]): f_lo, float(grid[i + 1]): f_hi}
         f = lambda E: ends[E] if E in ends else _mismatch(rc, E, cfg)
         e_star = float(brentq(f, grid[i], grid[i + 1], xtol=tol))
-        slope_in = math.sqrt(max(float(_u(rc, cfg.r_min, e_star)), 0.0))
-        values, _ = _trajectory(rc, e_star, cfg.r_min, h, i_match, slope_in)
+        values, _ = _trajectory(rc, e_star, *_sweeps(rc, e_star, cfg)[0])
         found.append((_count_nodes(values), e_star))
     if not found:
         raise NoEigenvalueInBracket(
@@ -245,14 +245,9 @@ def shoot_eigenfunction(E: float, cfg: ShootingConfig, p: PhysicalParams,
     converged eigenvalue.
     """
     rc = radial_coefficients(p, state)
-    if rc.c0(E) <= 0.0:
-        raise NotBoundRegime(f"asymptotic coefficient <= 0 at E = {E}")
-    h, i_match = _match_geometry(cfg)
-    slope_in = math.sqrt(max(float(_u(rc, cfg.r_min, E)), 0.0))
-    val_o, log_o = _trajectory(rc, E, cfg.r_min, h, i_match, slope_in)
-    slope_out = -math.sqrt(rc.c0(E))
-    val_i, log_i = _trajectory(rc, E, cfg.r_max, -h,
-                               cfg.step_count - i_match, slope_out)
+    outward, inward = _sweeps(rc, E, cfg)
+    val_o, log_o = _trajectory(rc, E, *outward)
+    val_i, log_i = _trajectory(rc, E, *inward)
     # restore true relative magnitudes within each branch
     out = val_o * np.exp(log_o - log_o[-1])
     inw = (val_i * np.exp(log_i - log_i[-1]))[::-1]
@@ -260,6 +255,6 @@ def shoot_eigenfunction(E: float, cfg: ShootingConfig, p: PhysicalParams,
         raise IntegrationBlowup("inward solution vanished at the match radius")
     inw = inw * (out[-1] / inw[0])
     F = np.concatenate([out, inw[1:]])
-    r = cfg.r_min + h * np.arange(cfg.step_count + 1)
+    r = cfg.r_min + outward[1] * np.arange(cfg.step_count + 1)  # step h
     norm = math.sqrt(np.trapezoid(F * F, r))
     return r, F / norm

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
@@ -19,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DegenerateSuperpotential, LadderSingular, NoRealRoot, WsdiracError
-from .params import PhysicalParams, QuantumState, radial_coefficients
+from .params import PhysicalParams, QuantumState, SurfaceRegimeWarning, radial_coefficients
 from .susyqm import _SINGULAR_RTOL, ladder, shifted_A, slope_parameter
 
 # per-cell codes of the typed errors, in the order the checks apply
@@ -219,21 +220,6 @@ def solve_energy_by_bracketing(p: PhysicalParams, state: QuantumState) -> list[f
     return sorted(roots)
 
 
-def closed_form_vs_bracketing_gap(p: PhysicalParams, state: QuantumState) -> float:
-    """Largest distance between closed-form roots and their bracketing matches.
-
-    Returns 0.0 when neither route finds a root; infinity when only one does.
-    """
-    result = solve_energy(p, state)
-    closed = ([result.e_lower, result.e_upper] if result.roots_real else [])
-    scanned = solve_energy_by_bracketing(p, state)
-    if not closed and not scanned:
-        return 0.0
-    if not closed or not scanned:
-        return math.inf
-    return max(min(abs(c - s) for s in scanned) for c in closed)
-
-
 @dataclass(frozen=True)
 class SweepCell:
     """One grid cell of a parameter sweep: inputs plus outcome."""
@@ -264,8 +250,10 @@ def sweep(
     for name, grid in zip(("alpha_prime", "D", "ell", "n"), grids):
         if not grid:
             raise ValueError(f"sweep grid '{name}' must be non-empty")
-    for alpha in alpha_primes:
-        replace(p, alpha_prime=alpha)  # ValueError outside [0, 1]
+    with warnings.catch_warnings():  # building p gave any SurfaceRegimeWarning
+        warnings.simplefilter("ignore", SurfaceRegimeWarning)
+        # p at each alpha_prime: ValueError outside [0, 1]
+        at_alpha = {a: replace(p, alpha_prime=a) for a in alpha_primes}
     QuantumState(n=min(ns), ell=min(ells), D=min(dims))  # and on a negative label
     # an open mesh, grid k along axis k, of float64 labels (exact for integers,
     # lighter than int64); the cells stand in for both params and state
@@ -278,8 +266,7 @@ def sweep(
         error = None if result is None or result.roots_real else NoRealRoot.__name__
         if result is None:  # B = 0 or B_n = 0, at a few cells per sweep
             try:
-                solve_energy(replace(p, alpha_prime=alpha),
-                             QuantumState(n=n, ell=ell, D=D))
+                solve_energy(at_alpha[alpha], QuantumState(n=n, ell=ell, D=D))
             except WsdiracError as exc:
                 error = type(exc).__name__
         out.append(SweepCell(alpha, D, ell, n, result=result, error=error))

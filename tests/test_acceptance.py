@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,13 +18,10 @@ from wsdirac import (
     DegenerateSuperpotential,
     NoEigenvalueInBracket,
     QuantumState,
-    closed_form_A,
-    closed_form_vs_bracketing_gap,
     default_config,
     derive_coefficients,
     evaluate,
     find_eigenvalues,
-    ground_state_energy,
     ladder,
     normalize,
     partner_potentials,
@@ -33,8 +31,9 @@ from wsdirac import (
     shoot_eigenfunction,
     solve_energy,
     solve_susy_parameters,
-    taylor_match_report,
 )
+from wsdirac.checks import (BRACKETING, ELIMINATION, GROUND_STATE, MATCHING,
+                            TAYLOR_MATCH, shooting_agrees)
 from wsdirac.susyqm import SusyParameters
 from wsdirac.wavefunction import ode_residual, second_derivative
 
@@ -119,11 +118,11 @@ def test_04_centrifugal_surrogate_taylor_match(rng):
     t0 = time.perf_counter()
     worst = 0.0
     for w in rng.uniform(2.0, 1000.0, size=100):
-        t = taylor_match_report(pekeris_coefficients(float(w), 1.0))
-        worst = max(worst, abs(t[0] - 1.0), abs(t[1] + 2.0), abs(t[2] - 3.0))
+        # the metric reads only R and a; PhysicalParams would warn at R/a < 5
+        surrogate = SimpleNamespace(R=float(w), a=1.0)
+        worst = max(worst, TAYLOR_MATCH.metric(surrogate, None, None))
     elapsed = time.perf_counter() - t0
-    _report(4, "centrifugal-surrogate-taylor-match",
-            worst < 1e-10 and elapsed < 1.0,
+    _report(4, TAYLOR_MATCH.name, worst < TAYLOR_MATCH.bound and elapsed < 1.0,
             f"max_dev={worst:.2e}, elapsed={elapsed:.2f}s")
 
 
@@ -144,7 +143,7 @@ def test_05_superpotential_consistency(rng):
             abs(2 * sp.A * sp.B - sp.B / p.a - (kap + g * pk.c1)),
             abs(sp.B**2 + sp.B / p.a - (dc.v + g * pk.c2)),
         )
-        worst_elim = max(worst_elim, abs(closed_form_A(dc, pk, p, E) - sp.A))
+        worst_elim = max(worst_elim, ELIMINATION.metric(p, state, E))
         b1 = ladder(sp.B, 1, p.a)
         sp1 = SusyParameters(A=shifted_A(sp.frak_u, b1), B=b1,
                              frak_u=sp.frak_u)
@@ -157,8 +156,8 @@ def test_05_superpotential_consistency(rng):
             total = sum(remainder(sp, i, p.a) for i in range(1, n + 1))
             ends = sp.A**2 - shifted_A(sp.frak_u, ladder(sp.B, n, p.a))**2
             worst_tele = max(worst_tele, abs(total - ends))
-    ok = (worst_match < 1e-10 and worst_elim < 1e-10
-          and worst_spread < 1e-9 and worst_tele < 1e-10)
+    ok = (worst_match < MATCHING.bound and worst_elim < ELIMINATION.bound
+          and worst_spread < 1e-9 and worst_tele < MATCHING.bound)
     _report(5, "superpotential-consistency", ok,
             f"match={worst_match:.2e}, elim={worst_elim:.2e}, "
             f"spread={worst_spread:.2e}, telescope={worst_tele:.2e}")
@@ -166,17 +165,16 @@ def test_05_superpotential_consistency(rng):
 
 def test_06_solver_route_equivalence(rng):
     worst = 0.0
+    gap = lambda p, state: BRACKETING.metric(p, state, None)  # reads no root
     for alpha in TABLE_ALPHAS:
         for D in range(1, 6):
-            worst = max(worst, closed_form_vs_bracketing_gap(
-                reference_params(alpha), QuantumState(0, 20, D)))
+            worst = max(worst, gap(reference_params(alpha), QuantumState(0, 20, D)))
         for ell in range(20, 25):
-            worst = max(worst, closed_form_vs_bracketing_gap(
-                reference_params(alpha), QuantumState(0, ell, 3)))
+            worst = max(worst, gap(reference_params(alpha), QuantumState(0, ell, 3)))
     for _ in range(100):
         p, state, _ = random_valid_config(rng)
-        worst = max(worst, closed_form_vs_bracketing_gap(p, state))
-    _report(6, "solver-route-equivalence", worst < 1e-10,
+        worst = max(worst, gap(p, state))
+    _report(6, "solver-route-equivalence", worst < BRACKETING.bound,
             f"max_gap={worst:.2e}")
 
 
@@ -185,24 +183,25 @@ def test_07_ground_state_route_agreement():
     for alpha in TABLE_ALPHAS:
         for D in range(1, 6):
             p, state = reference_params(alpha), QuantumState(0, 20, D)
-            worst = max(worst, abs(ground_state_energy(p, state).e_upper
-                                   - solve_energy(p, state).e_upper))
-    _report(7, "ground-state-route-agreement", worst < 1e-10,
+            worst = max(worst, GROUND_STATE.metric(
+                p, state, solve_energy(p, state).e_upper))
+    _report(7, GROUND_STATE.name, worst < GROUND_STATE.bound,
             f"max_gap={worst:.2e}")
 
 
 def test_08_shooting_cross_validation():
     """The shooting oracle and the closed form must agree on every cell.
 
-    A root flagged normalizable (A_n < 0 < A_n + B_n, a bound state) must
-    have a shooting eigenvalue within 1e-3; a root not so flagged must have
-    none in its bracket.  The reference well (V0 = -10) has no decaying
-    solution on its cells: its roots grow like exp(A r) with A > 0.  The
-    attractive well of BOUND (V0 = +10) holds one genuine bound state and
-    one root that falls monotonically from r = 0 and is not one.  At least
-    one eigenvalue must match, so absences alone cannot pass.  The
-    convergence-order half of the criterion is demonstrated on an
-    attractive-well control configuration.
+    By the shooting check's rule, a root flagged normalizable (A_n < 0 <
+    A_n + B_n, a bound state) must have a shooting eigenvalue within its
+    bound; a root not so flagged must have none in its bracket.  The
+    reference well (V0 = -10) has no decaying solution on its cells: its
+    roots grow like exp(A r) with A > 0.  The attractive well of BOUND
+    (V0 = +10) holds one genuine bound state and one root that falls
+    monotonically from r = 0 and is not one.  At least one eigenvalue must
+    match, so absences alone cannot pass.  The convergence-order half of
+    the criterion is demonstrated on an attractive-well control
+    configuration.
     """
     t0 = time.perf_counter()
     cells = [
@@ -226,17 +225,13 @@ def test_08_shooting_cross_validation():
         try:
             eigs = find_eigenvalues(cfg, p, state, count=1,
                                     scan_points=150, tol=1e-6)
+            gap = abs(eigs[0] - e_star)
         except NoEigenvalueInBracket:
-            if result.normalizable:
-                failures.append(f"{label}: bound root, NoEigenvalueInBracket")
-            continue
-        gap = min(abs(e - e_star) for e in eigs)
-        if not result.normalizable:
-            failures.append(f"{label}: unbound root, eigenvalue at "
+            gap = math.inf
+        if not shooting_agrees(result.normalizable, state.n, gap):
+            failures.append(f"{label}: normalizable={result.normalizable}, "
                             f"gap={gap:.1e}")
-        elif gap >= 1e-3:
-            failures.append(f"{label}: gap={gap:.1e}")
-        else:
+        elif result.normalizable:
             matched += 1
             worst = max(worst, gap)
     if not matched:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import wsdirac
-from wsdirac import cli
+from wsdirac import checks, cli
 from wsdirac.cli import main
 
 
@@ -162,36 +162,67 @@ class TestWavefunction:
         assert code == 2
 
 
+# verify's lines in order; a failed energy-solve line is the last
+VERIFY_CHECKS = ("centrifugal-surrogate-taylor-match", "energy-solve",
+                 "superpotential-matching-residuals",
+                 "superpotential-elimination-agreement",
+                 "ground-state-route-agreement", "closed-form-vs-bracketing",
+                 "shooting-cross-check")
+ALL_PASS = "pass pass pass pass pass pass skip"
+LEVEL_N = "pass pass pass pass skip pass skip"
+
+
+def verify_lines(out, statuses: str) -> bool:
+    """Whether verify printed exactly these statuses of VERIFY_CHECKS."""
+    return ([tuple(l.split()[:2]) for l in out.out.splitlines()]
+            == list(zip(statuses.split(), VERIFY_CHECKS)))
+
+
 class TestVerify:
+    @pytest.mark.parametrize("flags, statuses", [
+        (BOUND_FLAGS, ALL_PASS),
+        pytest.param(["--radius", "1.2", "--ell", "0", "--dim", "2"],
+                     "pass fail", marks=pytest.mark.filterwarnings(
+                         "ignore::wsdirac.SurfaceRegimeWarning")),
+        (["--depth", "10"], ALL_PASS),
+        (["--n", "2"], LEVEL_N),
+        (["--depth", "10", "--dim", "1"], ALL_PASS),
+        (["--alpha-prime", "0.01", "--ell", "3"], ALL_PASS),
+        (["--ell", "5"], "pass fail"),
+        ([*BOUND_FLAGS, "--n", "3"], LEVEL_N),
+    ])
+    def test_line_contract(self, capsys, flags, statuses):
+        # the tests below lock the lines of the other flag sets, --with-oracle
+        # among them
+        code, out = run(capsys, "verify", *flags)
+        assert verify_lines(out, statuses)
+        assert code == (1 if "fail" in statuses else 0)
+
     def test_reference_configuration_passes(self, capsys):
         code, out = run(capsys, "verify")
         assert code == 0
-        lines = out.out.strip().splitlines()
-        assert all(l.split()[0] in ("pass", "skip") for l in lines)
-        assert any(l.startswith("skip shooting-cross-check") for l in lines)
+        assert verify_lines(out, ALL_PASS)
 
     def test_with_oracle_on_bound_configuration(self, capsys):
         code, out = run(capsys, "verify", *BOUND_FLAGS, "--with-oracle")
         assert code == 0
-        assert any(l.startswith("pass shooting-cross-check")
-                   for l in out.out.strip().splitlines())
+        assert verify_lines(out, "pass pass pass pass pass pass pass")
 
     def test_with_oracle_on_reference_configuration(self, capsys):
         # the reference-well root is not a bound state and the oracle finds
         # no eigenvalue near it: the two routes agree
         code, out = run(capsys, "verify", "--with-oracle")
         assert code == 0
-        assert any(l.startswith("pass shooting-cross-check")
-                   for l in out.out.strip().splitlines())
+        assert verify_lines(out, "pass pass pass pass pass pass pass")
 
     @pytest.mark.parametrize("flags", [[], BOUND_FLAGS])
     def test_excited_level_passes(self, capsys, flags):
         code, out = run(capsys, "verify", *flags, "--n", "1")
         assert code == 0
-        assert not any(l.startswith("fail") for l in out.out.splitlines())
+        assert verify_lines(out, LEVEL_N)
 
     def test_failed_check_sets_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "closed_form_A", lambda *args: 1e3)
+        monkeypatch.setattr(checks, "closed_form_A", lambda *args: 1e3)
         code, out = run(capsys, "verify")
         assert code == 1
         assert "fail superpotential-elimination-agreement" in out.out
@@ -207,6 +238,7 @@ class TestVerify:
         code, out = run(capsys, "verify", *BOUND_FLAGS, "--n", n,
                         "--with-oracle")
         assert code == 0
+        assert verify_lines(out, "pass pass pass pass skip pass pass")
         line = next(l for l in out.out.splitlines()
                     if "shooting-cross-check" in l)
         assert line.startswith(f"pass shooting-cross-check {flag}, gap=")
@@ -216,7 +248,7 @@ class TestVerify:
     def test_degenerate_fails(self, capsys):
         code, out = run(capsys, "verify", "--ell", "0")
         assert code == 1
-        assert "fail energy-solve" in out.out
+        assert verify_lines(out, "pass fail")
 
 
 @pytest.mark.parametrize("command", [["table", "1"], ["solve"], ["verify"]])

@@ -184,9 +184,7 @@ class TestTransferEntries:
         E = bound_root + offset
         cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
         rc = radial_coefficients(BOUND, BOUND_STATE)
-        h, i_match = oracle._match_geometry(cfg)
-        r0, h, steps = ((cfg.r_min, h, i_match) if outward else
-                        (cfg.r_max, -h, cfg.step_count - i_match))
+        r0, h, steps, _ = oracle._sweeps(rc, E, cfg)[0 if outward else 1]
         T = rk4_stage_matrices(rc, E, r0, h, steps)
         entries = oracle._transfer_entries(rc, E, r0, h, steps)
         assert entries.shape == (4, steps)
@@ -253,11 +251,9 @@ class TestScanTrajectory:
     def test_matches_stepwise_sweep(self, lowest_states, monkeypatch):
         cfg, eigs = lowest_states
         rc = radial_coefficients(BOUND, BOUND_STATE)
-        h, i_match = oracle._match_geometry(cfg)
         nodes_scan, nodes_step = [], []
         for e in eigs:
-            slope = math.sqrt(max(oracle._u(rc, cfg.r_min, e), 0.0))
-            args = (rc, e, cfg.r_min, h, i_match, slope)
+            args = (rc, e, *oracle._sweeps(rc, e, cfg)[0])
             nodes_scan.append(oracle._count_nodes(oracle._trajectory(*args)[0]))
             nodes_step.append(oracle._count_nodes(stepwise_trajectory(*args)[0]))
         assert nodes_scan == nodes_step == [0, 1, 2, 3]

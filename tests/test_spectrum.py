@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,8 @@ from wsdirac import (
     solve_energy_by_bracketing,
     sweep,
 )
+
+from wsdirac.checks import BRACKETING
 
 from conftest import (
     BOUND,
@@ -117,7 +120,7 @@ class TestBracketingRoute:
         assert roots[1] == pytest.approx(result.e_upper, abs=1e-10)
 
     def test_gap_metric(self):
-        assert closed_form_vs_bracketing_gap(BOUND, BOUND_STATE) < 1e-10
+        assert closed_form_vs_bracketing_gap(BOUND, BOUND_STATE) < BRACKETING.bound
         assert closed_form_vs_bracketing_gap(reference_params(0.0),
                                              NO_REAL_ROOT_STATE) == 0.0
 
@@ -138,8 +141,12 @@ class TestSweep:
     def test_non_real_slope_cell_recorded(self):
         # gamma < 0 at ell = 0, D = 2, and R/a = 2.4 < 48^(1/4): B is not real
         with pytest.warns(SurfaceRegimeWarning):
-            cells = sweep(replace(reference_params(0.0), R=1.2), [0.0], [2],
-                          [0, 1], [0])
+            p = replace(reference_params(0.0), R=1.2)
+        # building p warned; the sweep repeats none, also where it re-solves
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cells = sweep(p, [0.0, 0.01], [2], [0, 1], [0])
+        assert [str(w.message) for w in caught] == []
         assert cells[0].error == "DegenerateSuperpotential"
         assert cells[0].result is None
         assert cells[1].error is None and cells[1].result.roots_real
