@@ -1,26 +1,25 @@
 """Direct numerical eigensolve of the transformed radial equation.
 
-Independent cross-check of the closed-form spectrum: for each trial energy E
-the energy-dependent coefficients are frozen, F'' = U(r; E) F is integrated
-outward from r_min and inward from r_max with a fixed-step classical
-Runge-Kutta scheme, and the Wronskian of the two sweeps' (F, F') vectors at
-the match radius, each scaled to unit length, is driven to zero over E.
-
-The equation is linear, so one RK4 step is a 2x2 transfer matrix whose four
-entries are closed-form polynomials in h and the step's three stage values
-of U; they are built as four flat arrays over the steps.  A sweep's end
-state is the ordered product of those matrices, a pairwise tree with
-per-pass renormalization by positive factors (the direction of the end
-state, sign included, is unaffected).  The mismatch is therefore bounded,
-has no poles, and changes sign only at eigenvalues, so each sign change on
-the scan grid is refined with Brent's method.  The amplitudes along a sweep,
-for node counting and eigenfunction recovery, are the prefix products of
-the same matrices, taken by a Hillis-Steele scan with per-pass log scales.
+Independent cross-check of the closed-form spectrum: F'' = U(r; E) F is
+integrated outward from r_min and inward from r_max with a fixed-step
+classical Runge-Kutta scheme, and the Wronskian of the two sweeps' (F, F')
+vectors at the match radius, each scaled to unit length, is driven to zero
+over E.  A solve builds each sweep's grid once, with the E-independent shape
+f and c2 f^2 on its half-steps.  The equation is linear, so one RK4 step is
+a 2x2 transfer matrix, closed-form in h and the step's three values of U.
+A sweep's end state is their ordered product, the root of a pairwise tree
+(the up-sweep) renormalized per level by positive factors, which keep its
+direction, sign included: the mismatch is bounded, has no poles and changes
+sign only at eigenvalues, each refined from the scan grid by Brent's method.
+The amplitudes along a sweep, for node counts and the eigenfunction, are the
+prefix products of the same matrices: a down-sweep over the tree's levels
+with per-level log scales, O(steps) work (Blelloch, CMU-CS-90-190, 1990).
 """
 from __future__ import annotations
 
 import contextlib
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,95 +64,126 @@ def default_config(p: PhysicalParams, energy_bracket: tuple[float, float],
     )
 
 
-def _u(rc: RadialCoefficients, r, E: float):
-    """U(r; E) at radii r, frozen at trial energy E."""
-    return rc.u(shape_factor(r, rc.p.R, rc.p.a), E)
+# a sweep's E-independent grid r0 + j h, j = 0..steps (h may be negative),
+# with the shape f and q = c2 f^2 on its half-step grid
+_Sweep = namedtuple("_Sweep", "r0 h steps f q")
 
 
-def _transfer_entries(rc: RadialCoefficients, E: float, r0: float, h: float,
-                      steps: int) -> np.ndarray:
-    """Closed-form RK4 transfer matrices for y = (F, F'), shape (4, steps).
+def _sweep(rc: RadialCoefficients, r0: float, h: float, steps: int) -> _Sweep:
+    f = shape_factor(r0 + (h / 2.0) * np.arange(2 * steps + 1, dtype=float),
+                     rc.p.R, rc.p.a)
+    return _Sweep(r0, h, steps, f, rc.c2 * f * f)
 
-    Column j holds the entries (t00, t01, t10, t11) of the step mapping
-    y(r0 + j h) to y(r0 + (j+1) h); h may be negative.  With A = [[0, 1],
-    [u, 0]] each RK4 stage is a polynomial in h and the stage values u1, u2,
-    u3 of U at the step's start, midpoint and end, and so is their sum.
+
+def _sweeps(rc: RadialCoefficients, cfg: ShootingConfig):
+    """The outward sweep from r_min and the inward one from r_max, meeting at
+    the grid point nearest the match radius."""
+    h = (cfg.r_max - cfg.r_min) / cfg.step_count
+    i_match = int(round((cfg.match_radius - cfg.r_min) / h))
+    i_match = min(max(i_match, 1), cfg.step_count - 1)
+    return (_sweep(rc, cfg.r_min, h, i_match),
+            _sweep(rc, cfg.r_max, -h, cfg.step_count - i_match))
+
+
+def _slopes(rc: RadialCoefficients, E: float, sweeps) -> tuple[float, float]:
+    """Start slopes F'/F at E, growing at r_min and decaying at r_max; raises
+    NotBoundRegime where c0(E) <= 0 (oscillatory tail)."""
+    c0 = rc.c0(E)
+    if c0 <= 0.0:
+        raise NotBoundRegime(
+            f"asymptotic coefficient <= 0 at E = {E}: oscillatory tail"
+        )
+    u_min = rc.u(sweeps[0].f[0], E)
+    return math.sqrt(max(float(u_min), 0.0)), -math.sqrt(c0)
+
+
+def _transfer_entries(rc: RadialCoefficients, E: float, sweep) -> np.ndarray:
+    """Closed-form RK4 transfer matrices for y = (F, F'), shape (2, 2, steps).
+
+    [..., j] maps y(r0 + j h) to y(r0 + (j+1) h).  With A = [[0, 1], [u, 0]]
+    each RK4 stage is a polynomial in h and the values u1, u2, u3 of U at
+    the step's start, midpoint and end; U is summed as in
+    RadialCoefficients.u, so it keeps its bits.
     """
-    u = _u(rc, r0 + (h / 2.0) * np.arange(2 * steps + 1, dtype=float), E)
+    u = rc.c0(E) + (rc.frak_u(E) - rc.c2) * sweep.f + sweep.q
     u1, u2, u3 = u[0:-1:2], u[1::2], u[2::2]
+    h = sweep.h
     h2, h3 = h * h, h * h * h
     return np.stack([
         1.0 + h2 / 6.0 * (u1 + 2.0 * u2) + h2 * h2 / 24.0 * u1 * u2,
         h + h3 / 6.0 * u2,
         h / 6.0 * (u1 + 4.0 * u2 + u3) + h3 / 12.0 * u2 * (u1 + u3),
         1.0 + h2 / 6.0 * (2.0 * u2 + u3) + h2 * h2 / 24.0 * u2 * u3,
-    ])
+    ]).reshape(2, 2, -1)
 
 
-def _compose(b: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Entries of the 2x2 products b @ a, column by column."""
-    return np.stack([b[0] * a[0] + b[1] * a[2], b[0] * a[1] + b[1] * a[3],
-                     b[2] * a[0] + b[3] * a[2], b[2] * a[1] + b[3] * a[3]])
+def _compose(b: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The 2x2 products b @ a along the last axis, written to out."""
+    np.multiply(b[:, :1], a[:1], out=out)
+    out += b[:, 1:] * a[1:]
+    return out
 
 
-def _renormalize(M: np.ndarray):
-    """Divide each column by its max-abs entry, a positive factor: (M, factors)."""
-    scale = np.abs(M).max(axis=0)
-    if not np.all(np.isfinite(scale)):
+def _renormalize(M: np.ndarray) -> np.ndarray:
+    """Divide each matrix of M in place by its max-abs entry; the factors."""
+    scale = np.abs(M).max(axis=(0, 1))
+    if not np.isfinite(scale).all():
         raise IntegrationBlowup("transfer-matrix product overflowed")
-    scale = np.maximum(scale, 1e-300)
-    return M / scale, scale
+    np.maximum(scale, 1e-300, out=scale)
+    M /= scale
+    return scale
 
 
-def _chain_product(T: np.ndarray) -> np.ndarray:
-    """Entries of the ordered product T[-1] @ ... @ T[0] by pairwise reduction.
-
-    Each pass renormalizes by positive factors, so only the direction of the
-    resulting map is meaningful.
-    """
-    M = T
-    while M.shape[1] > 1:
-        n = M.shape[1]
-        even = n - (n % 2)
-        paired = _compose(M[:, 1:even:2], M[:, 0:even:2])
-        if n % 2:
-            paired = np.concatenate([paired, M[:, -1:]], axis=1)
-        M, _ = _renormalize(paired)
-    return M[:, 0]
+def _up_sweep(T: np.ndarray):
+    """Levels of the pairwise tree over T's matrices, and their factors: level
+    k + 1 holds the renormalized products of level k's pairs (an odd last
+    matrix carried alone), up to T[-1] @ ... @ T[0] at the top."""
+    levels, scales = [T], []
+    while levels[-1].shape[2] > 1:
+        M, half = levels[-1], levels[-1].shape[2] // 2
+        out = np.empty((2, 2, M.shape[2] - half))
+        _compose(M[..., 1:2 * half:2], M[..., 0:2 * half:2], out[..., :half])
+        out[..., half:] = M[..., 2 * half:]
+        scales.append(_renormalize(out))
+        levels.append(out)
+    return levels, scales
 
 
-def _match_state(rc: RadialCoefficients, E: float, r0: float, h: float,
-                 steps: int, slope0: float) -> np.ndarray:
-    """(F, F') at the end of the sweep from (1, slope0), scaled to unit length.
-
-    The chain product only rescales by positive factors, so the direction,
-    sign included, is that of the true solution.
-    """
-    t = _chain_product(_transfer_entries(rc, E, r0, h, steps))
-    y = np.array([t[0] + t[1] * slope0, t[2] + t[3] * slope0])
-    return y / math.hypot(y[0], y[1])
-
-
-def _sweeps(rc: RadialCoefficients, E: float, cfg: ShootingConfig):
-    """The outward sweep from r_min and the inward one from r_max at E, each
-    as (r0, h, steps, slope0), meeting at the grid point nearest the match
-    radius.  Raises NotBoundRegime where c0(E) <= 0 (oscillatory tail)."""
-    c0 = rc.c0(E)
-    if c0 <= 0.0:
-        raise NotBoundRegime(
-            f"asymptotic coefficient <= 0 at E = {E}: oscillatory tail"
-        )
-    h = (cfg.r_max - cfg.r_min) / cfg.step_count
-    i_match = int(round((cfg.match_radius - cfg.r_min) / h))
-    i_match = min(max(i_match, 1), cfg.step_count - 1)
-    slope_in = math.sqrt(max(float(_u(rc, cfg.r_min, E)), 0.0))
-    return ((cfg.r_min, h, i_match, slope_in),
-            (cfg.r_max, -h, cfg.step_count - i_match, -math.sqrt(c0)))
+def _down_sweep(levels, scales):
+    """Prefix products T[j] @ ... @ T[0] of the tree's level 0, as (P, logs):
+    a node's prefix is its parent's at odd index, and at even index i > 0 the
+    node times the prefix of the parent's left neighbour, renormalized.  The
+    factors' logs add up, so prefix j is P[..., j] exp(logs[j])."""
+    logs = [np.zeros(levels[0].shape[2])]
+    for scale in scales:  # a node's log: its children's, plus its own factor's
+        pairs = np.arange(0, len(logs[-1]), 2)
+        logs.append(np.add.reduceat(logs[-1], pairs) + np.log(scale))
+    P, P_log = levels[-1], logs[-1]
+    for L, log in zip(levels[-2::-1], logs[-2::-1]):
+        n, m = L.shape[2], (L.shape[2] - 1) // 2
+        Q, Q_log = np.empty_like(L), np.empty(n)
+        Q[..., 0], Q_log[0] = L[..., 0], log[0]
+        Q[..., 1::2], Q_log[1::2] = P[..., :n // 2], P_log[:n // 2]
+        even = _compose(L[..., 2::2], P[..., :m], Q[..., 2::2])
+        Q_log[2::2] = log[2::2] + P_log[:m] + np.log(_renormalize(even))
+        P, P_log = Q, Q_log
+    return P, P_log
 
 
-def _mismatch(rc: RadialCoefficients, E: float, cfg: ShootingConfig) -> float:
-    out, inw = (_match_state(rc, E, *sweep) for sweep in _sweeps(rc, E, cfg))
-    return float(out[0] * inw[1] - out[1] * inw[0])
+def _mismatch(E: float, rc: RadialCoefficients, sweeps) -> float:
+    """Wronskian of the sweeps' end states (F, F') from (1, slope0), each
+    scaled to unit length."""
+    states = []
+    for sweep, slope0 in zip(sweeps, _slopes(rc, E, sweeps)):
+        t = _up_sweep(_transfer_entries(rc, E, sweep))[0][-1][..., 0]
+        y = np.array([t[0, 0] + t[0, 1] * slope0, t[1, 0] + t[1, 1] * slope0])
+        states.append(y / math.hypot(y[0], y[1]))
+    (u0, u1), (w0, w1) = states
+    return float(u0 * w1 - u1 * w0)
+
+
+def _scanned_or_mismatch(E: float, scanned: dict, *solve) -> float:
+    return scanned[E] if E in scanned else _mismatch(E, *solve)
 
 
 def shoot_mismatch(E: float, cfg: ShootingConfig, p: PhysicalParams,
@@ -168,26 +198,15 @@ def shoot_mismatch(E: float, cfg: ShootingConfig, p: PhysicalParams,
     Raises NotBoundRegime when the asymptotic coefficient is non-positive
     (oscillatory tail, no bound state possible at this E).
     """
-    return _mismatch(radial_coefficients(p, state), E, cfg)
+    rc = radial_coefficients(p, state)
+    return _mismatch(E, rc, _sweeps(rc, cfg))
 
 
-def _trajectory(rc: RadialCoefficients, E: float, r0: float, h: float,
-                steps: int, slope0: float):
-    """Amplitudes F of the sweep from (1, slope0) as (values, log_scales).
-
-    F at r0 + j h is values[j] * exp(log_scales[j]).  The prefix products
-    T[j] @ ... @ T[0] come from a Hillis-Steele scan, log2(steps) passes of
-    products at doubling offsets, each column renormalized by a positive
-    factor whose log is accumulated.
-    """
-    P = _transfer_entries(rc, E, r0, h, steps)
-    logs = np.zeros(steps)
-    d = 1
-    while d < steps:
-        P[:, d:], scale = _renormalize(_compose(P[:, d:], P[:, :-d]))
-        logs[d:] = logs[d:] + logs[:-d] + np.log(scale)
-        d *= 2
-    values = np.concatenate([[1.0], P[0] + P[1] * slope0])
+def _trajectory(rc: RadialCoefficients, E: float, sweep, slope0: float):
+    """Amplitudes F of the sweep from (1, slope0) as (values, log_scales):
+    F at r0 + j h is values[j] * exp(log_scales[j])."""
+    P, logs = _down_sweep(*_up_sweep(_transfer_entries(rc, E, sweep)))
+    values = np.concatenate([[1.0], P[0, 0] + P[0, 1] * slope0])
     return values, np.concatenate([[0.0], logs])
 
 
@@ -211,22 +230,25 @@ def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rc = radial_coefficients(p, state)
+    sweeps = _sweeps(rc, cfg)
     lo, hi = cfg.energy_bracket
     grid = np.linspace(lo, hi, scan_points)
     mm = np.full(scan_points, np.nan)  # NaN where the tail oscillates
     for i, E in enumerate(grid.tolist()):
         with contextlib.suppress(NotBoundRegime):
-            mm[i] = _mismatch(rc, E, cfg)
+            mm[i] = _mismatch(E, rc, sweeps)
     found = []
     for i in range(scan_points - 1):
         f_lo, f_hi = mm[i], mm[i + 1]
         if not (np.isfinite(f_lo) and np.isfinite(f_hi)) or f_lo * f_hi >= 0.0:
             continue
-        # brentq starts by evaluating both ends, which the scan already holds
+        # brentq starts at both ends, which the scan holds; the state goes in
+        # args, as brentq's wrapper is a cycle that would keep a closure alive
         ends = {float(grid[i]): f_lo, float(grid[i + 1]): f_hi}
-        f = lambda E: ends[E] if E in ends else _mismatch(rc, E, cfg)
-        e_star = float(brentq(f, grid[i], grid[i + 1], xtol=tol))
-        values, _ = _trajectory(rc, e_star, *_sweeps(rc, e_star, cfg)[0])
+        e_star = float(brentq(_scanned_or_mismatch, grid[i], grid[i + 1],
+                              args=(ends, rc, sweeps), xtol=tol))
+        values, _ = _trajectory(rc, e_star, sweeps[0],
+                                _slopes(rc, e_star, sweeps)[0])
         found.append((_count_nodes(values), e_star))
     if not found:
         raise NoEigenvalueInBracket(
@@ -245,9 +267,10 @@ def shoot_eigenfunction(E: float, cfg: ShootingConfig, p: PhysicalParams,
     converged eigenvalue.
     """
     rc = radial_coefficients(p, state)
-    outward, inward = _sweeps(rc, E, cfg)
-    val_o, log_o = _trajectory(rc, E, *outward)
-    val_i, log_i = _trajectory(rc, E, *inward)
+    sweeps = _sweeps(rc, cfg)
+    slopes = _slopes(rc, E, sweeps)
+    val_o, log_o = _trajectory(rc, E, sweeps[0], slopes[0])
+    val_i, log_i = _trajectory(rc, E, sweeps[1], slopes[1])
     # restore true relative magnitudes within each branch
     out = val_o * np.exp(log_o - log_o[-1])
     inw = (val_i * np.exp(log_i - log_i[-1]))[::-1]
@@ -255,6 +278,6 @@ def shoot_eigenfunction(E: float, cfg: ShootingConfig, p: PhysicalParams,
         raise IntegrationBlowup("inward solution vanished at the match radius")
     inw = inw * (out[-1] / inw[0])
     F = np.concatenate([out, inw[1:]])
-    r = cfg.r_min + outward[1] * np.arange(cfg.step_count + 1)  # step h
+    r = cfg.r_min + sweeps[0].h * np.arange(cfg.step_count + 1)  # step h
     norm = math.sqrt(np.trapezoid(F * F, r))
     return r, F / norm

@@ -1,6 +1,8 @@
 """Shooting eigensolver: geometry, mismatch, eigenvalues, convergence order."""
 from __future__ import annotations
 
+import gc
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +12,7 @@ from wsdirac import oracle
 from wsdirac import (
     NoEigenvalueInBracket,
     NotBoundRegime,
+    RadialCoefficients,
     ShootingConfig,
     default_config,
     derive_coefficients,
@@ -18,13 +21,14 @@ from wsdirac import (
     normalize,
     pekeris_coefficients,
     radial_coefficients,
+    shape_factor,
     shoot_eigenfunction,
     shoot_mismatch,
     solve_energy,
     solve_susy_parameters,
 )
 
-from conftest import BOUND, BOUND_STATE, RICHARDSON
+from conftest import BOUND, BOUND_STATE, RICHARDSON, reference_params
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +48,7 @@ def rk4_stage_matrices(rc, E, r0, h, steps):
     def amat(r):
         A = np.zeros((steps, 2, 2))
         A[:, 0, 1] = 1.0
-        A[:, 1, 0] = oracle._u(rc, r, E)
+        A[:, 1, 0] = rc.u(shape_factor(r, rc.p.R, rc.p.a), E)
         return A
 
     A1 = amat(r0 + h * idx)
@@ -57,11 +61,11 @@ def rk4_stage_matrices(rc, E, r0, h, steps):
     return np.eye(2) + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
 
 
-def stepwise_trajectory(rc, E, r0, h, steps, slope0):
+def stepwise_trajectory(rc, E, sweep, slope0):
     """Reference sweep y <- T[j] @ y, one step at a time: (values, log_scales)."""
     y = np.array([1.0, slope0])
     values, logs, log = [y[0]], [0.0], 0.0
-    for T in rk4_stage_matrices(rc, E, r0, h, steps):
+    for T in rk4_stage_matrices(rc, E, sweep.r0, sweep.h, sweep.steps):
         y = T @ y
         big = np.abs(y).max()
         if big > 1e100:
@@ -147,8 +151,8 @@ class TestFindEigenvalues:
         cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
         mismatch, calls = oracle._mismatch, {}
 
-        def counted(rc, E, cfg):
-            calls.setdefault(E, []).append(mismatch(rc, E, cfg))
+        def counted(E, *solve):
+            calls.setdefault(E, []).append(mismatch(E, *solve))
             return calls[E][-1]
 
         monkeypatch.setattr(oracle, "_mismatch", counted)
@@ -158,10 +162,11 @@ class TestFindEigenvalues:
         # reference: Brent on the same scan cell, recomputing every value
         from scipy.optimize import brentq
         rc = radial_coefficients(BOUND, BOUND_STATE)
+        sweeps = oracle._sweeps(rc, cfg)
         grid = np.linspace(*cfg.energy_bracket, 25)
         i = next(i for i in range(24)
                  if calls[grid[i]][0] * calls[grid[i + 1]][0] < 0.0)
-        ref = brentq(lambda E: mismatch(rc, E, cfg), grid[i], grid[i + 1],
+        ref = brentq(lambda E: mismatch(E, rc, sweeps), grid[i], grid[i + 1],
                      xtol=1e-11)
         assert abs(eig - ref) <= 1e-11
 
@@ -184,12 +189,13 @@ class TestTransferEntries:
         E = bound_root + offset
         cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
         rc = radial_coefficients(BOUND, BOUND_STATE)
-        r0, h, steps, _ = oracle._sweeps(rc, E, cfg)[0 if outward else 1]
-        T = rk4_stage_matrices(rc, E, r0, h, steps)
-        entries = oracle._transfer_entries(rc, E, r0, h, steps)
-        assert entries.shape == (4, steps)
+        sweep = oracle._sweeps(rc, cfg)[0 if outward else 1]
+        steps = sweep.steps
+        T = rk4_stage_matrices(rc, E, sweep.r0, sweep.h, steps)
+        entries = oracle._transfer_entries(rc, E, sweep)
+        assert entries.shape == (2, 2, steps)
         scale = np.abs(T).max(axis=(1, 2))
-        err = np.abs(entries.T.reshape(steps, 2, 2) - T).max(axis=(1, 2))
+        err = np.abs(np.moveaxis(entries, -1, 0) - T).max(axis=(1, 2))
         assert np.max(err / scale) <= 1e-14
 
 
@@ -252,8 +258,9 @@ class TestScanTrajectory:
         cfg, eigs = lowest_states
         rc = radial_coefficients(BOUND, BOUND_STATE)
         nodes_scan, nodes_step = [], []
+        sweeps = oracle._sweeps(rc, cfg)
         for e in eigs:
-            args = (rc, e, *oracle._sweeps(rc, e, cfg)[0])
+            args = (rc, e, sweeps[0], oracle._slopes(rc, e, sweeps)[0])
             nodes_scan.append(oracle._count_nodes(oracle._trajectory(*args)[0]))
             nodes_step.append(oracle._count_nodes(stepwise_trajectory(*args)[0]))
         assert nodes_scan == nodes_step == [0, 1, 2, 3]
@@ -265,3 +272,103 @@ class TestScanTrajectory:
                           for e in eigs))
         for a, b in zip(F_scan, F_step):
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    # at these counts the odd column carried up the tree appears at different
+    # levels (1025 = 2^10 + 1 carries it through every level)
+    @pytest.mark.parametrize("steps", [1, 2, 3, 5, 17, 1023, 1025])
+    @pytest.mark.parametrize("outward", [True, False])
+    def test_tree_scan_edge_counts(self, lowest_states, steps, outward):
+        cfg, eigs = lowest_states
+        rc = radial_coefficients(BOUND, BOUND_STATE)
+        h = (cfg.r_max - cfg.r_min) / steps  # the whole domain, to see nodes
+        sweep = (oracle._sweep(rc, cfg.r_min, h, steps) if outward
+                 else oracle._sweep(rc, cfg.r_max, -h, steps))
+        slopes = oracle._slopes(rc, eigs[3], (sweep, sweep))
+        args = (rc, eigs[3], sweep, slopes[0 if outward else 1])
+        (v_scan, l_scan), (v_step, l_step) = (oracle._trajectory(*args),
+                                              stepwise_trajectory(*args))
+        F_scan = v_scan * np.exp(l_scan - l_scan[-1])
+        F_step = v_step * np.exp(l_step - l_step[-1])
+        peak = np.argmax(np.abs(F_step))  # each direction, scaled to 1 there
+        diff = F_scan / F_scan[peak] - F_step / F_step[peak]
+        assert np.max(np.abs(diff)) <= 1e-12
+        assert oracle._count_nodes(v_scan) == oracle._count_nodes(v_step)
+        # the up-sweep's top node and the last prefix are one map
+        levels, scales = oracle._up_sweep(oracle._transfer_entries(*args[:3]))
+        top = levels[-1][..., 0]
+        last = oracle._down_sweep(levels, scales)[0][..., -1]
+        diff = top / np.abs(top).max() - last / np.abs(last).max()
+        assert np.max(np.abs(diff)) <= 1e-14
+
+
+# sha256 over repr of _shooting_outcomes(), recorded from the oracle before its
+# sweep grids were built once per solve
+_SHOOTING_DIGEST = (
+    "bd9c13bcaea603237d54ca602ab4ee1d79df86bd12702cc92e90ecb9e5c0e0d0")
+
+
+def _shooting_outcomes(bound_root):
+    ref = reference_params(0.0)
+    ground_cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
+    lo, step = bound_root - 0.05, 3.05 / 299
+    ladder_cfg = default_config(BOUND, (lo, lo + 39 * step))
+    ref_cfg = default_config(ref, (-10.2, -10.0))
+    return [
+        [shoot_mismatch(bound_root + d, ground_cfg, BOUND, BOUND_STATE)
+         for d in (-0.05, -0.01, 0.0, 1e-9, 0.01, 0.3, 1.0)],
+        [shoot_mismatch(E, ref_cfg, ref, BOUND_STATE)
+         for E in (-10.3, -10.116354206710737, -9.0, 0.0, 9.5)],
+        find_eigenvalues(ladder_cfg, BOUND, BOUND_STATE, count=4,
+                         scan_points=40, tol=1e-10),
+        find_eigenvalues(ground_cfg, BOUND, BOUND_STATE, count=1,
+                         scan_points=25, tol=1e-11),
+    ]
+
+
+def test_shooting_digest(bound_root):
+    # every mismatch value and eigenvalue, locked to the bit; the eigenfunction
+    # is left out (TestScanTrajectory compares it with a stepwise sweep)
+    outcomes = _shooting_outcomes(bound_root)
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == _SHOOTING_DIGEST, outcomes
+
+
+def test_shape_evaluated_once_per_sweep(bound_root, monkeypatch):
+    # the shape factor does not depend on E: a solve builds it once per
+    # sweep, however many energies the scan and refinement try
+    cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
+    calls = []
+
+    def counted(r, R, a):
+        calls.append(np.size(r))
+        return shape_factor(r, R, a)
+
+    monkeypatch.setattr(oracle, "shape_factor", counted)
+    counts = {}
+    for scan_points in (25, 40):
+        calls.clear()
+        find_eigenvalues(cfg, BOUND, BOUND_STATE, count=1,
+                         scan_points=scan_points, tol=1e-11)
+        counts[scan_points] = len(calls)
+    assert counts[25] == counts[40] <= 3  # two sweeps and the r_min slope
+
+
+def test_solves_leave_no_coefficients_alive(bound_root):
+    # nothing of a solve may live on in a reference cycle (scipy's brentq
+    # wrapper is one): with the collector off, refcounts alone must free it
+    cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
+
+    def alive():
+        return sum(isinstance(o, RadialCoefficients)
+                   for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = alive()
+        for _ in range(10):
+            find_eigenvalues(cfg, BOUND, BOUND_STATE, count=1, scan_points=5)
+        after = alive()
+    finally:
+        gc.enable()
+    assert after == before
