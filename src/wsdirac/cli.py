@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from . import checks
-from .errors import DegenerateSuperpotential, NotNormalizable, WsdiracError
+from .errors import (DegenerateSuperpotential, LadderSingular, NoRealRoot,
+                     NotNormalizable, WsdiracError)
 from .params import PhysicalParams, QuantumState, derive_coefficients
 from .pekeris import pekeris_coefficients
 from .spectrum import _NO_ROOT_RESULT, SpectrumResult, solve_energy, sweep
@@ -102,18 +103,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """argv with each key=value line of a --config file, if given, inserted
-    as a --key=value flag right after the command word: argparse converts
-    and checks it like a typed flag, and a later flag overrides it."""
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
-    if not known.config:
-        return argv
+def _config_flags(parser: argparse.ArgumentParser, path: str) -> list[str]:
+    """Each key=value line of a --config file as a --key=value flag, which
+    argparse converts and checks like the typed flag."""
     flags = []
     try:
-        with open(known.config, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -129,16 +124,14 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
         parser.error(f"cannot read config file: {exc}")
     except ValueError as exc:
         parser.error(f"bad config file: {exc}")
-    # the root parser takes no argument but the command word, so that is argv[0]
-    return argv[:1] + flags + argv[1:]
+    return flags
 
 
 class _InvalidInput(Exception):
     """A parameter or label outside its domain: exit 2."""
 
 
-def _inputs(args, alpha_prime: float | None = None
-            ) -> tuple[PhysicalParams, QuantumState]:
+def _inputs(args) -> tuple[PhysicalParams, QuantumState]:
     try:
         return PhysicalParams(
             M=args.mass,
@@ -146,33 +139,35 @@ def _inputs(args, alpha_prime: float | None = None
             R=args.radius,
             V0=args.depth,
             E0=args.e0,
-            alpha_prime=args.alpha_prime if alpha_prime is None else alpha_prime,
+            alpha_prime=args.alpha_prime,
         ), QuantumState(n=args.n, ell=args.ell, D=args.dim)
     except ValueError as exc:
         raise _InvalidInput(exc) from None
 
 
 class _Writer:
+    """Output opened at the first record: a failed command leaves --output as it was."""
+
     def __init__(self, args):
-        self._path = getattr(args, "output", None)
-        self._fh = open(self._path, "w", encoding="utf-8") if self._path else sys.stdout
-        self.fmt = args.format
-        self._wrote_header = False
-        if args.timestamp:
-            stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-            if self.fmt == "csv":
-                self._fh.write(f"# generated {stamp}\n")
-            else:
-                self._fh.write(json.dumps({"timestamp": stamp}) + "\n")
+        self._args = args
+        self._fh = None
+
+    def line(self, text: str):
+        if self._fh is None:
+            path = self._args.output
+            self._fh = open(path, "w", encoding="utf-8") if path else sys.stdout
+            if self._args.timestamp:
+                stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+                self._fh.write(f"# generated {stamp}\n" if self._args.format == "csv"
+                               else json.dumps({"timestamp": stamp}) + "\n")
+        self._fh.write(text + "\n")
 
     def row(self, **fields):
-        if self.fmt == "json-lines":
-            self._fh.write(json.dumps(fields) + "\n")
-            return
-        if not self._wrote_header:
-            self._fh.write(",".join(fields) + "\n")
-            self._wrote_header = True
-        self._fh.write(",".join(map(_csv_cell, fields.values())) + "\n")
+        if self._args.format == "json-lines":
+            return self.line(json.dumps(fields))
+        if self._fh is None:  # the first record: its header opens the output
+            self.line(",".join(fields))
+        self.line(",".join(map(_csv_cell, fields.values())))
 
     def spectrum_row(self, alpha: float, dim: int, ell: int, n: int,
                      result: SpectrumResult | None, error: str | None):
@@ -180,68 +175,52 @@ class _Writer:
         self.row(alpha_prime=alpha, dim=dim, ell=ell, n=n,
                  **vars(result or _NO_ROOT_RESULT), error=error or "")
 
-    def line(self, text: str):
-        self._fh.write(text + "\n")
-
     def close(self):
-        if self._path:
+        if self._args.output and self._fh is not None:
             self._fh.close()
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args, p, state, writer) -> int:
     if args.which == 1:
         dims, ells = TABLE1_DIMS, [20]
     else:
         dims, ells = [3], TABLE2_ELLS
-    p, _ = _inputs(args, alpha_prime=0.0)
-    cells = sweep(p, TABLE_ALPHAS, dims, ells, [args.n])
-    writer = _Writer(args)
+    cells = sweep(p, TABLE_ALPHAS, dims, ells, [state.n])
     # rows are D (table 1) or ell (table 2), columns the deformation values:
     # the sort is stable, so each row keeps the sweep's alpha order
     for cell in sorted(cells, key=lambda c: (c.D, c.ell)):
         writer.spectrum_row(cell.alpha_prime, cell.D, cell.ell, cell.n,
                             cell.result, cell.error)
-    writer.close()
     failed = any(cell.error is not None for cell in cells)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def _cmd_solve(args) -> int:
-    result = solve_energy(*_inputs(args))
-    writer = _Writer(args)
-    writer.spectrum_row(args.alpha_prime, args.dim, args.ell, args.n,
+def _cmd_solve(args, p, state, writer) -> int:
+    result = solve_energy(p, state)
+    writer.spectrum_row(p.alpha_prime, state.D, state.ell, state.n,
                         result, None if result.roots_real else "NoRealRoot")
-    writer.close()
     return EXIT_OK if result.roots_real else EXIT_NO_REAL_ROOT
 
 
-def _cmd_wavefunction(args) -> int:
+def _cmd_wavefunction(args, p, state, writer) -> int:
     if args.samples < 1:
-        print("error: --samples must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.n != 0:
+        raise _InvalidInput("--samples must be >= 1")
+    if state.n != 0:
         # the analytic profile solves the radial equation at n = 0 only
-        print("error: wavefunction emits the ground state; --n must be 0",
-              file=sys.stderr)
-        return EXIT_USAGE
-    p, state = _inputs(args)
+        raise _InvalidInput("wavefunction emits the ground state; --n must be 0")
     result = solve_energy(p, state)
     if not result.roots_real:
-        print("error: no real energy root for this configuration", file=sys.stderr)
-        return EXIT_NO_REAL_ROOT
+        raise NoRealRoot("no real energy root for this configuration")
     sp = solve_susy_parameters(derive_coefficients(p, state),
                                pekeris_coefficients(p.R, p.a), p, result.e_upper)
     wf = normalize(sp.A, sp.B, p.a, p.R)
-    writer = _Writer(args)
     r = np.linspace(0.0, wf.r_max, args.samples)
     for r_k, F_k in zip(r.tolist(), evaluate(wf, r).tolist()):
         writer.row(r=r_k, F=F_k)
-    writer.close()
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    writer = _Writer(args)
+def _cmd_verify(args, p, state, writer) -> int:
     failures = 0
 
     def report(name: str, ok: bool | None, detail: str):
@@ -257,13 +236,14 @@ def _cmd_verify(args) -> int:
             return report(check.name, None, check.skip)
         report(check.name, value < check.bound, f"{check.label}={value:.3e}")
 
-    p, state = _inputs(args)
     run(checks.TAYLOR_MATCH, None)
     try:
         result = solve_energy(p, state)
         failed = "" if result.roots_real else "no real root"
     except DegenerateSuperpotential as exc:
         failed = f"degenerate: {exc}"
+    except LadderSingular as exc:
+        failed = f"singular: {exc}"
     report("energy-solve", not failed,
            failed or f"e_binding={result.e_binding:.10g}")
     if not failed:
@@ -278,30 +258,37 @@ def _cmd_verify(args) -> int:
                       else f"gap={gap:.3e}"))
         else:
             report(checks.SHOOTING.name, None, "oracle disabled")
-    writer.close()
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
-    argv = _apply_config_file(parser, argv)
     args = parser.parse_args(argv)
+    if args.config:
+        # the root parser takes no argument but the command word, argv[0]; the
+        # file's flags go right after it, so a typed flag overrides them
+        args = parser.parse_args(
+            argv[:1] + _config_flags(parser, args.config) + argv[1:])
     handler = {
         "table": _cmd_table,
         "solve": _cmd_solve,
         "wavefunction": _cmd_wavefunction,
         "verify": _cmd_verify,
     }[args.command]
+    writer = _Writer(args)
     # the exit codes of the typed failures, for every command
     try:
-        return handler(args)
+        return handler(args, *_inputs(args), writer)
     except (_InvalidInput, WsdiracError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return {_InvalidInput: EXIT_USAGE,
                 DegenerateSuperpotential: EXIT_DEGENERATE,
+                NoRealRoot: EXIT_NO_REAL_ROOT,
                 NotNormalizable: EXIT_NOT_NORMALIZABLE,
                 }.get(type(exc), EXIT_CHECK_FAILED)
+    finally:
+        writer.close()
 
 
 if __name__ == "__main__":

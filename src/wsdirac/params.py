@@ -5,6 +5,7 @@ the deformation parameter alpha_prime in fm^2.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -35,6 +36,9 @@ class PhysicalParams:
     alpha_prime: float
 
     def __post_init__(self):
+        for name in ("M", "a", "R", "V0", "E0", "alpha_prime"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.a <= 0:
             raise ValueError(f"surface thickness a must be positive, got {self.a}")
         if self.R <= 0:

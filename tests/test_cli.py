@@ -190,6 +190,8 @@ class TestVerify:
         (["--alpha-prime", "0.01", "--ell", "3"], ALL_PASS),
         (["--ell", "5"], "pass fail"),
         ([*BOUND_FLAGS, "--n", "3"], LEVEL_N),
+        # B - 1/a = 0 at this radius: B_n = 0 at n = 1 fails the solve line
+        (["--radius", "5.009970139234591", "--n", "1"], "pass fail"),
     ])
     def test_line_contract(self, capsys, flags, statuses):
         # the tests below lock the lines of the other flag sets, --with-oracle
@@ -256,6 +258,49 @@ def test_negative_label_exit_code(capsys, command):
     code, out = run(capsys, *command, "--n", "-1")
     assert code == 2
     assert out.err.startswith("error: ") and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("argv", [["solve", "--mass", "nan"],
+                                  ["verify", "--mass", "nan"],
+                                  ["verify", "--depth", "inf"],
+                                  ["table", "1", "--e0=-inf"]])
+def test_non_finite_parameter_exit_code(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("error: ") and len(out.err.splitlines()) == 1
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize("argv, expected", [
+        (["verify", "--n", "-1"], 2),
+        (["solve", "--ell", "0"], 3),
+        (["wavefunction"], 5),  # the default well's root is not bound
+        (["table", "1", "--dim", "0"], 2),
+    ])
+    def test_failed_command_leaves_file_untouched(self, capsys, tmp_path,
+                                                  argv, expected):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"earlier run\n")
+        code, out = run(capsys, *argv, "--output", str(path))
+        assert code == expected
+        assert out.out == "" and out.err.startswith("error: ")
+        assert path.read_bytes() == b"earlier run\n"
+
+    def test_failed_command_prints_no_timestamp(self, capsys):
+        code, out = run(capsys, "verify", "--timestamp", "--n", "-1")
+        assert code == 2
+        assert out.out == ""
+
+    @pytest.mark.parametrize("fmt, prefix", [("csv", "# generated "),
+                                             ("json-lines", '{"timestamp": ')])
+    def test_timestamp_is_the_first_line(self, capsys, fmt, prefix):
+        code, out = run(capsys, "verify", "--timestamp", "--format", fmt)
+        assert code == 0
+        lines = out.out.splitlines()
+        assert lines[0].startswith(prefix)
+        assert lines[1].startswith(f"pass {VERIFY_CHECKS[0]} ")
+        assert len(lines) == 1 + len(VERIFY_CHECKS)
 
 
 # sha256 over the exit code and stdout of each run below: every byte the

@@ -1,4 +1,4 @@
-"""Shooting eigensolver: geometry, mismatch, eigenvalues, convergence order."""
+"""Shooting eigensolver: geometry, mismatch, eigenvalues, scan trajectory."""
 from __future__ import annotations
 
 import gc
@@ -28,7 +28,7 @@ from wsdirac import (
     solve_susy_parameters,
 )
 
-from conftest import BOUND, BOUND_STATE, RICHARDSON, reference_params
+from conftest import BOUND, BOUND_STATE, reference_params
 
 
 @pytest.fixture(scope="module")
@@ -221,26 +221,6 @@ class TestEigenfunction:
         Fa = evaluate(wf, r)
         Fa = Fa / math.sqrt(np.trapezoid(Fa * Fa, r))
         assert abs(np.trapezoid(Fa * F, r)) > 0.9999
-
-
-class TestConvergenceOrder:
-    def test_eigenvalue_error_scales_as_h4(self):
-        # deformation chosen so the discretization error is resolvable above
-        # round-off; halving h must cut the error by about 2^4
-        e_star = solve_energy(RICHARDSON, BOUND_STATE).e_upper
-        bracket = (e_star - 0.01, e_star + 0.01)
-
-        def eig(step_count):
-            cfg = default_config(RICHARDSON, bracket, step_count=step_count)
-            return find_eigenvalues(cfg, RICHARDSON, BOUND_STATE, count=1,
-                                    scan_points=20, tol=1e-13)[0]
-
-        reference = eig(80_000)
-        err_h = abs(eig(10_000) - reference)
-        err_h2 = abs(eig(20_000) - reference)
-        assert err_h > 1e-12  # error must dominate the bisection tolerance
-        ratio = err_h / err_h2
-        assert 10.0 < ratio < 24.0
 
 
 class TestScanTrajectory:

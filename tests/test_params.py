@@ -29,6 +29,10 @@ class TestPhysicalParams:
     @pytest.mark.parametrize("field,value", [
         ("a", 0.0), ("a", -0.5), ("R", 0.0), ("R", -7.0),
         ("alpha_prime", -1e-6), ("alpha_prime", 1.5),
+        # NaN passes every ordering test; each field must be finite
+        ("M", float("nan")), ("a", float("nan")), ("R", float("inf")),
+        ("V0", float("inf")), ("V0", float("-inf")), ("E0", float("nan")),
+        ("alpha_prime", float("nan")),
     ])
     def test_rejects_invalid(self, field, value):
         kwargs = dict(M=10.0, a=0.5, R=7.0, V0=-10.0, E0=10.0, alpha_prime=0.0)
