@@ -12,7 +12,6 @@ from .errors import (
     NotNormalizable,
     WsdiracError,
 )
-from .checks import closed_form_vs_bracketing_gap
 from .oracle import (
     ShootingConfig,
     default_config,

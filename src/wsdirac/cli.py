@@ -2,8 +2,8 @@
 and a self-consistency verification suite.  All outputs machine-readable.
 
 Exit codes: 0 success, 1 verification/table-cell failure, 2 argument or
-validation error, 3 degenerate superpotential, 4 no real energy root,
-5 non-normalizable wavefunction.
+validation error (float64 range exceeded too), 3 degenerate superpotential,
+4 no real energy root, 5 non-normalizable wavefunction.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from .errors import (DegenerateSuperpotential, LadderSingular, NoRealRoot,
                      NotNormalizable, WsdiracError)
 from .params import PhysicalParams, QuantumState, derive_coefficients
 from .pekeris import pekeris_coefficients
-from .spectrum import _NO_ROOT_RESULT, SpectrumResult, solve_energy, sweep
+from .spectrum import _NO_ROOT_RESULT, SpectrumResult, SweepCell, solve_energy, sweep
 from .susyqm import solve_susy_parameters
 from .wavefunction import evaluate, normalize
 
@@ -169,11 +169,10 @@ class _Writer:
             self.line(",".join(fields))
         self.line(",".join(map(_csv_cell, fields.values())))
 
-    def spectrum_row(self, alpha: float, dim: int, ell: int, n: int,
-                     result: SpectrumResult | None, error: str | None):
+    def spectrum_row(self, cell: SweepCell):
         # a typed-error cell has no result: the no-root record stands in
-        self.row(alpha_prime=alpha, dim=dim, ell=ell, n=n,
-                 **vars(result or _NO_ROOT_RESULT), error=error or "")
+        self.row(alpha_prime=cell.alpha_prime, dim=cell.D, ell=cell.ell, n=cell.n,
+                 **vars(cell.result or _NO_ROOT_RESULT), error=cell.error or "")
 
     def close(self):
         if self._args.output and self._fh is not None:
@@ -189,16 +188,15 @@ def _cmd_table(args, p, state, writer) -> int:
     # rows are D (table 1) or ell (table 2), columns the deformation values:
     # the sort is stable, so each row keeps the sweep's alpha order
     for cell in sorted(cells, key=lambda c: (c.D, c.ell)):
-        writer.spectrum_row(cell.alpha_prime, cell.D, cell.ell, cell.n,
-                            cell.result, cell.error)
+        writer.spectrum_row(cell)
     failed = any(cell.error is not None for cell in cells)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 def _cmd_solve(args, p, state, writer) -> int:
     result = solve_energy(p, state)
-    writer.spectrum_row(p.alpha_prime, state.D, state.ell, state.n,
-                        result, None if result.roots_real else "NoRealRoot")
+    writer.spectrum_row(SweepCell(p.alpha_prime, state.D, state.ell, state.n, result,
+                                  None if result.roots_real else "NoRealRoot"))
     return EXIT_OK if result.roots_real else EXIT_NO_REAL_ROOT
 
 
@@ -230,8 +228,8 @@ def _cmd_verify(args, p, state, writer) -> int:
         failures += status == "fail"
         writer.line(f"{status} {name} {detail}")
 
-    def run(check: checks.Check, E: float | None):
-        value = check.metric(p, state, E)
+    def run(check: checks.Check, result: SpectrumResult | None):
+        value = check.metric(p, state, result)
         if value is None:
             return report(check.name, None, check.skip)
         report(check.name, value < check.bound, f"{check.label}={value:.3e}")
@@ -248,9 +246,9 @@ def _cmd_verify(args, p, state, writer) -> int:
            failed or f"e_binding={result.e_binding:.10g}")
     if not failed:
         for check in checks.ROOT_CHECKS:
-            run(check, result.e_upper)
+            run(check, result)
         if args.with_oracle:
-            gap = checks.SHOOTING.metric(p, state, result.e_upper)
+            gap = checks.SHOOTING.metric(p, state, result)
             bound = result.normalizable
             report(checks.SHOOTING.name, checks.shooting_agrees(bound, state.n, gap),
                    f"normalizable={str(bound).lower()}, "
@@ -277,16 +275,17 @@ def main(argv: list[str] | None = None) -> int:
         "verify": _cmd_verify,
     }[args.command]
     writer = _Writer(args)
-    # the exit codes of the typed failures, for every command
+    # typed failures to their exit codes; float64 range errors, numpy's too, to 2
     try:
-        return handler(args, *_inputs(args), writer)
-    except (_InvalidInput, WsdiracError) as exc:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return handler(args, *_inputs(args), writer)
+    except (_InvalidInput, ArithmeticError, WsdiracError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return {_InvalidInput: EXIT_USAGE,
-                DegenerateSuperpotential: EXIT_DEGENERATE,
+        return {DegenerateSuperpotential: EXIT_DEGENERATE,
                 NoRealRoot: EXIT_NO_REAL_ROOT,
                 NotNormalizable: EXIT_NOT_NORMALIZABLE,
-                }.get(type(exc), EXIT_CHECK_FAILED)
+                }.get(type(exc), EXIT_CHECK_FAILED
+                      if isinstance(exc, WsdiracError) else EXIT_USAGE)
     finally:
         writer.close()
 

@@ -143,7 +143,7 @@ def test_05_superpotential_consistency(rng):
             abs(2 * sp.A * sp.B - sp.B / p.a - (kap + g * pk.c1)),
             abs(sp.B**2 + sp.B / p.a - (dc.v + g * pk.c2)),
         )
-        worst_elim = max(worst_elim, ELIMINATION.metric(p, state, E))
+        worst_elim = max(worst_elim, ELIMINATION.metric(p, state, result))
         b1 = ladder(sp.B, 1, p.a)
         sp1 = SusyParameters(A=shifted_A(sp.frak_u, b1), B=b1,
                              frak_u=sp.frak_u)
@@ -165,15 +165,15 @@ def test_05_superpotential_consistency(rng):
 
 def test_06_solver_route_equivalence(rng):
     worst = 0.0
-    gap = lambda p, state: BRACKETING.metric(p, state, None)  # reads no root
+    gap = lambda p, state: BRACKETING.metric(p, state, solve_energy(p, state))
     for alpha in TABLE_ALPHAS:
         for D in range(1, 6):
             worst = max(worst, gap(reference_params(alpha), QuantumState(0, 20, D)))
         for ell in range(20, 25):
             worst = max(worst, gap(reference_params(alpha), QuantumState(0, ell, 3)))
     for _ in range(100):
-        p, state, _ = random_valid_config(rng)
-        worst = max(worst, gap(p, state))
+        p, state, result = random_valid_config(rng)
+        worst = max(worst, BRACKETING.metric(p, state, result))
     _report(6, "solver-route-equivalence", worst < BRACKETING.bound,
             f"max_gap={worst:.2e}")
 
@@ -184,7 +184,7 @@ def test_07_ground_state_route_agreement():
         for D in range(1, 6):
             p, state = reference_params(alpha), QuantumState(0, 20, D)
             worst = max(worst, GROUND_STATE.metric(
-                p, state, solve_energy(p, state).e_upper))
+                p, state, solve_energy(p, state)))
     _report(7, GROUND_STATE.name, worst < GROUND_STATE.bound,
             f"max_gap={worst:.2e}")
 

@@ -247,6 +247,20 @@ class TestVerify:
         gap = float(line.rsplit("gap=", 1)[1])
         assert gap_range[0] <= gap < gap_range[1]
 
+    def test_companion_route_without_real_root_fails(self, capsys):
+        # a near-tangent quadratic: the closed form has its root pair, the
+        # companion-matrix route finds none, and the check fails with no gap
+        code, out = run(capsys, "verify", "--depth=-1e10")
+        assert code == 1
+        assert "fail ground-state-route-agreement gap=inf" in out.out
+
+    def test_float64_range_error_ends_the_run(self, capsys):
+        # the solve overflows: no energy-solve line, no NaN, one error line
+        code, out = run(capsys, "verify", "--depth", "1e200")
+        assert code == 2
+        assert verify_lines(out, "pass")
+        assert out.err.startswith("error: ") and len(out.err.splitlines()) == 1
+
     def test_degenerate_fails(self, capsys):
         code, out = run(capsys, "verify", "--ell", "0")
         assert code == 1
@@ -260,10 +274,22 @@ def test_negative_label_exit_code(capsys, command):
     assert out.err.startswith("error: ") and "Traceback" not in out.err
 
 
-@pytest.mark.parametrize("argv", [["solve", "--mass", "nan"],
-                                  ["verify", "--mass", "nan"],
-                                  ["verify", "--depth", "inf"],
-                                  ["table", "1", "--e0=-inf"]])
+@pytest.mark.parametrize("argv", [
+    ["solve", "--mass", "nan"],
+    ["verify", "--mass", "nan"],
+    ["verify", "--depth", "inf"],
+    ["table", "1", "--e0=-inf"],
+    # finite, but the arithmetic leaves the float64 range
+    ["solve", "--mass", "1e200"],
+    ["solve", "--e0", "1e160", "--alpha-prime", "0.5"],
+    ["solve", "--surface-thickness", "1e-200"],
+    ["solve", "--radius", "1e300"],
+    pytest.param(["solve", "--radius", "1e-300"], marks=pytest.mark.filterwarnings(
+        "ignore::wsdirac.SurfaceRegimeWarning")),
+    ["solve", "--depth", "1e200"],
+    ["solve", "--depth", "1e200", "--format", "json-lines"],
+    ["table", "1", "--depth", "1e200"],
+])
 def test_non_finite_parameter_exit_code(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 2

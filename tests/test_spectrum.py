@@ -18,7 +18,6 @@ from wsdirac import (
     QuantumState,
     SurfaceRegimeWarning,
     WsdiracError,
-    closed_form_vs_bracketing_gap,
     energy_equation_residual,
     gamma,
     ground_state_energy,
@@ -120,9 +119,9 @@ class TestBracketingRoute:
         assert roots[1] == pytest.approx(result.e_upper, abs=1e-10)
 
     def test_gap_metric(self):
-        assert closed_form_vs_bracketing_gap(BOUND, BOUND_STATE) < BRACKETING.bound
-        assert closed_form_vs_bracketing_gap(reference_params(0.0),
-                                             NO_REAL_ROOT_STATE) == 0.0
+        gap = lambda p, state: BRACKETING.metric(p, state, solve_energy(p, state))
+        assert gap(BOUND, BOUND_STATE) < BRACKETING.bound
+        assert gap(reference_params(0.0), NO_REAL_ROOT_STATE) == 0.0
 
 
 class TestSweep:
