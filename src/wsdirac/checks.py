@@ -78,10 +78,11 @@ def _shooting_gap(p, state, result) -> float:
     E = result.e_upper
     cfg = oracle.default_config(p, (E - 0.5, E + 0.5))
     try:
-        eigs = oracle.find_eigenvalues(cfg, p, state, count=sys.maxsize)
+        eigs = oracle.find_eigenvalues(cfg, p, state,
+                                       count=sys.maxsize if state.n else 1)
     except NoEigenvalueInBracket:
         return math.inf
-    return min(abs(e - E) for e in (eigs if state.n else eigs[:1]))
+    return min(abs(e - E) for e in eigs)
 
 
 def shooting_agrees(normalizable: bool, n: int, gap: float) -> bool:

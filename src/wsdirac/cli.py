@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import sys
@@ -48,6 +49,7 @@ def _csv_cell(x) -> str:
     return "%.10g" % x if isinstance(x, float) else str(x)
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     phys = common.add_argument_group("physical parameters")

@@ -217,13 +217,16 @@ def _count_nodes(values: np.ndarray) -> int:
 def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
                      state: QuantumState, count: int,
                      scan_points: int = 400, tol: float = 1e-9) -> list[float]:
-    """Up to `count` shooting eigenvalues inside the energy bracket, ascending.
+    """The first `count` shooting states inside the energy bracket, ordered
+    by (outward node count, energy).
 
-    Scans the bracket on a grid, brackets sign changes of the mismatch and
-    refines each with Brent's method to `tol`.  The mismatch has no poles, so every
-    sign change holds an eigenvalue; a grid cell that holds an even number
-    of them shows none.  States are ordered by outward node count, then
-    energy.
+    One ascending pass over a grid of the bracket: where the mismatch changes
+    sign between neighbouring points, Brent's method refines that cell to
+    `tol` at once and the state's nodes are counted.  The mismatch has no
+    poles, so every sign change holds an eigenvalue; a cell that holds an
+    even number of them shows none.  The pass stops once the `count`-th
+    smallest key found has 0 nodes: every later state lies higher with
+    >= 0 nodes, so none can enter the result.
     """
     from scipy.optimize import brentq
 
@@ -232,29 +235,28 @@ def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
     rc = radial_coefficients(p, state)
     sweeps = _sweeps(rc, cfg)
     lo, hi = cfg.energy_bracket
-    grid = np.linspace(lo, hi, scan_points)
-    mm = np.full(scan_points, np.nan)  # NaN where the tail oscillates
-    for i, E in enumerate(grid.tolist()):
+    grid = np.linspace(lo, hi, scan_points).tolist()
+    found, f_lo = [], math.nan  # NaN where the tail oscillates
+    for i, E in enumerate(grid):
+        f_hi = math.nan
         with contextlib.suppress(NotBoundRegime):
-            mm[i] = _mismatch(E, rc, sweeps)
-    found = []
-    for i in range(scan_points - 1):
-        f_lo, f_hi = mm[i], mm[i + 1]
-        if not (np.isfinite(f_lo) and np.isfinite(f_hi)) or f_lo * f_hi >= 0.0:
-            continue
-        # brentq starts at both ends, which the scan holds; the state goes in
-        # args, as brentq's wrapper is a cycle that would keep a closure alive
-        ends = {float(grid[i]): f_lo, float(grid[i + 1]): f_hi}
-        e_star = float(brentq(_scanned_or_mismatch, grid[i], grid[i + 1],
-                              args=(ends, rc, sweeps), xtol=tol))
-        values, _ = _trajectory(rc, e_star, sweeps[0],
-                                _slopes(rc, e_star, sweeps)[0])
-        found.append((_count_nodes(values), e_star))
+            f_hi = _mismatch(E, rc, sweeps)
+        if f_lo * f_hi < 0.0:  # false where either end is NaN
+            # brentq starts at both ends, which the scan holds; the state goes in
+            # args, as brentq's wrapper is a cycle that would keep a closure alive
+            ends = {grid[i - 1]: f_lo, E: f_hi}
+            e_star = float(brentq(_scanned_or_mismatch, grid[i - 1], E,
+                                  args=(ends, rc, sweeps), xtol=tol))
+            values, _ = _trajectory(rc, e_star, sweeps[0],
+                                    _slopes(rc, e_star, sweeps)[0])
+            found = sorted(found + [(_count_nodes(values), e_star)])
+            if len(found) >= count and found[count - 1][0] == 0:
+                break
+        f_lo = f_hi
     if not found:
         raise NoEigenvalueInBracket(
             f"no shooting eigenvalue in ({lo}, {hi}) for this configuration"
         )
-    found.sort()
     return [e for _, e in found[:count]]
 
 

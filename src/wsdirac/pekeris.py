@@ -7,6 +7,7 @@ through second order with 1/(1 + x)^2.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,12 +41,10 @@ def pekeris_coefficients(R: float, a: float) -> PekerisCoefficients:
     if R <= 0 or a <= 0:
         raise ValueError(f"R and a must be positive, got R={R}, a={a}")
     w = R / a
-    return PekerisCoefficients(
-        varpi=w,
-        c0=1.0 - 4.0 / w + 12.0 / w**2,
-        c1=8.0 / w - 48.0 / w**2,
-        c2=48.0 / w**2,
-    )
+    c = (1.0 - 4.0 / w + 12.0 / w**2, 8.0 / w - 48.0 / w**2, 48.0 / w**2)
+    if not all(map(math.isfinite, c)):
+        raise OverflowError(f"surrogate coefficients overflow at R/a = {w}")
+    return PekerisCoefficients(w, *c)
 
 
 def centrifugal_surrogate(

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output formats, exit codes, config files."""
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -254,12 +255,17 @@ class TestVerify:
         assert code == 1
         assert "fail ground-state-route-agreement gap=inf" in out.out
 
+    @pytest.mark.filterwarnings("ignore::wsdirac.SurfaceRegimeWarning")
     def test_float64_range_error_ends_the_run(self, capsys):
-        # the solve overflows: no energy-solve line, no NaN, one error line
-        code, out = run(capsys, "verify", "--depth", "1e200")
-        assert code == 2
-        assert verify_lines(out, "pass")
-        assert out.err.startswith("error: ") and len(out.err.splitlines()) == 1
+        # the solve overflows: no energy-solve line, no NaN, one error line;
+        # at tiny R/a the surrogate's coefficients overflow before any line
+        for argv, statuses in [(["--depth", "1e200"], "pass"),
+                               (["--radius", "1e-154"], ""),
+                               (["--surface-thickness", "1e155"], "")]:
+            code, out = run(capsys, "verify", *argv)
+            assert code == 2
+            assert verify_lines(out, statuses)
+            assert out.err.startswith("error: ") and len(out.err.splitlines()) == 1
 
     def test_degenerate_fails(self, capsys):
         code, out = run(capsys, "verify", "--ell", "0")
@@ -353,6 +359,20 @@ def test_solver_value_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(cli, "solve_energy", broken)
     with pytest.raises(ValueError, match="inside the solver"):
         main(["solve"])
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    # two commands, one root parser: parse_args leaves the parser as it was
+    init, progs = argparse.ArgumentParser.__init__, []
+
+    def counted(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["solve"]) == main(["solve", "--n", "1"]) == 0
+    assert progs.count("wsdirac") == 1
 
 
 class TestConfigFile:

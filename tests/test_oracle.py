@@ -147,7 +147,8 @@ class TestFindEigenvalues:
 
     def test_refinement_reuses_scan_values(self, bound_root, monkeypatch):
         # brentq starts at both bracket ends, which the scan already holds:
-        # no energy is evaluated twice, 25 scan points plus one refinement
+        # no energy is evaluated twice; the root lies in cell 12 of 24, the
+        # pass stops there: 14 scan points plus one refinement
         cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
         mismatch, calls = oracle._mismatch, {}
 
@@ -158,7 +159,7 @@ class TestFindEigenvalues:
         monkeypatch.setattr(oracle, "_mismatch", counted)
         eig, = find_eigenvalues(cfg, BOUND, BOUND_STATE, count=1,
                                 scan_points=25, tol=1e-11)
-        assert sum(map(len, calls.values())) == len(calls) == 26
+        assert sum(map(len, calls.values())) == len(calls) == 15
         # reference: Brent on the same scan cell, recomputing every value
         from scipy.optimize import brentq
         rc = radial_coefficients(BOUND, BOUND_STATE)
@@ -169,6 +170,32 @@ class TestFindEigenvalues:
         ref = brentq(lambda E: mismatch(E, rc, sweeps), grid[i], grid[i + 1],
                      xtol=1e-11)
         assert abs(eig - ref) <= 1e-11
+
+    @pytest.mark.parametrize("offsets, tol, stops", [
+        ((-0.05, -0.05 + 39 * 3.05 / 299), 1e-6, True),  # levels with 0-3 nodes
+        ((0.1, 0.4), 1e-10, False),  # excited states only, each with nodes
+    ])
+    def test_early_stop_is_exact(self, bound_root, monkeypatch, offsets, tol,
+                                 stops):
+        # count=4 meets no stop on either bracket, so it is the full pass;
+        # count=1 returns its first state, and stops early only where that
+        # state has 0 nodes
+        cfg = default_config(BOUND, tuple(bound_root + d for d in offsets))
+        mismatch, calls = oracle._mismatch, []
+
+        def counted(E, *solve):
+            calls.append(E)
+            return mismatch(E, *solve)
+
+        monkeypatch.setattr(oracle, "_mismatch", counted)
+        full = find_eigenvalues(cfg, BOUND, BOUND_STATE, count=4,
+                                scan_points=40, tol=tol)
+        full_calls = len(calls)
+        first = find_eigenvalues(cfg, BOUND, BOUND_STATE, count=1,
+                                 scan_points=40, tol=tol)
+        assert first == full[:1]
+        first_calls = len(calls) - full_calls
+        assert first_calls < full_calls if stops else first_calls == full_calls
 
     def test_empty_bracket_raises(self, bound_root):
         cfg = default_config(BOUND, (bound_root - 0.04, bound_root - 0.02))
