@@ -17,8 +17,7 @@ from .errors import NoEigenvalueInBracket
 from .params import derive_coefficients, radial_coefficients
 from .pekeris import pekeris_coefficients, taylor_match_report
 from .spectrum import ground_state_energy, solve_energy_by_bracketing
-from .susyqm import (closed_form_A, ladder, shifted_A, slope_parameter,
-                     solve_susy_parameters)
+from .susyqm import checked_ladder, closed_form_A, shifted_A, solve_susy_parameters
 
 
 # label names the metric's value in a verify line; a metric of None means the
@@ -37,7 +36,7 @@ def _matching_residual(p, state, result) -> float:
     # reached by n shape-invariant steps, whose f and f^2 coefficients those
     # steps shift by +s and -s, s = sum of 2 B_k / a over k < n (0 at n = 0)
     rc, E = radial_coefficients(p, state), result.e_upper
-    b_n = ladder(slope_parameter(rc.c2, p.a), state.n, p.a)
+    _, b_n, _ = checked_ladder(rc.c2, state.n, p.a)
     a_n = shifted_A(rc.frak_u(E), b_n)
     s = state.n / p.a * (2.0 * b_n + (state.n + 1) / p.a)
     return max(abs(a_n**2 - rc.c0(E)),

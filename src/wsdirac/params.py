@@ -9,6 +9,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .pekeris import PekerisCoefficients, pekeris_coefficients
 
 
@@ -119,6 +121,8 @@ class RadialCoefficients:
         frak_u0 - V0 E, c1(E) = kappa(E) + gamma c1P/R^2; stored in place
         of c1, as this sum gives the closed-form energies their bits
     p : the folded configuration (M, V0, and R and a of the shape f)
+
+    Raises OverflowError when a folded coefficient is not finite.
     """
 
     def __init__(self, coeffs: DerivedCoefficients, pk: PekerisCoefficients,
@@ -127,6 +131,9 @@ class RadialCoefficients:
         self.c2 = coeffs.v + coeffs.gamma * pk.c2 / p.R**2
         self.frak_u0 = (coeffs.kappa_const - p.V0 * p.M + coeffs.v
                         + coeffs.gamma * (pk.c1 + pk.c2) / p.R**2)
+        # a sum is finite iff its terms are, or else leaves the range itself
+        if not np.isfinite(self.c0_const + self.c2 + self.frak_u0).all():
+            raise OverflowError("radial coefficients overflow the float64 range")
         self.p = p
 
     def c0(self, E):

@@ -19,15 +19,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DegenerateSuperpotential, LadderSingular, NoRealRoot, WsdiracError
+from .errors import NoRealRoot, WsdiracError
 from .params import PhysicalParams, QuantumState, SurfaceRegimeWarning, radial_coefficients
-from .susyqm import _SINGULAR_RTOL, ladder, shifted_A, slope_parameter
-
-# per-cell codes of the typed errors, in the order the checks apply
-_DEGENERATE, _SINGULAR = 1, 2
+from .susyqm import checked_ladder, raise_ladder_error, shifted_A
 
 # the bracketing route's scan: points, margin beyond +-M (fm^-1), relative
-# width at which a re-scan or bisection stops, and the cap on either
+# width at which the search for a sign change stops, and its cap on re-scans
 _SCAN_POINTS, _SCAN_MARGIN, _SCAN_TOL, _SCAN_MAX_STEPS = 400, 50.0, 1e-12, 200
 
 
@@ -59,8 +56,8 @@ _NO_ROOT_RESULT = SpectrumResult(e_upper=None, e_lower=None, e_binding=None,
 
 
 # coefficients of the residual E^2 - M^2 - const + (p E + q)^2 per cell, with
-# const = Q + gamma c0 / R^2.  code is _DEGENERATE where B = 0 (or not real)
-# and _SINGULAR where B_n = 0, else 0; B_n, p and q are NaN at those cells.
+# const = Q + gamma c0 / R^2.  code is checked_ladder's typed-error code,
+# 0 where neither applies; B_n, p and q are NaN where it is set.
 _EnergyQuadratic = namedtuple("_EnergyQuadratic", "p q M const B_n code")
 
 
@@ -68,13 +65,7 @@ def _assemble(p, state) -> _EnergyQuadratic:
     """The energy quadratic of a PhysicalParams and QuantumState, or of every
     cell of a sweep passed as both (arrays of alpha_prime, D, ell and n)."""
     rc = radial_coefficients(p, state)
-    B = slope_parameter(rc.c2, p.a)
-    b_n = ladder(B, state.n, p.a)
-    code = np.where(
-        np.abs(B) <= _SINGULAR_RTOL / (2.0 * p.a), _DEGENERATE,
-        np.where(np.abs(b_n) <= _SINGULAR_RTOL * np.maximum(np.abs(B), 1.0 / p.a),
-                 _SINGULAR, 0))
-    b_n = np.where(code == 0, b_n, np.nan)
+    _, b_n, code = checked_ladder(rc.c2, state.n, p.a)
     # A_n = frak_u(E)/(2 B_n) - B_n/2 = p E + q, frak_u(E) = frak_u0 - V0 E
     return _EnergyQuadratic(
         p=-p.V0 / (2.0 * b_n),
@@ -91,16 +82,12 @@ def energy_equation_residual(E, p: PhysicalParams, state: QuantumState):
 
     Zero iff E solves the condition A_n(E)^2 = c0(E).  Assembled from the
     radial coefficient and the shifted A directly, not from the reduced
-    quadratic.  E may be an array; an array's residuals can differ from
-    scalar ones in the last bit (numpy squares by a multiply, Python by pow).
+    quadratic.  E may be an array.  Raises the typed error of
+    susyqm.checked_ladder, as solve_energy does.
     """
     rc = radial_coefficients(p, state)
-    B = slope_parameter(rc.c2, p.a)
-    if abs(B) <= _SINGULAR_RTOL / (2.0 * p.a):
-        _raise_typed(_DEGENERATE, state)
-    b_n = ladder(B, state.n, p.a)
-    if abs(b_n) <= _SINGULAR_RTOL * max(abs(B), 1.0 / p.a):
-        _raise_typed(_SINGULAR, state)
+    _, b_n, code = checked_ladder(rc.c2, state.n, p.a)
+    raise_ladder_error(code, state.n)
     return shifted_A(rc.frak_u(E), b_n) ** 2 - rc.c0(E)
 
 
@@ -136,15 +123,6 @@ def _records(eq: _EnergyQuadratic, upper, lower, no_root) -> list:
             in zip(*(np.ravel(x).tolist() for x in columns))]
 
 
-def _raise_typed(code: int, state: QuantumState) -> None:
-    if code == _DEGENERATE:
-        raise DegenerateSuperpotential(
-            "B = 0 or not real: energy equation undefined for this configuration"
-        )
-    if code == _SINGULAR:
-        raise LadderSingular(f"B_n = 0 at n = {state.n}")
-
-
 def solve_energy(p: PhysicalParams, state: QuantumState) -> SpectrumResult:
     """Solve the quadratic energy condition in closed form; select the upper root.
 
@@ -152,7 +130,7 @@ def solve_energy(p: PhysicalParams, state: QuantumState) -> SpectrumResult:
     raised, so sweeps can record the complex-eigenvalue boundary as data.
     """
     eq = _assemble(p, state)
-    _raise_typed(int(eq.code), state)
+    raise_ladder_error(eq.code, state.n)
     result, = _records(eq, *_solve_quadratic(eq))
     return result
 
@@ -166,7 +144,7 @@ def ground_state_energy(p: PhysicalParams, state: QuantumState) -> SpectrumResul
     if state.n != 0:
         raise ValueError(f"ground_state_energy requires n = 0, got n = {state.n}")
     eq = _assemble(p, state)  # B_n = B at n = 0
-    _raise_typed(int(eq.code), state)
+    raise_ladder_error(eq.code, state.n)
     # (E - M)(E + M) - const + (p E + q)^2 as monomial coefficients
     poly = [
         1.0 + eq.p * eq.p,
@@ -181,22 +159,23 @@ def ground_state_energy(p: PhysicalParams, state: QuantumState) -> SpectrumResul
 
 
 def solve_energy_by_bracketing(p: PhysicalParams, state: QuantumState) -> list[float]:
-    """Roots of the residual found by grid scan plus bisection (oracle path).
+    """Roots of the residual found by nested grid scans (oracle path).
 
     Independent of the closed-form route: only evaluates
-    energy_equation_residual, over the whole scan grid in one call and at
-    each bisection midpoint.  The scan covers (-M - 50, M + 50) with 400
-    points; _SCAN_MAX_STEPS bounds each bisection and the number of
-    re-scans.  Returns ascending roots (possibly empty).
+    energy_equation_residual, each time over a whole 400-point scan grid in
+    one call.  The first scan covers (-M - 50, M + 50); each cell where the
+    residual changes sign is scanned again, on the same grid over the cell,
+    until the sign change lies in a cell narrower than 1e-15 max(1, |E|).
+    _SCAN_MAX_STEPS bounds the re-scans for a first sign change.  Returns
+    ascending roots (possibly empty).
     """
     e_lo, e_hi = -p.M - _SCAN_MARGIN, p.M + _SCAN_MARGIN
-    residual = lambda E: energy_equation_residual(float(E), p, state)
     for _ in range(_SCAN_MAX_STEPS):
         grid = np.linspace(e_lo, e_hi, _SCAN_POINTS)
         vals = energy_equation_residual(grid, p, state)
-        brackets = [(float(grid[i]), float(grid[i + 1]))
-                    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)]
-        if brackets or e_hi - e_lo < _SCAN_TOL * max(1.0, abs(e_lo)):
+        # strict: an exact zero at a grid point opens no cell
+        cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+        if cells.size or e_hi - e_lo < _SCAN_TOL * max(1.0, abs(e_lo)):
             break
         # a root pair closer than the grid spacing straddles the minimum:
         # re-scan the two cells around it
@@ -204,20 +183,16 @@ def solve_energy_by_bracketing(p: PhysicalParams, state: QuantumState) -> list[f
         e_lo = float(grid[max(i_min - 1, 0)])
         e_hi = float(grid[min(i_min + 1, _SCAN_POINTS - 1)])
     roots = []
-    for lo, hi in brackets:
-        f_lo = residual(lo)
-        for _ in range(_SCAN_MAX_STEPS):
-            mid = 0.5 * (lo + hi)
-            f_mid = residual(mid)
-            if f_mid == 0.0 or hi - lo < _SCAN_TOL * 1e-3 * max(1.0, abs(mid)):
-                lo = hi = mid
-                break
-            if f_lo * f_mid < 0.0:
-                hi = mid
-            else:
-                lo, f_lo = mid, f_mid
+    for lo, hi in zip(grid[cells].tolist(), grid[cells + 1].tolist()):
+        # each re-scan divides the width by 399, down to adjacent floats
+        while hi - lo >= _SCAN_TOL * 1e-3 * max(1.0, abs(lo)):
+            sub = np.linspace(lo, hi, _SCAN_POINTS)
+            vals = energy_equation_residual(sub, p, state)
+            # the first cell holding the sign change, which the ends keep
+            k = int(np.argmax(vals[:-1] * vals[1:] <= 0.0))
+            lo, hi = sub[k:k + 2].tolist()
         roots.append(0.5 * (lo + hi))
-    return sorted(roots)
+    return roots
 
 
 @dataclass(frozen=True)

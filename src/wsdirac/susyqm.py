@@ -18,6 +18,9 @@ from .pekeris import PekerisCoefficients, shape_factor
 # relative threshold below which B (or a shifted B_n) counts as vanishing
 _SINGULAR_RTOL = 1e-12
 
+# the typed-error codes of checked_ladder, in the order its rule applies them
+_DEGENERATE, _SINGULAR = 1, 2
+
 
 @dataclass(frozen=True)
 class SusyParameters:
@@ -42,20 +45,41 @@ def slope_parameter(c2, a: float):
     return (-1.0 / (2.0 * a) + np.sqrt(np.abs(radicand))) * (radicand >= 0.0)
 
 
+def checked_ladder(c2, n, a: float):
+    """(B, B_n, code) of the ladder B_n = B - n/a; c2 and n may be arrays.
+
+    code is _DEGENERATE where B = 0 or is not real (the ansatz collapses;
+    e.g. alpha_prime = 0 with ell = 0, D = 3), _SINGULAR where B_n = 0,
+    else 0; B_n is NaN where code is set.  raise_ladder_error raises it.
+    """
+    B = slope_parameter(c2, a)
+    b_n = ladder(B, n, a)
+    code = np.where(
+        np.abs(B) <= _SINGULAR_RTOL / (2.0 * a), _DEGENERATE,
+        np.where(np.abs(b_n) <= _SINGULAR_RTOL * np.maximum(np.abs(B), 1.0 / a),
+                 _SINGULAR, 0))
+    return B, np.where(code == 0, b_n, np.nan), code
+
+
+def raise_ladder_error(code, n) -> None:
+    """Raise the typed error of a checked_ladder code at level n, if any."""
+    if code == _DEGENERATE:
+        raise DegenerateSuperpotential(
+            "B = 0 or not real: energy equation undefined for this configuration"
+        )
+    if code == _SINGULAR:
+        raise LadderSingular(f"B_n = 0 at n = {n}")
+
+
 def solve_susy_parameters(coeffs: DerivedCoefficients, pk: PekerisCoefficients,
                           p: PhysicalParams, E: float) -> SusyParameters:
     """Solve A^2 = c0, 2AB - B/a = c1, B^2 + B/a = c2 of U(r; E) for (A, B) at E.
 
-    Raises DegenerateSuperpotential when B = 0 (the ansatz collapses; occurs
-    iff v = 0 and gamma c2 = 0, e.g. alpha_prime = 0 with ell = 0, D = 3) or
-    when B is not real.
+    Raises the typed error of checked_ladder at n = 0.
     """
     rc = RadialCoefficients(coeffs, pk, p)
-    B = slope_parameter(rc.c2, p.a)
-    if abs(B) <= _SINGULAR_RTOL / (2.0 * p.a):
-        raise DegenerateSuperpotential(
-            "B = 0 or not real: the factorization ansatz collapses here"
-        )
+    B, _, code = checked_ladder(rc.c2, 0, p.a)
+    raise_ladder_error(code, 0)
     frak_u = rc.frak_u(E)
     return SusyParameters(A=shifted_A(frak_u, B), B=B, frak_u=frak_u)
 

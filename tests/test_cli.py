@@ -260,6 +260,7 @@ class TestVerify:
         # the solve overflows: no energy-solve line, no NaN, one error line;
         # at tiny R/a the surrogate's coefficients overflow before any line
         for argv, statuses in [(["--depth", "1e200"], "pass"),
+                               (["--depth", "1e160", "--alpha-prime", "0.001"], "pass"),
                                (["--radius", "1e-154"], ""),
                                (["--surface-thickness", "1e155"], "")]:
             code, out = run(capsys, "verify", *argv)
@@ -295,6 +296,9 @@ def test_negative_label_exit_code(capsys, command):
     ["solve", "--depth", "1e200"],
     ["solve", "--depth", "1e200", "--format", "json-lines"],
     ["table", "1", "--depth", "1e200"],
+    # B = inf: the radial coefficients overflow, not B_n = 0
+    ["solve", "--depth", "1e160", "--alpha-prime", "0.001"],
+    ["wavefunction", "--depth", "1e160", "--alpha-prime", "0.001"],
 ])
 def test_non_finite_parameter_exit_code(capsys, argv):
     code, out = run(capsys, *argv)

@@ -14,18 +14,23 @@ from hypothesis import strategies as st
 
 from wsdirac import (
     DegenerateSuperpotential,
+    LadderSingular,
     PhysicalParams,
     QuantumState,
     SurfaceRegimeWarning,
     WsdiracError,
+    derive_coefficients,
     energy_equation_residual,
     gamma,
     ground_state_energy,
+    pekeris_coefficients,
     solve_energy,
     solve_energy_by_bracketing,
+    solve_susy_parameters,
     sweep,
 )
 
+from wsdirac import spectrum
 from wsdirac.checks import BRACKETING
 
 from conftest import (
@@ -73,11 +78,27 @@ class TestSolveEnergy:
         assert not result.roots_real
         assert result.e_upper is None and result.e_binding is None
 
-    def test_degenerate_raises(self):
-        with pytest.raises(DegenerateSuperpotential):
-            solve_energy(reference_params(0.0), DEGENERATE_STATE)
-        with pytest.raises(DegenerateSuperpotential):
-            energy_equation_residual(5.0, reference_params(0.0), DEGENERATE_STATE)
+    @pytest.mark.filterwarnings("ignore::wsdirac.SurfaceRegimeWarning")
+    @pytest.mark.parametrize("R, state, error", [
+        (7.0, DEGENERATE_STATE, DegenerateSuperpotential),
+        # gamma < 0 at ell = 0, D = 2, and R/a = 2.4 < 48^(1/4): B is not real
+        (1.2, QuantumState(n=0, ell=0, D=2), DegenerateSuperpotential),
+        # c2 = 48 gamma a^2/R^4 = 2/a^2 at alpha' = 0, so B = 1/a and B_1 = 0
+        (0.5 * (24 * 420) ** 0.25, QuantumState(n=1, ell=20, D=3), LadderSingular),
+    ], ids=["degenerate", "non-real-B", "ladder-singular"])
+    def test_degenerate_raises(self, R, state, error):
+        # every reader of the ladder's rule raises the same typed error
+        p = replace(reference_params(0.0), R=R)
+        with pytest.raises(error):
+            solve_energy(p, state)
+        with pytest.raises(error):
+            energy_equation_residual(5.0, p, state)
+        if state.n == 0:
+            with pytest.raises(error):
+                solve_susy_parameters(derive_coefficients(p, state),
+                                      pekeris_coefficients(p.R, p.a), p, 5.0)
+        cell, = sweep(p, [0.0], [state.D], [state.ell], [state.n])
+        assert cell.result is None and cell.error == error.__name__
 
 
 class TestGroundStateRoute:
@@ -117,6 +138,22 @@ class TestBracketingRoute:
         roots = solve_energy_by_bracketing(p, state)
         assert len(roots) == 2
         assert roots[1] == pytest.approx(result.e_upper, abs=1e-10)
+
+    @pytest.mark.parametrize("p", [BOUND, reference_params(0.0)],
+                             ids=["bound", "reference"])
+    def test_scans_only(self, monkeypatch, p):
+        # every residual call evaluates a whole scan grid: the first scan, a
+        # re-scan where both roots share a cell, then about six per root
+        calls = []
+        residual = spectrum.energy_equation_residual
+
+        def counted(E, *args):
+            calls.append(np.ndim(E))
+            return residual(E, *args)
+
+        monkeypatch.setattr(spectrum, "energy_equation_residual", counted)
+        assert len(solve_energy_by_bracketing(p, BOUND_STATE)) == 2
+        assert len(calls) <= 16 and set(calls) == {1}
 
     def test_gap_metric(self):
         gap = lambda p, state: BRACKETING.metric(p, state, solve_energy(p, state))
