@@ -35,6 +35,7 @@ EXIT_NOT_NORMALIZABLE = 5
 TABLE_ALPHAS = [0.0, 0.001, 0.005, 0.01]
 TABLE1_DIMS = [1, 2, 3, 4, 5]
 TABLE2_ELLS = [20, 21, 22, 23, 24]
+_BLOCK = 4096  # records per write of wavefunction's samples
 
 # the keys a --config file may set, each the name of a flag
 _CONFIG_KEYS = ("mass", "surface_thickness", "radius", "depth", "e0",
@@ -42,11 +43,11 @@ _CONFIG_KEYS = ("mass", "surface_thickness", "radius", "depth", "e0",
 
 
 def _csv_cell(x) -> str:
+    if isinstance(x, float):  # the common cell first; numpy floats too
+        return "%.10g" % x
     if x is None:
         return ""
-    if isinstance(x, bool):
-        return str(x).lower()
-    return "%.10g" % x if isinstance(x, float) else str(x)
+    return str(x).lower() if isinstance(x, bool) else str(x)
 
 
 @functools.cache  # parse_args leaves the parser as it was
@@ -164,21 +165,25 @@ class _Writer:
                                else json.dumps({"timestamp": stamp}) + "\n")
         self._fh.write(text + "\n")
 
-    def row(self, **fields):
+    def block(self, **cols):
+        """Write the records of equal-length columns in one write."""
         if self._args.format == "json-lines":
-            return self.line(json.dumps(fields))
-        if self._fh is None:  # the first record: its header opens the output
-            self.line(",".join(fields))
-        self.line(",".join(map(_csv_cell, fields.values())))
-
-    def spectrum_row(self, cell: SweepCell):
-        # a typed-error cell has no result: the no-root record stands in
-        self.row(alpha_prime=cell.alpha_prime, dim=cell.D, ell=cell.ell, n=cell.n,
-                 **vars(cell.result or _NO_ROOT_RESULT), error=cell.error or "")
+            lines = [json.dumps(dict(zip(cols, rec))) for rec in zip(*cols.values())]
+        else:  # the first block's header opens the output
+            lines = [",".join(cols)] if self._fh is None else []
+            lines += map(",".join, zip(*(map(_csv_cell, c) for c in cols.values())))
+        self.line("\n".join(lines))
 
     def close(self):
         if self._args.output and self._fh is not None:
             self._fh.close()
+
+
+def _cell_columns(cells: list[SweepCell]) -> dict[str, list]:
+    """Sweep cells as columns; the no-root record stands in for a typed-error cell."""
+    rows = [dict(alpha_prime=c.alpha_prime, dim=c.D, ell=c.ell, n=c.n,
+                 **vars(c.result or _NO_ROOT_RESULT), error=c.error or "") for c in cells]
+    return {name: [row[name] for row in rows] for name in rows[0]}
 
 
 def _cmd_table(args, p, state, writer) -> int:
@@ -189,16 +194,16 @@ def _cmd_table(args, p, state, writer) -> int:
     cells = sweep(p, TABLE_ALPHAS, dims, ells, [state.n])
     # rows are D (table 1) or ell (table 2), columns the deformation values:
     # the sort is stable, so each row keeps the sweep's alpha order
-    for cell in sorted(cells, key=lambda c: (c.D, c.ell)):
-        writer.spectrum_row(cell)
+    writer.block(**_cell_columns(sorted(cells, key=lambda c: (c.D, c.ell))))
     failed = any(cell.error is not None for cell in cells)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 def _cmd_solve(args, p, state, writer) -> int:
     result = solve_energy(p, state)
-    writer.spectrum_row(SweepCell(p.alpha_prime, state.D, state.ell, state.n, result,
-                                  None if result.roots_real else "NoRealRoot"))
+    writer.block(**_cell_columns([SweepCell(
+        p.alpha_prime, state.D, state.ell, state.n, result,
+        None if result.roots_real else "NoRealRoot")]))
     return EXIT_OK if result.roots_real else EXIT_NO_REAL_ROOT
 
 
@@ -215,8 +220,9 @@ def _cmd_wavefunction(args, p, state, writer) -> int:
                                pekeris_coefficients(p.R, p.a), p, result.e_upper)
     wf = normalize(sp.A, sp.B, p.a, p.R)
     r = np.linspace(0.0, wf.r_max, args.samples)
-    for r_k, F_k in zip(r.tolist(), evaluate(wf, r).tolist()):
-        writer.row(r=r_k, F=F_k)
+    F = evaluate(wf, r)
+    for k in range(0, args.samples, _BLOCK):  # Python floats for one block at a time
+        writer.block(r=r[k:k + _BLOCK].tolist(), F=F[k:k + _BLOCK].tolist())
     return EXIT_OK
 
 

@@ -49,15 +49,16 @@ def checked_ladder(c2, n, a: float):
     """(B, B_n, code) of the ladder B_n = B - n/a; c2 and n may be arrays.
 
     code is _DEGENERATE where B = 0 or is not real (the ansatz collapses;
-    e.g. alpha_prime = 0 with ell = 0, D = 3), _SINGULAR where B_n = 0,
-    else 0; B_n is NaN where code is set.  raise_ladder_error raises it.
+    e.g. alpha_prime = 0 with ell = 0, D = 3), _SINGULAR where B_n = 0 at
+    n >= 1, else 0; B_n is NaN where code is set.  raise_ladder_error raises it.
     """
     B = slope_parameter(c2, a)
     b_n = ladder(B, n, a)
+    vanishes = np.abs(b_n) <= _SINGULAR_RTOL * np.maximum(np.abs(B), 1.0 / a)
+    # B_0 is B: a vanishing B_n at n = 0 is a vanishing B
     code = np.where(
-        np.abs(B) <= _SINGULAR_RTOL / (2.0 * a), _DEGENERATE,
-        np.where(np.abs(b_n) <= _SINGULAR_RTOL * np.maximum(np.abs(B), 1.0 / a),
-                 _SINGULAR, 0))
+        (np.abs(B) <= _SINGULAR_RTOL / (2.0 * a)) | (vanishes & (n == 0)),
+        _DEGENERATE, np.where(vanishes, _SINGULAR, 0))
     return B, np.where(code == 0, b_n, np.nan), code
 
 

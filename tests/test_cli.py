@@ -355,6 +355,58 @@ def test_output_bytes_digest(capsys):
     assert h.hexdigest() == _OUTPUT_DIGEST
 
 
+# wavefunction writes its samples in blocks of this many records (cli._BLOCK)
+WF_BLOCK = 4096
+# sha256 over the exit code and stdout of each run below: wavefunction samples
+# in both formats on both sides of the block boundaries
+_WAVEFUNCTION_DIGEST = "9dad75117c8227fcf6b9071cae9255c797a970c051590e163b698712d8da889c"
+
+
+def test_wavefunction_bytes_digest(capsys):
+    h = hashlib.sha256()
+    for flags in ([], ["--radius", "120"]):
+        for samples in (1, 50, 1000, WF_BLOCK - 1, WF_BLOCK, WF_BLOCK + 1,
+                        2 * WF_BLOCK + 1):
+            for fmt in ("csv", "json-lines"):
+                code, out = run(capsys, "wavefunction", *BOUND_FLAGS, *flags,
+                                "--samples", str(samples), "--format", fmt)
+                h.update(repr((code, out.out)).encode())
+    assert h.hexdigest() == _WAVEFUNCTION_DIGEST
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("fmt, header", [("csv", 1), ("json-lines", 0)])
+    def test_one_write_per_block(self, monkeypatch, fmt, header):
+        writes = []
+
+        class Stream:
+            def write(self, text):
+                writes.append(text)
+
+        monkeypatch.setattr(sys, "stdout", Stream())
+        assert main(["wavefunction", *BOUND_FLAGS, "--format", fmt,
+                     "--samples", str(2 * WF_BLOCK + 1)]) == 0
+        assert [text.count("\n") for text in writes] == \
+            [WF_BLOCK + header, WF_BLOCK, 1]
+        assert cli._BLOCK == WF_BLOCK
+
+    @pytest.mark.parametrize("fmt, prefix", [("csv", "# generated "),
+                                             ("json-lines", '{"timestamp": ')])
+    def test_output_file_across_blocks(self, capsys, tmp_path, fmt, prefix):
+        # the timestamp opens the file, the CSV header follows it once, and
+        # the records are those written to stdout
+        argv = ["wavefunction", *BOUND_FLAGS, "--format", fmt,
+                "--samples", str(WF_BLOCK + 1)]
+        _, out = run(capsys, *argv)
+        path = tmp_path / "out.txt"
+        code, file_out = run(capsys, *argv, "--output", str(path), "--timestamp")
+        assert code == 0 and file_out.out == ""
+        lines = path.read_text().splitlines()
+        assert lines[0].startswith(prefix)
+        assert lines[1:] == out.out.splitlines()
+        assert lines.count("r,F") == (fmt == "csv")
+
+
 def test_solver_value_error_is_not_a_usage_error(monkeypatch):
     # exit 2 is for inputs outside their domain; a ValueError raised inside
     # the solver is a fault and propagates

@@ -32,6 +32,7 @@ from wsdirac import (
 
 from wsdirac import spectrum
 from wsdirac.checks import BRACKETING
+from wsdirac.cli import main
 
 from conftest import (
     BOUND,
@@ -99,6 +100,26 @@ class TestSolveEnergy:
                                       pekeris_coefficients(p.R, p.a), p, 5.0)
         cell, = sweep(p, [0.0], [state.D], [state.ell], [state.n])
         assert cell.result is None and cell.error == error.__name__
+
+    @pytest.mark.parametrize("depth", [1e-6, 1.94e-6])
+    def test_tiny_slope_is_degenerate_at_ground_level(self, capsys, depth):
+        # B_0 is B: at depth 1e-6 |B| is under the degenerate threshold
+        # 1e-12/(2a), at 1.94e-6 between it and the B_n threshold 1e-12/a;
+        # both are one class for every reader and the CLI
+        p = replace(reference_params(0.001), V0=depth)
+        state = QuantumState(n=0, ell=0, D=3)
+        with pytest.raises(DegenerateSuperpotential):
+            solve_energy(p, state)
+        with pytest.raises(DegenerateSuperpotential):
+            energy_equation_residual(5.0, p, state)
+        with pytest.raises(DegenerateSuperpotential):
+            solve_susy_parameters(derive_coefficients(p, state),
+                                  pekeris_coefficients(p.R, p.a), p, 5.0)
+        cell, = sweep(p, [0.001], [3], [0], [0])
+        assert cell.result is None and cell.error == "DegenerateSuperpotential"
+        assert main(["solve", "--ell", "0", "--alpha-prime", "0.001",
+                     "--depth", repr(depth)]) == 3
+        assert capsys.readouterr().out == ""
 
 
 class TestGroundStateRoute:
