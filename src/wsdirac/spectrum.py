@@ -14,8 +14,9 @@ import itertools
 import math
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +29,7 @@ from .susyqm import checked_ladder, raise_ladder_error, shifted_A
 _SCAN_POINTS, _SCAN_MARGIN, _SCAN_TOL, _SCAN_MAX_STEPS = 400, 50.0, 1e-12, 200
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
+class SpectrumResult(NamedTuple):
     """Both energy roots, the selected branch and validity diagnostics.
 
     e_upper / e_lower are None when the quadratic has no real root.
@@ -50,9 +50,7 @@ class SpectrumResult:
     normalizable: bool
 
 
-_NO_ROOT_RESULT = SpectrumResult(e_upper=None, e_lower=None, e_binding=None,
-                                 branch=None, roots_real=False,
-                                 normalizable=False)
+_NO_ROOT_RESULT = SpectrumResult(None, None, None, None, False, False)
 
 
 # coefficients of the residual E^2 - M^2 - const + (p E + q)^2 per cell, with
@@ -114,13 +112,15 @@ def _records(eq: _EnergyQuadratic, upper, lower, no_root) -> list:
     """The SpectrumResult of every cell, in C order: None where B = 0 or
     B_n = 0, the no-root record where the discriminant is negative."""
     a_n = eq.p * upper + eq.q
-    normalizable = (a_n < 0.0) & (0.0 < a_n + eq.B_n)
-    columns = (eq.code, no_root, upper, lower, upper - eq.M, normalizable)
-    return [None if code else _NO_ROOT_RESULT if none else SpectrumResult(
-                e_upper=e_up, e_lower=e_lo, e_binding=e_b, branch="upper",
-                roots_real=True, normalizable=bound)
-            for code, none, e_up, e_lo, e_b, bound  # every column has one shape
-            in zip(*(np.ravel(x).tolist() for x in columns))]
+    columns = (upper, lower, upper - eq.M, (a_n < 0.0) & (0.0 < a_n + eq.B_n))
+    e_up, e_lo, e_b, bound = (np.ravel(x).tolist() for x in columns)  # of one shape
+    out = list(map(SpectrumResult._make, zip(
+        e_up, e_lo, e_b, itertools.repeat("upper"), itertools.repeat(True), bound)))
+    for i in np.flatnonzero(no_root).tolist():  # a few cells per sweep
+        out[i] = _NO_ROOT_RESULT
+    for i in np.flatnonzero(eq.code).tolist():
+        out[i] = None
+    return out
 
 
 def solve_energy(p: PhysicalParams, state: QuantumState) -> SpectrumResult:
@@ -131,8 +131,7 @@ def solve_energy(p: PhysicalParams, state: QuantumState) -> SpectrumResult:
     """
     eq = _assemble(p, state)
     raise_ladder_error(eq.code, state.n)
-    result, = _records(eq, *_solve_quadratic(eq))
-    return result
+    return _records(eq, *_solve_quadratic(eq))[0]
 
 
 def ground_state_energy(p: PhysicalParams, state: QuantumState) -> SpectrumResult:
@@ -154,8 +153,7 @@ def ground_state_energy(p: PhysicalParams, state: QuantumState) -> SpectrumResul
     roots = np.roots(poly)
     real = sorted(float(r.real) for r in roots if abs(r.imag) <= 1e-9 * max(1.0, abs(r)))
     roots = (real[-1], real[0], False) if real else (math.nan, math.nan, True)
-    result, = _records(eq, *roots)
-    return result
+    return _records(eq, *roots)[0]
 
 
 def solve_energy_by_bracketing(p: PhysicalParams, state: QuantumState) -> list[float]:
@@ -195,8 +193,7 @@ def solve_energy_by_bracketing(p: PhysicalParams, state: QuantumState) -> list[f
     return roots
 
 
-@dataclass(frozen=True)
-class SweepCell:
+class SweepCell(NamedTuple):
     """One grid cell of a parameter sweep: inputs plus outcome."""
 
     alpha_prime: float
@@ -235,14 +232,15 @@ def sweep(
     alpha, D, ell, n = np.ix_(*(np.asarray(g, dtype=float) for g in grids))
     cells = SimpleNamespace(**{**vars(p), "alpha_prime": alpha}, D=D, ell=ell, n=n)
     eq = _assemble(cells, cells)
-    out = []
-    for (alpha, D, ell, n), result in zip(itertools.product(*grids),
-                                          _records(eq, *_solve_quadratic(eq))):
-        error = None if result is None or result.roots_real else NoRealRoot.__name__
-        if result is None:  # B = 0 or B_n = 0, at a few cells per sweep
-            try:
-                solve_energy(at_alpha[alpha], QuantumState(n=n, ell=ell, D=D))
-            except WsdiracError as exc:
-                error = type(exc).__name__
-        out.append(SweepCell(alpha, D, ell, n, result=result, error=error))
+    upper, lower, no_root = _solve_quadratic(eq)
+    errors = np.where(no_root, NoRealRoot.__name__, None).ravel().tolist()
+    # each (alpha_prime, D, ell, n) cell extended by its (result, error)
+    out = list(map(SweepCell._make, map(tuple.__add__, itertools.product(*grids), zip(
+        _records(eq, upper, lower, no_root), errors))))
+    for i in np.flatnonzero(eq.code).tolist():  # B = 0 or B_n = 0, at a few cells
+        alpha, D, ell, n, _, _ = out[i]
+        try:
+            solve_energy(at_alpha[alpha], QuantumState(n=n, ell=ell, D=D))
+        except WsdiracError as exc:
+            out[i] = out[i]._replace(error=type(exc).__name__)
     return out

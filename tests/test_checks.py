@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -50,5 +49,5 @@ def test_verify_solves_the_closed_form_once(capsys, monkeypatch):
 def test_bracketing_judges_the_record_it_is_handed():
     result = spectrum.solve_energy(BOUND, BOUND_STATE)
     assert BRACKETING.metric(BOUND, BOUND_STATE, result) < BRACKETING.bound
-    moved = replace(result, e_upper=result.e_upper + 1e-6)
+    moved = result._replace(e_upper=result.e_upper + 1e-6)
     assert BRACKETING.metric(BOUND, BOUND_STATE, moved) >= BRACKETING.bound

@@ -17,6 +17,8 @@ import wsdirac
 from wsdirac import checks, cli
 from wsdirac.cli import main
 
+from conftest import reference_params
+
 
 BOUND_FLAGS = ["--depth", "10", "--alpha-prime", "0.0015"]
 CSV_HEADER = ("alpha_prime,dim,ell,n,e_upper,e_lower,e_binding,"
@@ -26,6 +28,16 @@ CSV_HEADER = ("alpha_prime,dim,ell,n,e_upper,e_lower,e_binding,"
 def run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr()
+
+
+def test_records_follow_the_csv_schema():
+    # the record schema is the CSV header: a sweep cell's labels (D as dim),
+    # its record's fields in tuple order, then its error
+    schema = CSV_HEADER.split(",")
+    cell, = wsdirac.sweep(reference_params(0.0), [0.0], [3], [20], [0])
+    assert list(cell.result._asdict()) == schema[4:-1]
+    assert [{"D": "dim"}.get(k, k) for k in cell._asdict()] == \
+        [*schema[:4], "result", schema[-1]]
 
 
 class TestTable:
@@ -335,8 +347,17 @@ class TestOutputFile:
         assert code == 0
         lines = out.out.splitlines()
         assert lines[0].startswith(prefix)
-        assert lines[1].startswith(f"pass {VERIFY_CHECKS[0]} ")
         assert len(lines) == 1 + len(VERIFY_CHECKS)
+        if fmt == "csv":
+            assert lines[1].startswith(f"pass {VERIFY_CHECKS[0]} ")
+            return
+        # a JSON-lines reader takes every line, the timestamp's and each check's
+        stamp, *records = map(json.loads, lines)
+        assert list(stamp) == ["timestamp"]
+        assert [list(r) for r in records] == \
+            [["status", "check", "detail"]] * len(VERIFY_CHECKS)
+        assert [(r["status"], r["check"]) for r in records] == \
+            list(zip(ALL_PASS.split(), VERIFY_CHECKS))
 
 
 # sha256 over the exit code and stdout of each run below: every byte the

@@ -217,6 +217,36 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(reference_params(0.0), [], [3], [20], [0])
 
+    def test_re_solves_only_the_typed_error_cells(self, monkeypatch):
+        # the broadcast pass gives every outcome; solve_energy runs only to
+        # name the typed error of a B = 0 or B_n = 0 cell
+        calls = []
+        original = spectrum.solve_energy
+
+        def counted(p, state):
+            calls.append((p.alpha_prime, state.D, state.ell, state.n))
+            return original(p, state)
+
+        monkeypatch.setattr(spectrum, "solve_energy", counted)
+        p = replace(reference_params(0.0), R=_ladder_radius(0.5, 20, 3))
+        cells = sweep(p, [0.0, 0.01], [3], [0, 5, 20], [0, 1])
+        assert {c.error for c in cells} == {"DegenerateSuperpotential",
+                                            "LadderSingular", "NoRealRoot", None}
+        assert calls == [(c.alpha_prime, c.D, c.ell, c.n) for c in cells if
+                         c.error in ("DegenerateSuperpotential", "LadderSingular")]
+
+
+class TestRecords:
+    def test_fields_are_read_only(self):
+        result = solve_energy(BOUND, BOUND_STATE)
+        cell, = sweep(BOUND, [BOUND.alpha_prime], [3], [20], [0])
+        assert cell.result == result
+        with pytest.raises(AttributeError):
+            result.e_upper = 0.0
+        with pytest.raises(AttributeError):
+            cell.error = "NoRealRoot"
+        assert cell.result == result and cell.error is None
+
 
 class TestQuadraticConditioning:
     def test_residual_sign_structure(self):
