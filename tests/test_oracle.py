@@ -4,6 +4,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from wsdirac import (
     solve_susy_parameters,
 )
 
-from conftest import BOUND, BOUND_STATE, reference_params
+from conftest import BOUND, BOUND_STATE, RICHARDSON, reference_params
 
 
 @pytest.fixture(scope="module")
@@ -91,10 +92,18 @@ class TestShootingConfig:
              energy_bracket=(6.0, 8.0)),
         dict(r_min=0.1, r_max=20.0, step_count=20000, match_radius=7.0,
              energy_bracket=(8.0, 6.0)),
+        dict(r_min=0.1, r_max=20.0, step_count=oracle.DEFAULT_STEP_COUNT - 1,
+             match_radius=7.0, energy_bracket=(6.0, 8.0)),
     ])
     def test_rejects_bad_geometry(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             ShootingConfig(**kwargs)
+        if kwargs["step_count"] < oracle.DEFAULT_STEP_COUNT:
+            # the message names the floor enforced, and the floor admits the
+            # default step count
+            floor = oracle.DEFAULT_STEP_COUNT
+            assert f"step_count must be >= {floor}," in str(exc.value)
+            ShootingConfig(**{**kwargs, "step_count": floor})
 
 
 class TestMismatch:
@@ -148,8 +157,11 @@ class TestFindEigenvalues:
     def test_refinement_reuses_scan_values(self, bound_root, monkeypatch):
         # brentq starts at both bracket ends, which the scan already holds:
         # no energy is evaluated twice; the root lies in cell 12 of 24, the
-        # pass stops there: 14 scan points plus one refinement
-        cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
+        # pass stops there: 14 scan points plus one refinement.  At 20000
+        # steps: at the default the root lies 1.4e-11 above bound_root, a
+        # grid point, so the pass goes one cell further (16 calls)
+        cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05),
+                             step_count=20_000)
         mismatch, calls = oracle._mismatch, {}
 
         def counted(E, *solve):
@@ -308,18 +320,51 @@ class TestScanTrajectory:
         assert np.max(np.abs(diff)) <= 1e-14
 
 
-# sha256 over repr of _shooting_outcomes(), recorded from the oracle before its
-# sweep grids were built once per solve
+class TestDefaultStepCount:
+    @pytest.mark.parametrize("alpha_prime, offsets, nodes", [
+        (BOUND.alpha_prime, (-0.05, 0.05), 0),
+        (BOUND.alpha_prime, (0.1, 0.4), 1),
+        (RICHARDSON.alpha_prime, (-0.05, 0.05), 0),
+        (0.01, (-0.05, 0.05), 0),
+    ])
+    def test_error_budget(self, alpha_prime, offsets, nodes):
+        # the Richardson estimate of the discretization error at the default
+        # step count is within the 1e-10 budget its rule sets, and well above
+        # Brent's tolerance, so it is the discretization that is measured
+        p = replace(BOUND, alpha_prime=alpha_prime)
+        e0 = solve_energy(p, BOUND_STATE).e_upper
+        bracket = tuple(e0 + d for d in offsets)
+
+        def eig(step_count):
+            cfg = default_config(p, bracket, step_count=step_count)
+            e, = find_eigenvalues(cfg, p, BOUND_STATE, count=1,
+                                  scan_points=40, tol=1e-14)
+            _, F = shoot_eigenfunction(e, cfg, p, BOUND_STATE)
+            assert int(np.sum(F[1:] * F[:-1] < 0.0)) == nodes
+            return e
+
+        n = oracle.DEFAULT_STEP_COUNT
+        estimate = 16.0 / 15.0 * abs(eig(n) - eig(2 * n))
+        assert 1e-12 < estimate <= 1e-10
+
+
+# sha256 over repr of _shooting_outcomes(bound_root, 20_000), recorded from
+# the oracle before its sweep grids were built once per solve
 _SHOOTING_DIGEST = (
     "bd9c13bcaea603237d54ca602ab4ee1d79df86bd12702cc92e90ecb9e5c0e0d0")
+# the same outcomes at the default step count, recorded when it became 6000
+_SHOOTING_DIGEST_DEFAULT = (
+    "90673227ae36ff26cd455fb25a6dae601b04d156b39e741a8430a5ad959523ef")
 
 
-def _shooting_outcomes(bound_root):
+def _shooting_outcomes(bound_root, step_count):
     ref = reference_params(0.0)
-    ground_cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
+    ground_cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05),
+                                step_count=step_count)
     lo, step = bound_root - 0.05, 3.05 / 299
-    ladder_cfg = default_config(BOUND, (lo, lo + 39 * step))
-    ref_cfg = default_config(ref, (-10.2, -10.0))
+    ladder_cfg = default_config(BOUND, (lo, lo + 39 * step),
+                                step_count=step_count)
+    ref_cfg = default_config(ref, (-10.2, -10.0), step_count=step_count)
     return [
         [shoot_mismatch(bound_root + d, ground_cfg, BOUND, BOUND_STATE)
          for d in (-0.05, -0.01, 0.0, 1e-9, 0.01, 0.3, 1.0)],
@@ -335,9 +380,15 @@ def _shooting_outcomes(bound_root):
 def test_shooting_digest(bound_root):
     # every mismatch value and eigenvalue, locked to the bit; the eigenfunction
     # is left out (TestScanTrajectory compares it with a stepwise sweep)
-    outcomes = _shooting_outcomes(bound_root)
+    outcomes = _shooting_outcomes(bound_root, 20_000)
     digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
     assert digest == _SHOOTING_DIGEST, outcomes
+
+
+def test_shooting_digest_at_default(bound_root):
+    outcomes = _shooting_outcomes(bound_root, oracle.DEFAULT_STEP_COUNT)
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == _SHOOTING_DIGEST_DEFAULT, outcomes
 
 
 def test_shape_evaluated_once_per_sweep(bound_root, monkeypatch):
