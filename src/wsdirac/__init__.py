@@ -10,6 +10,7 @@ from .errors import (
     NoRealRoot,
     NotBoundRegime,
     NotNormalizable,
+    RefinementNotConverged,
     WsdiracError,
 )
 from .oracle import (

@@ -31,3 +31,7 @@ class IntegrationBlowup(WsdiracError):
 
 class NoEigenvalueInBracket(WsdiracError):
     """The shooting scan found no eigenvalue inside the requested energy bracket."""
+
+
+class RefinementNotConverged(WsdiracError):
+    """Brent's refinement of a bracketed shooting eigenvalue ran out of iterations."""

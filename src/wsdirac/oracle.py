@@ -10,7 +10,12 @@ a 2x2 transfer matrix, closed-form in h and the step's three values of U.
 A sweep's end state is their ordered product, the root of a pairwise tree
 (the up-sweep) renormalized per level by positive factors, which keep its
 direction, sign included: the mismatch is bounded, has no poles and changes
-sign only at eigenvalues, each refined from the scan grid by Brent's method.
+sign only at eigenvalues.  One kernel, _mismatches, takes a block of
+energies through one up-sweep per direction, the energy axis before the
+step axis, so the tree's fixed cost per level is paid once per block.  The
+scan grid goes through it a block at a time, and its sign changes are
+refined together by a port of scipy's brentq, run as generators in lockstep
+so that one pass serves every root's next step; the oracle imports no scipy.
 The amplitudes along a sweep, for node counts and the eigenfunction, are the
 prefix products of the same matrices: a down-sweep over the tree's levels
 with per-level log scales, O(steps) work (Blelloch, CMU-CS-90-190, 1990).
@@ -24,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationBlowup, NoEigenvalueInBracket, NotBoundRegime
+from .errors import (IntegrationBlowup, NoEigenvalueInBracket, NotBoundRegime,
+                     RefinementNotConverged)
 from .params import PhysicalParams, QuantumState, RadialCoefficients, radial_coefficients
 from .pekeris import shape_factor
 
@@ -79,6 +85,24 @@ def default_config(p: PhysicalParams, energy_bracket: tuple[float, float],
     )
 
 
+# Grid points per kernel pass of find_eigenvalues' scan: 16, or fewer where
+# the block's k x step_count transfer matrices would pass _BLOCK_MATRICES.  A
+# pass has a fixed cost per tree level, which a block shares, and a cost per
+# matrix, which it does not once its arrays outgrow the cache.  One energy's
+# share of a pass near the ground state of the attractive well (V0 = 10,
+# alpha' = 0.0015, ell = 20, D = 3), in ms (best of 9 rounds of 64 energies,
+# of 3 at 80000 steps; a 2-core Xeon with 2 MiB of L2 per core):
+#   steps    k = 1    4     8     16    32    64
+#    6000     0.90  0.46  0.36  0.35  0.38  0.45
+#   10000     1.10  0.65  0.60  0.62  0.70  0.81
+#   20000     1.38  0.88  1.00  1.12  1.22  1.41
+#   80000     3.61  4.02  4.47  5.94  7.18  9.49
+# The rule picks 16, 12, 6 and 1 of these.  The cap of 16 also bounds the
+# points a pass scans past the stop.
+_SCAN_BLOCK = 16
+_BLOCK_MATRICES = 120_000
+
+
 # a sweep's E-independent grid r0 + j h, j = 0..steps (h may be negative),
 # with the shape f and q = c2 f^2 on its half-step grid
 _Sweep = namedtuple("_Sweep", "r0 h steps f q")
@@ -112,24 +136,48 @@ def _slopes(rc: RadialCoefficients, E: float, sweeps) -> tuple[float, float]:
     return math.sqrt(max(float(u_min), 0.0)), -math.sqrt(c0)
 
 
-def _transfer_entries(rc: RadialCoefficients, E: float, sweep) -> np.ndarray:
-    """Closed-form RK4 transfer matrices for y = (F, F'), shape (2, 2, steps).
+def _transfer_entries(rc: RadialCoefficients, E, sweep) -> np.ndarray:
+    """Closed-form RK4 transfer matrices for y = (F, F'), shape (2, 2, steps)
+    at a scalar E and (2, 2, k, steps) at the k energies of a 1-d E.
 
     [..., j] maps y(r0 + j h) to y(r0 + (j+1) h).  With A = [[0, 1], [u, 0]]
     each RK4 stage is a polynomial in h and the values u1, u2, u3 of U at
     the step's start, midpoint and end; U is summed as in
-    RadialCoefficients.u, so it keeps its bits.
+    RadialCoefficients.u, so it keeps its bits, and each entry is written in
+    place in the operation order of
+        1 + h^2/6 (u1 + 2 u2) + h^4/24 u1 u2,   h + h^3/6 u2,
+        h/6 (u1 + 4 u2 + u3) + h^3/12 u2 (u1 + u3),
+        1 + h^2/6 (2 u2 + u3) + h^4/24 u2 u3,
+    up to commutation, so each keeps its bits too.
     """
-    u = rc.c0(E) + (rc.frak_u(E) - rc.c2) * sweep.f + sweep.q
-    u1, u2, u3 = u[0:-1:2], u[1::2], u[2::2]
+    E = np.asarray(E, dtype=float)[..., None]
+    c0, c1 = rc.c0(E), rc.frak_u(E) - rc.c2
+    # U at the steps' ends and at their midpoints, each array contiguous
+    ends, u2 = (c0 + c1 * sweep.f[i::2] + sweep.q[i::2] for i in (0, 1))
+    u1, u3 = ends[..., :-1], ends[..., 1:]
     h = sweep.h
     h2, h3 = h * h, h * h * h
-    return np.stack([
-        1.0 + h2 / 6.0 * (u1 + 2.0 * u2) + h2 * h2 / 24.0 * u1 * u2,
-        h + h3 / 6.0 * u2,
-        h / 6.0 * (u1 + 4.0 * u2 + u3) + h3 / 12.0 * u2 * (u1 + u3),
-        1.0 + h2 / 6.0 * (2.0 * u2 + u3) + h2 * h2 / 24.0 * u2 * u3,
-    ]).reshape(2, 2, -1)
+    T = np.empty((2, 2) + u2.shape)
+    t00, t01, t10, t11 = T[0, 0], T[0, 1], T[1, 0], T[1, 1]
+    w = np.add(u1, u3)
+    w *= np.multiply(u2, h3 / 12.0, out=t01)  # t01 as scratch
+    np.multiply(u2, 4.0, out=t10)
+    t10 += u1
+    t10 += u3
+    t10 *= h / 6.0
+    t10 += w
+    np.multiply(u2, h3 / 6.0, out=t01)
+    t01 += h
+    # the diagonal: 1 + h^2/6 (u_end + 2 u2) + (h^4/24 x) y
+    for t, u_end, (x, y) in ((t00, u1, (u1, u2)), (t11, u3, (u2, u3))):
+        np.multiply(u2, 2.0, out=t)
+        t += u_end
+        t *= h2 / 6.0
+        t += 1.0
+        np.multiply(x, h2 * h2 / 24.0, out=w)
+        w *= y
+        t += w
+    return T
 
 
 def _compose(b: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -150,13 +198,14 @@ def _renormalize(M: np.ndarray) -> np.ndarray:
 
 
 def _up_sweep(T: np.ndarray):
-    """Levels of the pairwise tree over T's matrices, and their factors: level
-    k + 1 holds the renormalized products of level k's pairs (an odd last
-    matrix carried alone), up to T[-1] @ ... @ T[0] at the top."""
+    """Levels of the pairwise tree over T's matrices, along its last axis, and
+    their factors: level k + 1 holds the renormalized products of level k's
+    pairs (an odd last matrix carried alone), up to T[-1] @ ... @ T[0] at the
+    top.  Leading axes after the first two (a block of energies) ride along."""
     levels, scales = [T], []
-    while levels[-1].shape[2] > 1:
-        M, half = levels[-1], levels[-1].shape[2] // 2
-        out = np.empty((2, 2, M.shape[2] - half))
+    while levels[-1].shape[-1] > 1:
+        M, half = levels[-1], levels[-1].shape[-1] // 2
+        out = np.empty(M.shape[:-1] + (M.shape[-1] - half,))
         _compose(M[..., 1:2 * half:2], M[..., 0:2 * half:2], out[..., :half])
         out[..., half:] = M[..., 2 * half:]
         scales.append(_renormalize(out))
@@ -185,20 +234,28 @@ def _down_sweep(levels, scales):
     return P, P_log
 
 
-def _mismatch(E: float, rc: RadialCoefficients, sweeps) -> float:
-    """Wronskian of the sweeps' end states (F, F') from (1, slope0), each
-    scaled to unit length."""
-    states = []
-    for sweep, slope0 in zip(sweeps, _slopes(rc, E, sweeps)):
+def _mismatches(Es, rc: RadialCoefficients, sweeps) -> np.ndarray:
+    """Mismatch at each energy of the sequence Es, NaN where the tail
+    oscillates: one up-sweep per sweep direction over the whole block.  The
+    Wronskian of the sweeps' end states (F, F') from (1, slope0), each scaled
+    to unit length, with the bits of one energy's own pass."""
+    out = np.full(len(Es), np.nan)
+    bound, slopes = [], []
+    for i, E in enumerate(Es):
+        with contextlib.suppress(NotBoundRegime):
+            slopes.append(_slopes(rc, E, sweeps))
+            bound.append(i)
+    if not bound:
+        return out
+    E, states = [Es[i] for i in bound], []
+    for sweep, slope0 in zip(sweeps, np.array(slopes).T):
         t = _up_sweep(_transfer_entries(rc, E, sweep))[0][-1][..., 0]
-        y = np.array([t[0, 0] + t[0, 1] * slope0, t[1, 0] + t[1, 1] * slope0])
-        states.append(y / math.hypot(y[0], y[1]))
+        y0, y1 = t[0, 0] + t[0, 1] * slope0, t[1, 0] + t[1, 1] * slope0
+        norm = [math.hypot(a, b) for a, b in zip(y0.tolist(), y1.tolist())]
+        states.append((y0 / norm, y1 / norm))
     (u0, u1), (w0, w1) = states
-    return float(u0 * w1 - u1 * w0)
-
-
-def _scanned_or_mismatch(E: float, scanned: dict, *solve) -> float:
-    return scanned[E] if E in scanned else _mismatch(E, *solve)
+    out[bound] = u0 * w1 - u1 * w0
+    return out
 
 
 def shoot_mismatch(E: float, cfg: ShootingConfig, p: PhysicalParams,
@@ -214,7 +271,9 @@ def shoot_mismatch(E: float, cfg: ShootingConfig, p: PhysicalParams,
     (oscillatory tail, no bound state possible at this E).
     """
     rc = radial_coefficients(p, state)
-    return _mismatch(E, rc, _sweeps(rc, cfg))
+    sweeps = _sweeps(rc, cfg)
+    _slopes(rc, E, sweeps)  # raises NotBoundRegime where the tail oscillates
+    return float(_mismatches([E], rc, sweeps)[0])
 
 
 def _trajectory(rc: RadialCoefficients, E: float, sweep, slope0: float):
@@ -229,49 +288,134 @@ def _count_nodes(values: np.ndarray) -> int:
     return int(np.sum(values[1:] * values[:-1] < 0.0))
 
 
+# Brent's method as scipy.optimize.brentq runs it, ported line by line from
+# scipy/optimize/Zeros/brentq.c (BSD-3-Clause; Brent, "Algorithms for
+# Minimization without Derivatives", 1973, ch. 4), with brentq's relative
+# tolerance and iteration limit, so that each root keeps brentq's bits
+_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+_BRENT_MAXITER = 100
+
+
+def _brentq(xpre: float, xcur: float, fpre: float, fcur: float, xtol: float):
+    """Brent's root of f on [xpre, xcur] from the ends' values f(xpre) = fpre
+    and f(xcur) = fcur, as a generator: it yields each point at which f is
+    wanted, is sent f there, and returns the root.  Raises ValueError where
+    the ends' values have the same sign and RefinementNotConverged after
+    _BRENT_MAXITER evaluations."""
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)  # interpolate
+                else:
+                    dpre = (fpre - fcur) / (xpre - xcur)  # extrapolate
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                stry = math.inf  # takes no step, as C's inf or NaN does
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = yield xcur
+    raise RefinementNotConverged(
+        f"Brent's method did not converge in {_BRENT_MAXITER} iterations, "
+        f"last value {xcur}")
+
+
+def _refine(cells, tol: float, rc: RadialCoefficients, sweeps) -> list[float]:
+    """The roots of the mismatch in the sign-change cells (a, b, f(a), f(b)),
+    each refined by _brentq to `tol`, in lockstep: one kernel pass takes
+    every unfinished root's next point."""
+    runs = [_brentq(*cell, tol) for cell in cells]
+    roots, sent = [None] * len(runs), dict.fromkeys(range(len(runs)))
+    while True:
+        wanted = {}
+        for i, run in enumerate(runs):
+            if roots[i] is None:
+                try:
+                    wanted[i] = run.send(sent[i])
+                except StopIteration as stop:
+                    roots[i] = stop.value
+        if not wanted:
+            return roots
+        values = _mismatches(list(wanted.values()), rc, sweeps).tolist()
+        sent = dict(zip(wanted, values))
+
+
 def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
                      state: QuantumState, count: int,
                      scan_points: int = 400, tol: float = 1e-9) -> list[float]:
     """The first `count` shooting states inside the energy bracket, ordered
     by (outward node count, energy).
 
-    One ascending pass over a grid of the bracket: where the mismatch changes
-    sign between neighbouring points, Brent's method refines that cell to
-    `tol` at once and the state's nodes are counted.  The mismatch has no
-    poles, so every sign change holds an eigenvalue; a cell that holds an
-    even number of them shows none.  The pass stops once the `count`-th
-    smallest key found has 0 nodes: every later state lies higher with
-    >= 0 nodes, so none can enter the result.
+    One ascending pass over a grid of the bracket, a block of points per
+    kernel pass: where the mismatch changes sign between neighbouring
+    points, Brent's method refines that cell to `tol` and the state's nodes
+    are counted.  The mismatch has no poles, so every sign change holds an
+    eigenvalue; a cell that holds an even number of them shows none.  The
+    pass stops once the `count`-th smallest key found has 0 nodes: every
+    later state lies higher with >= 0 nodes, so none can enter the result.
+    Refinement waits until the states found and the cells pending could
+    number `count`, as fewer cannot stop the pass; the pending cells are then
+    refined together and walked in ascending order.
 
     `tol` is Brent's tolerance on the root of the discretized mismatch; the
     discretization error of that root, about C h^4, is set by
     `cfg.step_count` alone (at most about 1e-10 at DEFAULT_STEP_COUNT).
     """
-    from scipy.optimize import brentq
-
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if scan_points < 2:
+        raise ValueError(f"scan_points must be >= 2, got {scan_points}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     rc = radial_coefficients(p, state)
     sweeps = _sweeps(rc, cfg)
     lo, hi = cfg.energy_bracket
     grid = np.linspace(lo, hi, scan_points).tolist()
-    found, f_lo = [], math.nan  # NaN where the tail oscillates
-    for i, E in enumerate(grid):
-        f_hi = math.nan
-        with contextlib.suppress(NotBoundRegime):
-            f_hi = _mismatch(E, rc, sweeps)
-        if f_lo * f_hi < 0.0:  # false where either end is NaN
-            # brentq starts at both ends, which the scan holds; the state goes in
-            # args, as brentq's wrapper is a cycle that would keep a closure alive
-            ends = {grid[i - 1]: f_lo, E: f_hi}
-            e_star = float(brentq(_scanned_or_mismatch, grid[i - 1], E,
-                                  args=(ends, rc, sweeps), xtol=tol))
-            values, _ = _trajectory(rc, e_star, sweeps[0],
-                                    _slopes(rc, e_star, sweeps)[0])
-            found = sorted(found + [(_count_nodes(values), e_star)])
+    block = min(_SCAN_BLOCK, max(1, _BLOCK_MATRICES // cfg.step_count))
+    values, cells, found = [], [], []  # values: NaN where the tail oscillates
+    for start in range(0, scan_points, block):
+        values += _mismatches(grid[start:start + block], rc, sweeps).tolist()
+        cells += [(grid[i - 1], grid[i], values[i - 1], values[i])
+                  for i in range(max(start, 1), len(values))
+                  if values[i - 1] * values[i] < 0.0]  # false at a NaN
+        if len(found) + len(cells) < count and len(values) < scan_points:
+            continue
+        for e_star in _refine(cells, tol, rc, sweeps):
+            amps, _ = _trajectory(rc, e_star, sweeps[0],
+                                  _slopes(rc, e_star, sweeps)[0])
+            found = sorted(found + [(_count_nodes(amps), e_star)])
             if len(found) >= count and found[count - 1][0] == 0:
-                break
-        f_lo = f_hi
+                return [e for _, e in found[:count]]
+        cells = []
     if not found:
         raise NoEigenvalueInBracket(
             f"no shooting eigenvalue in ({lo}, {hi}) for this configuration"

@@ -493,9 +493,10 @@ class TestConfigFile:
 
 
 def test_common_commands_load_no_scipy():
-    # scipy is imported only where it is used (normalize and the oracle), not
-    # by `import wsdirac`; the bracketing route resolves the reference well's
-    # sub-grid root pair by re-scanning, without scipy.optimize
+    # scipy is imported only where it is used (normalize), not by `import
+    # wsdirac`; the bracketing route resolves the reference well's sub-grid
+    # root pair by re-scanning, and the shooting oracle refines its roots by
+    # its own Brent iteration, both without scipy.optimize
     script = (
         "import contextlib, io, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
@@ -505,7 +506,9 @@ def test_common_commands_load_no_scipy():
         "assert not loaded(), loaded()\n"
         "bound = ['--depth', '10', '--alpha-prime', '0.0015']\n"
         "for argv in (['table', '1'], ['table', '2'], ['solve'], ['verify'],\n"
-        "             ['verify', *bound], ['verify', *bound, '--n', '1']):\n"
+        "             ['verify', *bound], ['verify', *bound, '--n', '1'],\n"
+        "             ['verify', '--with-oracle', *bound, '--n', '0'],\n"
+        "             ['verify', '--with-oracle', *bound, '--n', '1']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
         "    assert not loaded(), (argv, loaded())\n"

@@ -1,9 +1,12 @@
 """Shooting eigensolver: geometry, mismatch, eigenvalues, scan trajectory."""
 from __future__ import annotations
 
+import contextlib
 import gc
 import hashlib
+import inspect
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +17,7 @@ from wsdirac import (
     NoEigenvalueInBracket,
     NotBoundRegime,
     RadialCoefficients,
+    RefinementNotConverged,
     ShootingConfig,
     default_config,
     derive_coefficients,
@@ -124,6 +128,43 @@ class TestMismatch:
             shoot_mismatch(e_edge + 1.0, cfg, BOUND, BOUND_STATE)
 
 
+class TestMismatches:
+    def test_block_matches_single_calls(self, bound_root):
+        # one pass over a block, an energy above the continuum edge among
+        # them, gives each energy's shoot_mismatch to the bit, and NaN
+        # exactly where that raises NotBoundRegime
+        cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
+        rc = radial_coefficients(BOUND, BOUND_STATE)
+        e_edge = math.sqrt(BOUND.M**2 + rc.c0_const)  # c0(e_edge) = 0
+        Es = [bound_root - 0.05, e_edge + 1.0, bound_root, 1e-9 + bound_root,
+              bound_root + 0.3, e_edge + 1e-6, bound_root + 1.0]
+        block = oracle._mismatches(Es, rc, oracle._sweeps(rc, cfg)).tolist()
+        unbound = []
+        for E, m in zip(Es, block):
+            try:
+                assert m == shoot_mismatch(E, cfg, BOUND, BOUND_STATE)
+            except NotBoundRegime:
+                assert math.isnan(m)
+                unbound.append(E)
+        assert unbound == [e_edge + 1.0, e_edge + 1e-6]
+        out = oracle._mismatches(unbound, rc, oracle._sweeps(rc, cfg))
+        assert out.shape == (2,) and np.isnan(out).all()
+
+    @pytest.mark.parametrize("outward", [True, False])
+    def test_transfer_entries_over_energies(self, bound_root, outward):
+        # the energy axis goes before the step axis; each energy's slice is
+        # the scalar call's array to the bit
+        cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
+        rc = radial_coefficients(BOUND, BOUND_STATE)
+        sweep = oracle._sweeps(rc, cfg)[0 if outward else 1]
+        Es = [bound_root - 0.05, bound_root, bound_root + 0.3]
+        T = oracle._transfer_entries(rc, np.array(Es), sweep)
+        assert T.shape == (2, 2, len(Es), sweep.steps)
+        for i, E in enumerate(Es):
+            single = oracle._transfer_entries(rc, E, sweep)
+            assert T[:, :, i].tobytes() == single.tobytes()
+
+
 class TestFindEigenvalues:
     def test_matches_analytic_ground_state(self, bound_root):
         cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
@@ -155,33 +196,35 @@ class TestFindEigenvalues:
         assert eigs[2] == pytest.approx(7.515806, abs=1e-5)
 
     def test_refinement_reuses_scan_values(self, bound_root, monkeypatch):
-        # brentq starts at both bracket ends, which the scan already holds:
-        # no energy is evaluated twice; the root lies in cell 12 of 24, the
-        # pass stops there: 14 scan points plus one refinement.  At 20000
-        # steps: at the default the root lies 1.4e-11 above bound_root, a
-        # grid point, so the pass goes one cell further (16 calls)
+        # Brent starts from both bracket ends, which the scan already holds:
+        # no energy is evaluated twice.  At 20000 steps a pass takes 6 grid
+        # points; the root lies in cell 12 of 24, so the scan stops after the
+        # third pass (18 points) and one refinement pass adds one energy
         cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05),
                              step_count=20_000)
-        mismatch, calls = oracle._mismatch, {}
+        mismatches, passes, values = oracle._mismatches, [], {}
 
-        def counted(E, *solve):
-            calls.setdefault(E, []).append(mismatch(E, *solve))
-            return calls[E][-1]
+        def counted(Es, *solve):
+            passes.append(list(Es))
+            out = mismatches(Es, *solve)
+            values.update(zip(Es, out.tolist()))
+            return out
 
-        monkeypatch.setattr(oracle, "_mismatch", counted)
+        monkeypatch.setattr(oracle, "_mismatches", counted)
         eig, = find_eigenvalues(cfg, BOUND, BOUND_STATE, count=1,
                                 scan_points=25, tol=1e-11)
-        assert sum(map(len, calls.values())) == len(calls) == 15
-        # reference: Brent on the same scan cell, recomputing every value
+        energies = [E for block in passes for E in block]
+        assert [len(block) for block in passes] == [6, 6, 6, 1]
+        assert len(set(energies)) == len(energies) == 19
+        # reference: scipy's brentq on the same scan cell, every value
+        # recomputed, to the bit
         from scipy.optimize import brentq
-        rc = radial_coefficients(BOUND, BOUND_STATE)
-        sweeps = oracle._sweeps(rc, cfg)
         grid = np.linspace(*cfg.energy_bracket, 25)
         i = next(i for i in range(24)
-                 if calls[grid[i]][0] * calls[grid[i + 1]][0] < 0.0)
-        ref = brentq(lambda E: mismatch(E, rc, sweeps), grid[i], grid[i + 1],
-                     xtol=1e-11)
-        assert abs(eig - ref) <= 1e-11
+                 if values[grid[i]] * values[grid[i + 1]] < 0.0)
+        ref = brentq(lambda E: shoot_mismatch(E, cfg, BOUND, BOUND_STATE),
+                     grid[i], grid[i + 1], xtol=1e-11)
+        assert eig == ref
 
     @pytest.mark.parametrize("offsets, tol, stops", [
         ((-0.05, -0.05 + 39 * 3.05 / 299), 1e-6, True),  # levels with 0-3 nodes
@@ -191,33 +234,174 @@ class TestFindEigenvalues:
                                  stops):
         # count=4 meets no stop on either bracket, so it is the full pass;
         # count=1 returns its first state, and stops early only where that
-        # state has 0 nodes
+        # state has 0 nodes.  Either way no energy is evaluated twice
         cfg = default_config(BOUND, tuple(bound_root + d for d in offsets))
-        mismatch, calls = oracle._mismatch, []
+        mismatches, passes = oracle._mismatches, []
 
-        def counted(E, *solve):
-            calls.append(E)
-            return mismatch(E, *solve)
+        def counted(Es, *solve):
+            passes.append(list(Es))
+            return mismatches(Es, *solve)
 
-        monkeypatch.setattr(oracle, "_mismatch", counted)
-        full = find_eigenvalues(cfg, BOUND, BOUND_STATE, count=4,
-                                scan_points=40, tol=tol)
-        full_calls = len(calls)
-        first = find_eigenvalues(cfg, BOUND, BOUND_STATE, count=1,
-                                 scan_points=40, tol=tol)
+        def run(count):
+            passes.clear()
+            eigs = find_eigenvalues(cfg, BOUND, BOUND_STATE, count=count,
+                                    scan_points=40, tol=tol)
+            energies = [E for block in passes for E in block]
+            assert len(set(energies)) == len(energies)
+            return eigs, len(passes), len(energies)
+
+        monkeypatch.setattr(oracle, "_mismatches", counted)
+        full, full_passes, full_energies = run(4)
+        first, first_passes, first_energies = run(1)
         assert first == full[:1]
-        first_calls = len(calls) - full_calls
-        assert first_calls < full_calls if stops else first_calls == full_calls
+        if stops:  # a block of 16 holds the ground state's cell
+            assert (full_passes, full_energies) == (11, 61)
+            assert (first_passes, first_energies) == (4, 19)
+        else:  # the same energies, in more passes: each refinement waits
+            # only for count cells
+            assert (full_passes, full_energies) == (11, 65)
+            assert (first_passes, first_energies) == (17, 65)
 
     def test_empty_bracket_raises(self, bound_root):
         cfg = default_config(BOUND, (bound_root - 0.04, bound_root - 0.02))
         with pytest.raises(NoEigenvalueInBracket):
             find_eigenvalues(cfg, BOUND, BOUND_STATE, count=1, scan_points=15)
 
-    def test_rejects_nonpositive_count(self, bound_root):
+    def test_rejects_nonpositive_count(self, bound_root, monkeypatch):
+        # and the other arguments out of their domain: each before any solve
         cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
+
+        def no_solve(*args):
+            raise AssertionError("solved before checking its arguments")
+
+        monkeypatch.setattr(oracle, "radial_coefficients", no_solve)
+        for kwargs in (dict(count=0), dict(count=-1), dict(scan_points=1),
+                       dict(scan_points=0), dict(scan_points=-1),
+                       dict(tol=0.0), dict(tol=-1e-9), dict(tol=math.nan),
+                       dict(tol=math.inf)):
+            with pytest.raises(ValueError, match=next(iter(kwargs))):
+                find_eigenvalues(cfg, BOUND, BOUND_STATE,
+                                 **{"count": 1, **kwargs})
+
+
+def brent_port_root(f, a, b, xtol):
+    """oracle._brentq driven on the scalar function f, as brentq drives it."""
+    run, fx = oracle._brentq(a, b, f(a), f(b), xtol), None
+    try:
+        while True:
+            fx = f(run.send(fx))
+    except StopIteration as stop:
+        return stop.value
+
+
+def brent_branches(cases):
+    """The tagged branches of oracle._brentq that the cases (f, a, b, xtol)
+    run, traced line by line."""
+    code = oracle._brentq.__code__
+    lines, first = inspect.getsourcelines(oracle._brentq)
+    ran = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        for case in cases:
+            with contextlib.suppress(RefinementNotConverged):
+                brent_port_root(*case)
+    finally:
+        sys.settrace(None)
+    tags = ("interpolate", "extrapolate", "good short step", "bisect",
+            "takes no step")
+    return {tag for i, line in enumerate(lines) if first + i in ran
+            for tag in tags if f"# {tag}" in line}
+
+
+class TestBrentPort:
+    @staticmethod
+    def brentq(*args, **kwargs):
+        # the reference; the library itself imports no scipy.optimize
+        from scipy.optimize import brentq
+        return brentq(*args, **kwargs)
+
+    CASES = [
+        (lambda x: 2.0 * (x - 0.3), -1.0, 2.0),  # a line: interpolation
+        (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.5),
+        (lambda x: math.exp(x) - 3.0, -2.0, 4.0),
+        (lambda x: math.atan(50.0 * (x - 0.123)), -3.0, 2.5),  # bisections
+        (lambda x: math.sin(10.0 * x) + 0.3, -1.8, 1.2),
+        # the steps' difference quotients underflow: C divides by zero
+        (lambda x: 1e-160 * (x - 0.3), 0.1, 0.9),
+        (lambda x: 1e-160 * ((x - 0.2) ** 3 + 0.1 * (x - 0.2)), -0.1, 1.9),
+    ]
+
+    TOLS = [1e-6, 1e-8, 1e-10, 1e-12, 1e-14]
+
+    @pytest.mark.parametrize("xtol", TOLS)
+    def test_matches_brentq_to_the_bit(self, xtol):
+        for f, a, b in self.CASES:
+            assert brent_port_root(f, a, b, xtol) == self.brentq(f, a, b,
+                                                                 xtol=xtol)
+
+    def test_cases_run_every_branch(self):
+        cases = [(f, a, b, xtol) for f, a, b in self.CASES
+                 for xtol in self.TOLS]
+        assert brent_branches(cases) == {"interpolate", "extrapolate",
+                                         "good short step", "bisect",
+                                         "takes no step"}
+
+    @pytest.mark.parametrize("a, b", [(1.0, 2.0), (0.0, 1.0)])
+    def test_root_at_an_end(self, a, b):
+        def f(x):
+            return x - 1.0
+
+        assert brent_port_root(f, a, b, 1e-12) == self.brentq(f, a, b,
+                                                              xtol=1e-12) == 1.0
+
+    def test_same_signs_rejected(self):
         with pytest.raises(ValueError):
-            find_eigenvalues(cfg, BOUND, BOUND_STATE, count=0)
+            brent_port_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+
+    def test_iteration_limit_is_typed(self):
+        def f(x):
+            return (x - 0.3) ** 11
+
+        with pytest.raises(RuntimeError):
+            self.brentq(f, -1.0, 2.0, xtol=1e-14)
+        with pytest.raises(RefinementNotConverged):
+            brent_port_root(f, -1.0, 2.0, 1e-14)
+
+    @pytest.mark.parametrize("xtol", [1e-6, 1e-10, 1e-14])
+    def test_ladder_cells(self, bound_root, xtol):
+        # the sign-change cells of BOUND's four lowest states, on the mismatch
+        cfg = default_config(BOUND, (bound_root - 0.05,
+                                     bound_root - 0.05 + 39 * 3.05 / 299))
+        rc = radial_coefficients(BOUND, BOUND_STATE)
+        sweeps = oracle._sweeps(rc, cfg)
+        grid = np.linspace(*cfg.energy_bracket, 40).tolist()
+        values = oracle._mismatches(grid, rc, sweeps).tolist()
+        cells = [(grid[i - 1], grid[i]) for i in range(1, 40)
+                 if values[i - 1] * values[i] < 0.0]
+        assert len(cells) == 4
+        cache = dict(zip(grid, values))
+
+        def f(E):
+            if E not in cache:
+                cache[E] = oracle._mismatches([E], rc, sweeps)[0].item()
+            return cache[E]
+
+        for a, b in cells:
+            assert brent_port_root(f, a, b, xtol) == self.brentq(f, a, b,
+                                                                 xtol=xtol)
+        # and in lockstep, as find_eigenvalues refines them
+        lockstep = oracle._refine([(a, b, f(a), f(b)) for a, b in cells],
+                                  xtol, rc, sweeps)
+        assert lockstep == [brent_port_root(f, a, b, xtol) for a, b in cells]
 
 
 class TestTransferEntries:
@@ -413,7 +597,7 @@ def test_shape_evaluated_once_per_sweep(bound_root, monkeypatch):
 
 def test_solves_leave_no_coefficients_alive(bound_root):
     # nothing of a solve may live on in a reference cycle (scipy's brentq
-    # wrapper is one): with the collector off, refcounts alone must free it
+    # wrapper was one): with the collector off, refcounts alone must free it
     cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
 
     def alive():
