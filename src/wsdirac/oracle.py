@@ -1,12 +1,15 @@
 """Direct numerical eigensolve of the transformed radial equation.
 
 Independent cross-check of the closed-form spectrum: F'' = U(r; E) F is
-integrated outward from r_min and inward from r_max with a fixed-step
-classical Runge-Kutta scheme, and the Wronskian of the two sweeps' (F, F')
-vectors at the match radius, each scaled to unit length, is driven to zero
-over E.  A solve builds each sweep's grid once, with the E-independent shape
-f and c2 f^2 on its half-steps.  The equation is linear, so one RK4 step is
-a 2x2 transfer matrix, closed-form in h and the step's three values of U.
+integrated outward from r_min and inward from r_max with the classical
+Runge-Kutta scheme, and the Wronskian of the two sweeps' (F, F') vectors at
+the match radius, each scaled to unit length, is driven to zero over E.  A
+solve builds each sweep's grid once, with the E-independent shape f and
+c2 f^2 at its nodes and midpoints.  The outward grid is uniform; the inward
+one keeps the same step near the match radius and grows it geometrically
+through the tail, where a bound state decays and errors reach the mismatch
+damped.  The equation is linear, so one RK4 step is a 2x2 transfer matrix,
+closed-form in the step's h and its three values of U.
 A sweep's end state is their ordered product, the root of a pairwise tree
 (the up-sweep) renormalized per level by positive factors, which keep its
 direction, sign included: the mismatch is bounded, has no poles and changes
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -55,15 +59,23 @@ class ShootingConfig:
     energy_bracket: tuple[float, float]
 
     def __post_init__(self):
+        lo, hi = self.energy_bracket
+        for name, value in (("r_min", self.r_min), ("r_max", self.r_max),
+                            ("match_radius", self.match_radius),
+                            ("energy_bracket", lo), ("energy_bracket", hi)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 < self.r_min < self.match_radius < self.r_max:
             raise ValueError(
                 f"need 0 < r_min < match_radius < r_max, got "
                 f"({self.r_min}, {self.match_radius}, {self.r_max})"
             )
+        if not isinstance(self.step_count, numbers.Integral):
+            raise ValueError(f"step_count must be an integer, "
+                             f"got {self.step_count!r}")
         if self.step_count < DEFAULT_STEP_COUNT:
             raise ValueError(f"step_count must be >= {DEFAULT_STEP_COUNT}, "
                              f"got {self.step_count}")
-        lo, hi = self.energy_bracket
         if not lo < hi:
             raise ValueError(f"invalid energy bracket ({lo}, {hi})")
 
@@ -72,7 +84,12 @@ def default_config(p: PhysicalParams, energy_bracket: tuple[float, float],
                    step_count: int = DEFAULT_STEP_COUNT) -> ShootingConfig:
     """Standard truncation for the given potential: [R/100, R + 40 a], match at R.
 
-    At the default step count, DEFAULT_STEP_COUNT, an eigenvalue's
+    step_count sets the base step h = (r_max - r_min) / step_count, which
+    the outward sweep takes throughout and the inward one out to where U
+    nears its asymptote (about 3.5a past R on the attractive well); beyond,
+    the inward steps grow to about 30 h (see _sweeps), so a solve whose
+    bracket is bound takes fewer than step_count steps.  At
+    the default step count, DEFAULT_STEP_COUNT, an eigenvalue's
     discretization error is at most about 1e-10; a larger step_count gives
     less (20000 steps give about 1e-13).
     """
@@ -103,25 +120,101 @@ _SCAN_BLOCK = 16
 _BLOCK_MATRICES = 120_000
 
 
-# a sweep's E-independent grid r0 + j h, j = 0..steps (h may be negative),
-# with the shape f and q = c2 f^2 on its half-step grid
-_Sweep = namedtuple("_Sweep", "r0 h steps f q")
+# A sweep's E-independent grid: its nodes r (steps + 1 of them, descending
+# for the inward sweep), its steps h = r[j+1] - r[j], and the shape f and
+# q = c2 f^2 at its nodes and midpoints, interleaved (2 steps + 1 values)
+_Sweep = namedtuple("_Sweep", "r h steps f q")
 
 
-def _sweep(rc: RadialCoefficients, r0: float, h: float, steps: int) -> _Sweep:
-    f = shape_factor(r0 + (h / 2.0) * np.arange(2 * steps + 1, dtype=float),
-                     rc.p.R, rc.p.a)
-    return _Sweep(r0, h, steps, f, rc.c2 * f * f)
+def _sweep(rc: RadialCoefficients, r: np.ndarray) -> _Sweep:
+    h = np.diff(r)
+    half = np.empty(2 * len(h) + 1)
+    half[0::2], half[1::2] = r, r[:-1] + h / 2.0
+    f = shape_factor(half, rc.p.R, rc.p.a)
+    return _Sweep(r, h, len(h), f, rc.c2 * f * f)
+
+
+# The inward sweep's grading.  Past the match node, once U(r; E) is close to
+# its asymptote c0(E), a bound state decays like e^{-kappa x}, kappa =
+# sqrt(c0(E)), and an error made at a distance x further out reaches the
+# mismatch damped by about e^{-2 kappa x}; RK4's error there goes as step^4.
+# So the tail keeps the base step h out to x_g, where |U - c0| = |c1 f +
+# c2 f^2| is at most _TAIL_ASYMPTOTE c0 at every energy of the bracket (about
+# 3.5a past R on BOUND's ground state, 6a on the weakly bound state at
+# alpha' = 0.01, whose U dips below zero just outside R), and beyond it grows
+# the step as h e^{beta (x - x_g)}, beta = _TAIL_GROWTH kappa_min: below
+# kappa_min / 2, so step^4 e^{-2 kappa x} still decays at the slowest decay
+# the bracket allows, kappa_min = sqrt(min(c0(lo), c0(hi))).  The step is
+# capped at _TAIL_CAP h, and at 1 / kappa_max (but not below h), where RK4's
+# one-step factors for the fastest decay in the bracket, e^{+-kappa h}, are
+# within 2% and well inside its stability interval (kappa h < 2.78).  Where
+# the bracket reaches the continuum (c0 <= 0) the tail stays uniform.  On
+# BOUND's ground state the grading takes the inward sweep from 4456 to 584
+# steps at the default step count, and over 40 oracle-ground bench wells it
+# moves no eigenvalue by more than 2e-15.
+_TAIL_ASYMPTOTE = 0.1
+_TAIL_GROWTH = 0.4
+_TAIL_CAP = 30.0
+
+
+def _graded_tail(rc: RadialCoefficients, bracket, r_match: float,
+                 r_max: float, h: float) -> np.ndarray:
+    """Ascending nodes from r_match to exactly r_max of the tail graded for
+    the energies of the bracket, where c0 > 0: nodes at about unit steps of
+    xi(x) = int_0^x dx' / s(x'), the number of steps s(x) that reach the
+    distance x past r_match, inverted in closed form over its three pieces
+    (uniform, geometric, capped)."""
+    lo, hi = bracket
+    # c0 is a downward parabola in E, least at an end and largest at E = 0;
+    # c1 is linear in E
+    c0_min = min(rc.c0(lo), rc.c0(hi))
+    kappa_max = math.sqrt(rc.c0(min(max(0.0, lo), hi)))
+    c1 = max(abs(rc.frak_u(E) - rc.c2) for E in (lo, hi))
+    # the shape f_g <= 1/2 at which |c1| f + |c2| f^2 = _TAIL_ASYMPTOTE c0_min
+    b = _TAIL_ASYMPTOTE * c0_min
+    f_g = 2.0 * b / max(c1 + math.sqrt(c1 * c1 + 4.0 * abs(rc.c2) * b), 4.0 * b)
+    length = r_max - r_match
+    x_g = rc.p.R + rc.p.a * math.log(1.0 / f_g - 1.0) - r_match
+    x_g = min(max(x_g, 0.0), length)
+    beta = _TAIL_GROWTH * math.sqrt(c0_min)
+    cap = min(_TAIL_CAP, max(1.0, 1.0 / (kappa_max * h)))
+    x_c = min(x_g + math.log(cap) / beta, length)
+    xi_g = x_g / h
+    xi_c = xi_g - math.expm1(-beta * (x_c - x_g)) / (beta * h)
+    xi_end = xi_c + (length - x_c) / (cap * h)
+    # steps of h exactly up to x_g, where the error is not damped; the rest
+    # shares the rounding of xi_end to a whole number of steps
+    n_g = max(0, min(int(xi_g), round(xi_end) - 1))
+    xi = np.concatenate([np.arange(n_g), np.linspace(
+        n_g, xi_end, max(1, round(xi_end - n_g)) + 1)])
+    # x(xi), piece by piece: each term is constant outside its own piece
+    x = h * np.minimum(xi, xi_g)
+    x -= np.log1p(-beta * h * (np.clip(xi, xi_g, xi_c) - xi_g)) / beta
+    x += cap * h * np.maximum(xi - xi_c, 0.0)
+    r = r_match + x
+    r[-1] = r_max
+    return r
 
 
 def _sweeps(rc: RadialCoefficients, cfg: ShootingConfig):
     """The outward sweep from r_min and the inward one from r_max, meeting at
-    the grid point nearest the match radius."""
+    the node nearest the match radius.
+
+    The outward grid is the uniform one of step_count steps of h = (r_max -
+    r_min) / step_count, up to that node.  The inward grid keeps h out to
+    where U is close to its asymptote for every energy of the bracket, then
+    grades its steps up to about 30 h by the rule above, ending exactly at
+    r_max; where the bracket reaches c0 <= 0 it is the rest of the uniform
+    grid.
+    """
+    uniform = np.linspace(cfg.r_min, cfg.r_max, cfg.step_count + 1)
     h = (cfg.r_max - cfg.r_min) / cfg.step_count
     i_match = int(round((cfg.match_radius - cfg.r_min) / h))
     i_match = min(max(i_match, 1), cfg.step_count - 1)
-    return (_sweep(rc, cfg.r_min, h, i_match),
-            _sweep(rc, cfg.r_max, -h, cfg.step_count - i_match))
+    inward = uniform[i_match:]
+    if min(map(rc.c0, cfg.energy_bracket)) > 0.0:  # c0 is least at an end
+        inward = _graded_tail(rc, cfg.energy_bracket, inward[0], cfg.r_max, h)
+    return _sweep(rc, uniform[:i_match + 1]), _sweep(rc, inward[::-1])
 
 
 def _slopes(rc: RadialCoefficients, E: float, sweeps) -> tuple[float, float]:
@@ -140,9 +233,9 @@ def _transfer_entries(rc: RadialCoefficients, E, sweep) -> np.ndarray:
     """Closed-form RK4 transfer matrices for y = (F, F'), shape (2, 2, steps)
     at a scalar E and (2, 2, k, steps) at the k energies of a 1-d E.
 
-    [..., j] maps y(r0 + j h) to y(r0 + (j+1) h).  With A = [[0, 1], [u, 0]]
-    each RK4 stage is a polynomial in h and the values u1, u2, u3 of U at
-    the step's start, midpoint and end; U is summed as in
+    [..., j] maps y(r[j]) to y(r[j+1]), over the step h = sweep.h[j].  With
+    A = [[0, 1], [u, 0]] each RK4 stage is a polynomial in h and the values
+    u1, u2, u3 of U at the step's start, midpoint and end; U is summed as in
     RadialCoefficients.u, so it keeps its bits, and each entry is written in
     place in the operation order of
         1 + h^2/6 (u1 + 2 u2) + h^4/24 u1 u2,   h + h^3/6 u2,
@@ -155,8 +248,9 @@ def _transfer_entries(rc: RadialCoefficients, E, sweep) -> np.ndarray:
     # U at the steps' ends and at their midpoints, each array contiguous
     ends, u2 = (c0 + c1 * sweep.f[i::2] + sweep.q[i::2] for i in (0, 1))
     u1, u3 = ends[..., :-1], ends[..., 1:]
-    h = sweep.h
+    h = sweep.h  # one per step, broadcast over the energy axis
     h2, h3 = h * h, h * h * h
+    h2_6, h4_24 = h2 / 6.0, h2 * h2 / 24.0
     T = np.empty((2, 2) + u2.shape)
     t00, t01, t10, t11 = T[0, 0], T[0, 1], T[1, 0], T[1, 1]
     w = np.add(u1, u3)
@@ -172,9 +266,9 @@ def _transfer_entries(rc: RadialCoefficients, E, sweep) -> np.ndarray:
     for t, u_end, (x, y) in ((t00, u1, (u1, u2)), (t11, u3, (u2, u3))):
         np.multiply(u2, 2.0, out=t)
         t += u_end
-        t *= h2 / 6.0
+        t *= h2_6
         t += 1.0
-        np.multiply(x, h2 * h2 / 24.0, out=w)
+        np.multiply(x, h4_24, out=w)
         w *= y
         t += w
     return T
@@ -278,7 +372,7 @@ def shoot_mismatch(E: float, cfg: ShootingConfig, p: PhysicalParams,
 
 def _trajectory(rc: RadialCoefficients, E: float, sweep, slope0: float):
     """Amplitudes F of the sweep from (1, slope0) as (values, log_scales):
-    F at r0 + j h is values[j] * exp(log_scales[j])."""
+    F at sweep.r[j] is values[j] * exp(log_scales[j])."""
     P, logs = _down_sweep(*_up_sweep(_transfer_entries(rc, E, sweep)))
     values = np.concatenate([[1.0], P[0, 0] + P[0, 1] * slope0])
     return values, np.concatenate([[0.0], logs])
@@ -427,7 +521,10 @@ def shoot_eigenfunction(E: float, cfg: ShootingConfig, p: PhysicalParams,
                         state: QuantumState):
     """Stitched, L2-normalized eigenfunction at energy E on the shooting grid.
 
-    Returns (r, F) arrays; the inward branch is rescaled for amplitude
+    Returns (r, F) arrays on the sweeps' nodes: r rises strictly from r_min
+    to r_max, in steps of the base step h out to where U nears its asymptote
+    past the match radius and growing beyond where the bracket is bound (see
+    _sweeps); the inward branch is rescaled for amplitude
     continuity at the match radius.  Intended for overlap diagnostics at a
     converged eigenvalue.
     """
@@ -443,6 +540,6 @@ def shoot_eigenfunction(E: float, cfg: ShootingConfig, p: PhysicalParams,
         raise IntegrationBlowup("inward solution vanished at the match radius")
     inw = inw * (out[-1] / inw[0])
     F = np.concatenate([out, inw[1:]])
-    r = cfg.r_min + sweeps[0].h * np.arange(cfg.step_count + 1)  # step h
+    r = np.concatenate([sweeps[0].r, sweeps[1].r[-2::-1]])
     norm = math.sqrt(np.trapezoid(F * F, r))
     return r, F / norm

@@ -41,24 +41,27 @@ def bound_root():
     return solve_energy(BOUND, BOUND_STATE).e_upper
 
 
-def rk4_stage_matrices(rc, E, r0, h, steps):
-    """Reference RK4 step maps, shape (steps, 2, 2), from the stages K1..K4.
+def rk4_stage_matrices(rc, E, nodes):
+    """Reference RK4 step maps between the nodes, shape (steps, 2, 2), from
+    the stages K1..K4.
 
     With A(r) = [[0, 1], [U(r; E), 0]] the step from y to y + h/6 (k1 + 2 k2
     + 2 k3 + k4) is linear in y; composing its stages as 2x2 matrices gives
-    the map.
+    the map.  Each step has its own h, so a graded grid is checked as a
+    uniform one is.
     """
-    idx = np.arange(steps, dtype=float)
+    h = np.diff(nodes)
 
     def amat(r):
-        A = np.zeros((steps, 2, 2))
+        A = np.zeros((len(h), 2, 2))
         A[:, 0, 1] = 1.0
         A[:, 1, 0] = rc.u(shape_factor(r, rc.p.R, rc.p.a), E)
         return A
 
-    A1 = amat(r0 + h * idx)
-    A2 = amat(r0 + h * (idx + 0.5))
-    A3 = amat(r0 + h * (idx + 1.0))
+    A1 = amat(nodes[:-1])
+    A2 = amat(nodes[:-1] + h / 2.0)
+    A3 = amat(nodes[1:])
+    h = h[:, None, None]
     K1 = A1
     K2 = A2 + (h / 2.0) * (A2 @ K1)
     K3 = A2 + (h / 2.0) * (A2 @ K2)
@@ -70,7 +73,7 @@ def stepwise_trajectory(rc, E, sweep, slope0):
     """Reference sweep y <- T[j] @ y, one step at a time: (values, log_scales)."""
     y = np.array([1.0, slope0])
     values, logs, log = [y[0]], [0.0], 0.0
-    for T in rk4_stage_matrices(rc, E, sweep.r0, sweep.h, sweep.steps):
+    for T in rk4_stage_matrices(rc, E, sweep.r):
         y = T @ y
         big = np.abs(y).max()
         if big > 1e100:
@@ -98,16 +101,42 @@ class TestShootingConfig:
              energy_bracket=(8.0, 6.0)),
         dict(r_min=0.1, r_max=20.0, step_count=oracle.DEFAULT_STEP_COUNT - 1,
              match_radius=7.0, energy_bracket=(6.0, 8.0)),
+        # non-finite geometry and a non-integral step count, each named
+        dict(r_min=math.nan, r_max=20.0, step_count=20000, match_radius=7.0,
+             energy_bracket=(6.0, 8.0)),
+        dict(r_min=0.1, r_max=math.inf, step_count=20000, match_radius=7.0,
+             energy_bracket=(6.0, 8.0)),
+        dict(r_min=0.1, r_max=20.0, step_count=20000, match_radius=math.nan,
+             energy_bracket=(6.0, 8.0)),
+        dict(r_min=0.1, r_max=20.0, step_count=20000, match_radius=7.0,
+             energy_bracket=(-math.inf, 8.0)),
+        dict(r_min=0.1, r_max=20.0, step_count=20000, match_radius=7.0,
+             energy_bracket=(6.0, math.inf)),
+        dict(r_min=0.1, r_max=20.0, step_count=20000, match_radius=7.0,
+             energy_bracket=(math.nan, 8.0)),
+        dict(r_min=0.1, r_max=20.0, step_count=6000.5, match_radius=7.0,
+             energy_bracket=(6.0, 8.0)),
     ])
     def test_rejects_bad_geometry(self, kwargs):
         with pytest.raises(ValueError) as exc:
             ShootingConfig(**kwargs)
+        bad = [name for name, value in kwargs.items()
+               if not np.isfinite(value).all()]
+        if kwargs["step_count"] != int(kwargs["step_count"]):
+            bad.append("step_count")
+        for name in bad:
+            assert f"{name} must be" in str(exc.value)
         if kwargs["step_count"] < oracle.DEFAULT_STEP_COUNT:
             # the message names the floor enforced, and the floor admits the
             # default step count
             floor = oracle.DEFAULT_STEP_COUNT
             assert f"step_count must be >= {floor}," in str(exc.value)
             ShootingConfig(**{**kwargs, "step_count": floor})
+
+    def test_accepts_numpy_integer_step_count(self):
+        cfg = ShootingConfig(r_min=0.1, r_max=20.0, step_count=np.int64(7000),
+                             match_radius=7.0, energy_bracket=(6.0, 8.0))
+        assert cfg.step_count == 7000
 
 
 class TestMismatch:
@@ -414,7 +443,7 @@ class TestTransferEntries:
         rc = radial_coefficients(BOUND, BOUND_STATE)
         sweep = oracle._sweeps(rc, cfg)[0 if outward else 1]
         steps = sweep.steps
-        T = rk4_stage_matrices(rc, E, sweep.r0, sweep.h, steps)
+        T = rk4_stage_matrices(rc, E, sweep.r)
         entries = oracle._transfer_entries(rc, E, sweep)
         assert entries.shape == (2, 2, steps)
         scale = np.abs(T).max(axis=(1, 2))
@@ -428,7 +457,9 @@ class TestEigenfunction:
         eig = find_eigenvalues(cfg, BOUND, BOUND_STATE, count=1,
                                scan_points=25, tol=1e-11)[0]
         r, F = shoot_eigenfunction(eig, cfg, BOUND, BOUND_STATE)
-        assert r.shape == F.shape == (cfg.step_count + 1,)
+        assert r.shape == F.shape
+        assert r[0] == cfg.r_min and r[-1] == cfg.r_max
+        assert np.all(np.diff(r) > 0.0)
         assert np.trapezoid(F * F, r) == pytest.approx(1.0, rel=1e-10)
         assert abs(F[0]) < 1e-4 and abs(F[-1]) < 1e-4
 
@@ -483,9 +514,9 @@ class TestScanTrajectory:
     def test_tree_scan_edge_counts(self, lowest_states, steps, outward):
         cfg, eigs = lowest_states
         rc = radial_coefficients(BOUND, BOUND_STATE)
-        h = (cfg.r_max - cfg.r_min) / steps  # the whole domain, to see nodes
-        sweep = (oracle._sweep(rc, cfg.r_min, h, steps) if outward
-                 else oracle._sweep(rc, cfg.r_max, -h, steps))
+        nodes = np.linspace(cfg.r_min, cfg.r_max, steps + 1)  # the whole
+        # domain, to see nodes
+        sweep = oracle._sweep(rc, nodes if outward else nodes[::-1])
         slopes = oracle._slopes(rc, eigs[3], (sweep, sweep))
         args = (rc, eigs[3], sweep, slopes[0 if outward else 1])
         (v_scan, l_scan), (v_step, l_step) = (oracle._trajectory(*args),
@@ -532,13 +563,91 @@ class TestDefaultStepCount:
         assert 1e-12 < estimate <= 1e-10
 
 
-# sha256 over repr of _shooting_outcomes(bound_root, 20_000), recorded from
-# the oracle before its sweep grids were built once per solve
+def uniform_sweeps(rc, cfg):
+    """Both sweeps on the uniform grid of cfg.step_count steps, split at the
+    node nearest the match radius: the reference for the graded tail."""
+    nodes = np.linspace(cfg.r_min, cfg.r_max, cfg.step_count + 1)
+    i = int(np.argmin(np.abs(nodes - cfg.match_radius)))
+    return oracle._sweep(rc, nodes[:i + 1]), oracle._sweep(rc, nodes[i:][::-1])
+
+
+class TestGradedTail:
+    @pytest.mark.parametrize("p, offsets", [
+        (BOUND, (-0.05, 0.05)),
+        (BOUND, (0.1, 0.4)),
+        (RICHARDSON, (-0.05, 0.05)),
+        (replace(BOUND, alpha_prime=0.01), (-0.05, 0.05)),
+    ])
+    def test_adds_no_error(self, p, offsets, monkeypatch):
+        # the TestDefaultStepCount cells: the graded tail gives the uniform
+        # grid's eigenvalue, far inside the discretization error of either
+        # (up to about 1e-10); at alpha' = 0.01 U dips below zero outside R,
+        # so the tail decays late
+        e0 = solve_energy(p, BOUND_STATE).e_upper
+        cfg = default_config(p, tuple(e0 + d for d in offsets))
+
+        def eig():
+            e, = find_eigenvalues(cfg, p, BOUND_STATE, count=1,
+                                  scan_points=40, tol=1e-14)
+            return e
+
+        graded = eig()
+        monkeypatch.setattr(oracle, "_sweeps", uniform_sweeps)
+        assert abs(graded - eig()) <= 1e-12
+
+    def test_reference_well_mismatch(self):
+        # the reference well holds no shooting state, so its cell compares
+        # the mismatch across the bracket around its closed-form root
+        ref = reference_params(0.0)
+        e0 = solve_energy(ref, BOUND_STATE).e_upper
+        cfg = default_config(ref, (e0 - 0.1, e0 + 0.1))
+        rc = radial_coefficients(ref, BOUND_STATE)
+        grid = np.linspace(*cfg.energy_bracket, 9).tolist()
+        graded = oracle._mismatches(grid, rc, oracle._sweeps(rc, cfg))
+        uniform = oracle._mismatches(grid, rc, uniform_sweeps(rc, cfg))
+        assert np.max(np.abs(graded - uniform)) <= 1e-12
+        assert oracle._sweeps(rc, cfg)[1].steps <= uniform_sweeps(
+            rc, cfg)[1].steps / 3
+
+    def test_continuum_bracket_is_uniform(self, bound_root):
+        # a bracket whose top reaches c0 <= 0 allows tails that do not
+        # decay: the sweeps are the uniform grid's, node for node
+        rc = radial_coefficients(BOUND, BOUND_STATE)
+        e_edge = math.sqrt(BOUND.M**2 + rc.c0_const)  # c0(e_edge) = 0
+        for top in (e_edge, e_edge + 1.0):
+            cfg = default_config(BOUND, (bound_root, top))
+            for sweep, ref in zip(oracle._sweeps(rc, cfg),
+                                  uniform_sweeps(rc, cfg)):
+                assert np.array_equal(sweep.r, ref.r)
+                assert np.array_equal(sweep.h, ref.h)
+
+    def test_tail_is_graded(self, bound_root):
+        # BOUND's default inward sweep takes at most a third of the uniform
+        # grid's steps, from the match node to exactly r_max, in steps that
+        # start at the base step and never shrink outward, up to the
+        # rounding of the nodes
+        rc = radial_coefficients(BOUND, BOUND_STATE)
+        cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
+        (out, inw), (_, ref) = oracle._sweeps(rc, cfg), uniform_sweeps(rc, cfg)
+        assert inw.steps <= ref.steps / 3
+        assert inw.r[0] == cfg.r_max and inw.r[-1] == out.r[-1]
+        h = (cfg.r_max - cfg.r_min) / cfg.step_count
+        steps = -inw.h[::-1]  # outward from the match node
+        assert steps[0] == pytest.approx(h, rel=1e-9)
+        assert np.all(np.diff(steps) >= -1e-12)
+        # capped at 30 h, give or take the rounding to whole steps
+        assert steps.max() <= 30.0 * h * (1.0 + 1.0 / inw.steps)
+
+
+# sha256 over repr of _shooting_outcomes(bound_root, 20_000), recorded when
+# the inward tail was graded: against the uniform grid before it, mismatches
+# moved by at most 4e-15 and eigenvalues not at all
 _SHOOTING_DIGEST = (
-    "bd9c13bcaea603237d54ca602ab4ee1d79df86bd12702cc92e90ecb9e5c0e0d0")
-# the same outcomes at the default step count, recorded when it became 6000
+    "48dd306d77566cf8bfa2e10801c6634925f4d56f64b89ee2f05c414b3fb64707")
+# the same outcomes at the default step count (6000), recorded then too:
+# mismatches moved by at most 1.0e-14 and eigenvalues by at most 8.9e-16
 _SHOOTING_DIGEST_DEFAULT = (
-    "90673227ae36ff26cd455fb25a6dae601b04d156b39e741a8430a5ad959523ef")
+    "9a6452da130c513b060ff5ce4f865748747b58262cc8901519fad48d36914dcf")
 
 
 def _shooting_outcomes(bound_root, step_count):
