@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -35,7 +34,8 @@ import numpy as np
 
 from .errors import (IntegrationBlowup, NoEigenvalueInBracket, NotBoundRegime,
                      RefinementNotConverged)
-from .params import PhysicalParams, QuantumState, RadialCoefficients, radial_coefficients
+from .params import (PhysicalParams, QuantumState, RadialCoefficients, radial_coefficients,
+                     require_integer)
 from .pekeris import shape_factor
 
 
@@ -50,39 +50,35 @@ DEFAULT_STEP_COUNT = 6_000
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    """Domain truncation and search bracket for the shooting solve."""
+    """Search bracket and RK4 step count of a solve; the well sets its domain."""
 
-    r_min: float
-    r_max: float
-    step_count: int
-    match_radius: float
     energy_bracket: tuple[float, float]
+    step_count: int
 
     def __post_init__(self):
         lo, hi = self.energy_bracket
-        for name, value in (("r_min", self.r_min), ("r_max", self.r_max),
-                            ("match_radius", self.match_radius),
-                            ("energy_bracket", lo), ("energy_bracket", hi)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if not 0.0 < self.r_min < self.match_radius < self.r_max:
-            raise ValueError(
-                f"need 0 < r_min < match_radius < r_max, got "
-                f"({self.r_min}, {self.match_radius}, {self.r_max})"
-            )
-        if not isinstance(self.step_count, numbers.Integral):
-            raise ValueError(f"step_count must be an integer, "
-                             f"got {self.step_count!r}")
-        if self.step_count < DEFAULT_STEP_COUNT:
-            raise ValueError(f"step_count must be >= {DEFAULT_STEP_COUNT}, "
-                             f"got {self.step_count}")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"energy_bracket must be finite, got ({lo}, {hi})")
         if not lo < hi:
             raise ValueError(f"invalid energy bracket ({lo}, {hi})")
+        require_integer("step_count", self.step_count, DEFAULT_STEP_COUNT)
+
+
+def _truncation(p: PhysicalParams) -> tuple[float, float, float]:
+    """The shooting domain of the well, (r_min, r_max, r_match) = (R/100,
+    R + 40 a, R); raises ValueError where floats cannot represent it as
+    0 < r_min < r_match < r_max with r_max finite."""
+    r_min, r_max, r_match = p.R / 100.0, p.R + 40.0 * p.a, p.R
+    if not (0.0 < r_min < r_match < r_max and math.isfinite(r_max)):
+        raise ValueError(f"need 0 < r_min < r_match < r_max < inf, got "
+                         f"({r_min}, {r_match}, {r_max})")
+    return r_min, r_max, r_match
 
 
 def default_config(p: PhysicalParams, energy_bracket: tuple[float, float],
                    step_count: int = DEFAULT_STEP_COUNT) -> ShootingConfig:
-    """Standard truncation for the given potential: [R/100, R + 40 a], match at R.
+    """The config of a solve on the well p over energy_bracket, after
+    checking that the well's truncation (see _truncation) is representable.
 
     step_count sets the base step h = (r_max - r_min) / step_count, which
     the outward sweep takes throughout and the inward one out to where U
@@ -93,13 +89,8 @@ def default_config(p: PhysicalParams, energy_bracket: tuple[float, float],
     discretization error is at most about 1e-10; a larger step_count gives
     less (20000 steps give about 1e-13).
     """
-    return ShootingConfig(
-        r_min=p.R / 100.0,
-        r_max=p.R + 40.0 * p.a,
-        step_count=step_count,
-        match_radius=p.R,
-        energy_bracket=energy_bracket,
-    )
+    _truncation(p)
+    return ShootingConfig(energy_bracket=energy_bracket, step_count=step_count)
 
 
 # Grid points per kernel pass of find_eigenvalues' scan: 16, or fewer where
@@ -120,10 +111,10 @@ _SCAN_BLOCK = 16
 _BLOCK_MATRICES = 120_000
 
 
-# A sweep's E-independent grid: its nodes r (steps + 1 of them, descending
+# A sweep's E-independent grid: its nodes r (len(h) + 1 of them, descending
 # for the inward sweep), its steps h = r[j+1] - r[j], and the shape f and
-# q = c2 f^2 at its nodes and midpoints, interleaved (2 steps + 1 values)
-_Sweep = namedtuple("_Sweep", "r h steps f q")
+# q = c2 f^2 at its nodes and midpoints, interleaved (2 len(h) + 1 values)
+_Sweep = namedtuple("_Sweep", "r h f q")
 
 
 def _sweep(rc: RadialCoefficients, r: np.ndarray) -> _Sweep:
@@ -131,7 +122,7 @@ def _sweep(rc: RadialCoefficients, r: np.ndarray) -> _Sweep:
     half = np.empty(2 * len(h) + 1)
     half[0::2], half[1::2] = r, r[:-1] + h / 2.0
     f = shape_factor(half, rc.p.R, rc.p.a)
-    return _Sweep(r, h, len(h), f, rc.c2 * f * f)
+    return _Sweep(r, h, f, rc.c2 * f * f)
 
 
 # The inward sweep's grading.  Past the match node, once U(r; E) is close to
@@ -157,17 +148,15 @@ _TAIL_GROWTH = 0.4
 _TAIL_CAP = 30.0
 
 
-def _graded_tail(rc: RadialCoefficients, bracket, r_match: float,
-                 r_max: float, h: float) -> np.ndarray:
+def _graded_tail(rc: RadialCoefficients, bracket, c0_min: float,
+                 r_match: float, r_max: float, h: float) -> np.ndarray:
     """Ascending nodes from r_match to exactly r_max of the tail graded for
-    the energies of the bracket, where c0 > 0: nodes at about unit steps of
-    xi(x) = int_0^x dx' / s(x'), the number of steps s(x) that reach the
-    distance x past r_match, inverted in closed form over its three pieces
-    (uniform, geometric, capped)."""
+    the energies of the bracket, whose least c0 is c0_min > 0: nodes at
+    about unit steps of xi(x) = int_0^x dx' / s(x'), the number of steps
+    s(x) that reach the distance x past r_match, inverted in closed form
+    over its three pieces (uniform, geometric, capped)."""
     lo, hi = bracket
-    # c0 is a downward parabola in E, least at an end and largest at E = 0;
-    # c1 is linear in E
-    c0_min = min(rc.c0(lo), rc.c0(hi))
+    # c0 is a downward parabola in E, largest at E = 0; c1 is linear in E
     kappa_max = math.sqrt(rc.c0(min(max(0.0, lo), hi)))
     c1 = max(abs(rc.frak_u(E) - rc.c2) for E in (lo, hi))
     # the shape f_g <= 1/2 at which |c1| f + |c2| f^2 = _TAIL_ASYMPTOTE c0_min
@@ -198,7 +187,8 @@ def _graded_tail(rc: RadialCoefficients, bracket, r_match: float,
 
 def _sweeps(rc: RadialCoefficients, cfg: ShootingConfig):
     """The outward sweep from r_min and the inward one from r_max, meeting at
-    the node nearest the match radius.
+    the node nearest r_match, on the truncation of the well rc was built for
+    (see _truncation).
 
     The outward grid is the uniform one of step_count steps of h = (r_max -
     r_min) / step_count, up to that node.  The inward grid keeps h out to
@@ -207,13 +197,15 @@ def _sweeps(rc: RadialCoefficients, cfg: ShootingConfig):
     r_max; where the bracket reaches c0 <= 0 it is the rest of the uniform
     grid.
     """
-    uniform = np.linspace(cfg.r_min, cfg.r_max, cfg.step_count + 1)
-    h = (cfg.r_max - cfg.r_min) / cfg.step_count
-    i_match = int(round((cfg.match_radius - cfg.r_min) / h))
+    r_min, r_max, r_match = _truncation(rc.p)
+    uniform = np.linspace(r_min, r_max, cfg.step_count + 1)
+    h = (r_max - r_min) / cfg.step_count
+    i_match = int(round((r_match - r_min) / h))
     i_match = min(max(i_match, 1), cfg.step_count - 1)
     inward = uniform[i_match:]
-    if min(map(rc.c0, cfg.energy_bracket)) > 0.0:  # c0 is least at an end
-        inward = _graded_tail(rc, cfg.energy_bracket, inward[0], cfg.r_max, h)
+    c0_min = min(map(rc.c0, cfg.energy_bracket))  # c0 is least at an end
+    if c0_min > 0.0:
+        inward = _graded_tail(rc, cfg.energy_bracket, c0_min, inward[0], r_max, h)
     return _sweep(rc, uniform[:i_match + 1]), _sweep(rc, inward[::-1])
 
 
@@ -484,10 +476,8 @@ def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
     discretization error of that root, about C h^4, is set by
     `cfg.step_count` alone (at most about 1e-10 at DEFAULT_STEP_COUNT).
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if scan_points < 2:
-        raise ValueError(f"scan_points must be >= 2, got {scan_points}")
+    require_integer("count", count, 1)
+    require_integer("scan_points", scan_points, 2)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     rc = radial_coefficients(p, state)
@@ -521,12 +511,12 @@ def shoot_eigenfunction(E: float, cfg: ShootingConfig, p: PhysicalParams,
                         state: QuantumState):
     """Stitched, L2-normalized eigenfunction at energy E on the shooting grid.
 
-    Returns (r, F) arrays on the sweeps' nodes: r rises strictly from r_min
-    to r_max, in steps of the base step h out to where U nears its asymptote
-    past the match radius and growing beyond where the bracket is bound (see
-    _sweeps); the inward branch is rescaled for amplitude
-    continuity at the match radius.  Intended for overlap diagnostics at a
-    converged eigenvalue.
+    Returns (r, F) arrays on the sweeps' nodes: r rises strictly from r_min =
+    R/100 to r_max = R + 40 a (see _truncation), in steps of the base step h
+    out to where U nears its asymptote past the match radius R and growing
+    beyond where the bracket is bound (see _sweeps); the inward branch is
+    rescaled for amplitude continuity at the match radius.  Intended for
+    overlap diagnostics at a converged eigenvalue.
     """
     rc = radial_coefficients(p, state)
     sweeps = _sweeps(rc, cfg)

@@ -6,6 +6,7 @@ the deformation parameter alpha_prime in fm^2.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -58,6 +59,15 @@ class PhysicalParams:
             )
 
 
+def require_integer(name: str, value, least: int) -> int:
+    """value as an int; a ValueError naming it unless an Integral >= least."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class QuantumState:
     """Discrete labels: principal n, azimuthal ell, spatial dimension D."""
@@ -65,14 +75,12 @@ class QuantumState:
     n: int
     ell: int
     D: int
+    LEAST = {"n": 0, "ell": 0, "D": 1}  # each label's least value (not a field)
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"n must be non-negative, got {self.n}")
-        if self.ell < 0:
-            raise ValueError(f"ell must be non-negative, got {self.ell}")
-        if self.D < 1:
-            raise ValueError(f"D must be a positive integer, got {self.D}")
+    def __post_init__(self):  # stored as ints: a numpy uint8 label wraps in gamma
+        for name, least in self.LEAST.items():
+            value = require_integer(name, getattr(self, name), least)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

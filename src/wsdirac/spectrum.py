@@ -21,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoRealRoot, WsdiracError
-from .params import PhysicalParams, QuantumState, SurfaceRegimeWarning, radial_coefficients
+from .params import (PhysicalParams, QuantumState, SurfaceRegimeWarning,
+                     radial_coefficients, require_integer)
 from .susyqm import checked_ladder, raise_ladder_error, shifted_A
 
 # the bracketing route's scan: points, margin beyond +-M (fm^-1), relative
@@ -222,11 +223,12 @@ def sweep(
     for name, grid in zip(("alpha_prime", "D", "ell", "n"), grids):
         if not grid:
             raise ValueError(f"sweep grid '{name}' must be non-empty")
+        for label in grid if name in QuantumState.LEAST else ():
+            require_integer(name, label, QuantumState.LEAST[name])
     with warnings.catch_warnings():  # building p gave any SurfaceRegimeWarning
         warnings.simplefilter("ignore", SurfaceRegimeWarning)
         # p at each alpha_prime: ValueError outside [0, 1]
         at_alpha = {a: replace(p, alpha_prime=a) for a in alpha_primes}
-    QuantumState(n=min(ns), ell=min(ells), D=min(dims))  # and on a negative label
     # an open mesh, grid k along axis k, of float64 labels (exact for integers,
     # lighter than int64); the cells stand in for both params and state
     alpha, D, ell, n = np.ix_(*(np.asarray(g, dtype=float) for g in grids))

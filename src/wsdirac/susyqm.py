@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSuperpotential, LadderSingular
-from .params import DerivedCoefficients, PhysicalParams, RadialCoefficients
+from .params import (DerivedCoefficients, PhysicalParams, RadialCoefficients,
+                     require_integer)
 from .pekeris import PekerisCoefficients, shape_factor
 
 # relative threshold below which B (or a shifted B_n) counts as vanishing
@@ -131,8 +132,7 @@ def shifted_A(frak_u: float, B_n: float) -> float:
 
 def remainder(sp: SusyParameters, i: int, a: float) -> float:
     """r-independent remainder of ladder step i >= 1 (fm^-2)."""
-    if i < 1:
-        raise ValueError(f"ladder step i must be >= 1, got {i}")
+    require_integer("ladder step i", i, 1)
     b_i = ladder(sp.B, i, a)
     b_prev = ladder(sp.B, i - 1, a)
     scale = max(abs(sp.B), 1.0 / a)

@@ -16,7 +16,6 @@ import pytest
 
 from wsdirac import (
     DegenerateSuperpotential,
-    NoEigenvalueInBracket,
     QuantumState,
     default_config,
     derive_coefficients,
@@ -33,7 +32,7 @@ from wsdirac import (
     solve_susy_parameters,
 )
 from wsdirac.checks import (BRACKETING, ELIMINATION, GROUND_STATE, MATCHING,
-                            TAYLOR_MATCH, shooting_agrees)
+                            SHOOTING, TAYLOR_MATCH, shooting_agrees)
 from wsdirac.susyqm import SusyParameters
 from wsdirac.wavefunction import ode_residual, second_derivative
 
@@ -192,9 +191,10 @@ def test_07_ground_state_route_agreement():
 def test_08_shooting_cross_validation():
     """The shooting oracle and the closed form must agree on every cell.
 
-    By the shooting check's rule, a root flagged normalizable (A_n < 0 <
-    A_n + B_n, a bound state) must have a shooting eigenvalue within its
-    bound; a root not so flagged must have none in its bracket.  The
+    Each cell runs the shooting check of wsdirac.checks, the one `wsdirac
+    verify --with-oracle` runs.  By its rule, a root flagged normalizable
+    (A_n < 0 < A_n + B_n, a bound state) must have a shooting eigenvalue
+    within its bound; a root not so flagged must have none in its bracket.  The
     reference well (V0 = -10) has no decaying solution on its cells: its
     roots grow like exp(A r) with A > 0.  The attractive well of BOUND
     (V0 = +10) holds one genuine bound state and one root that falls
@@ -218,16 +218,9 @@ def test_08_shooting_cross_validation():
     worst = 0.0
     for p, state in cells:
         result = solve_energy(p, state)
-        e_star = result.e_upper
-        cfg = default_config(p, (e_star - 0.5, e_star + 0.5))
+        gap = SHOOTING.metric(p, state, result)
         label = (f"V0={p.V0:g},a'={p.alpha_prime},ell={state.ell},"
                  f"D={state.D}")
-        try:
-            eigs = find_eigenvalues(cfg, p, state, count=1,
-                                    scan_points=150, tol=1e-6)
-            gap = abs(eigs[0] - e_star)
-        except NoEigenvalueInBracket:
-            gap = math.inf
         if not shooting_agrees(result.normalizable, state.n, gap):
             failures.append(f"{label}: normalizable={result.normalizable}, "
                             f"gap={gap:.1e}")

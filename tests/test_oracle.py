@@ -16,6 +16,7 @@ from wsdirac import oracle
 from wsdirac import (
     NoEigenvalueInBracket,
     NotBoundRegime,
+    PhysicalParams,
     RadialCoefficients,
     RefinementNotConverged,
     ShootingConfig,
@@ -85,37 +86,25 @@ def stepwise_trajectory(rc, E, sweep, slope0):
 
 class TestShootingConfig:
     def test_default_geometry(self):
+        # the config holds the caller's two values; the domain is the well's
         cfg = default_config(BOUND, (6.0, 8.0))
-        assert cfg.r_min == pytest.approx(BOUND.R / 100.0)
-        assert cfg.r_max == pytest.approx(BOUND.R + 40.0 * BOUND.a)
-        assert cfg.match_radius == BOUND.R
+        assert cfg == ShootingConfig(energy_bracket=(6.0, 8.0),
+                                     step_count=oracle.DEFAULT_STEP_COUNT)
+        r_min, r_max, r_match = oracle._truncation(BOUND)
+        assert r_min == pytest.approx(BOUND.R / 100.0)
+        assert r_max == pytest.approx(BOUND.R + 40.0 * BOUND.a)
+        assert r_match == BOUND.R
 
     @pytest.mark.parametrize("kwargs", [
-        dict(r_min=0.0, r_max=20.0, step_count=20000, match_radius=7.0,
+        dict(step_count=100, energy_bracket=(6.0, 8.0)),
+        dict(step_count=20000, energy_bracket=(8.0, 6.0)),
+        dict(step_count=oracle.DEFAULT_STEP_COUNT - 1,
              energy_bracket=(6.0, 8.0)),
-        dict(r_min=8.0, r_max=20.0, step_count=20000, match_radius=7.0,
-             energy_bracket=(6.0, 8.0)),
-        dict(r_min=0.1, r_max=20.0, step_count=100, match_radius=7.0,
-             energy_bracket=(6.0, 8.0)),
-        dict(r_min=0.1, r_max=20.0, step_count=20000, match_radius=7.0,
-             energy_bracket=(8.0, 6.0)),
-        dict(r_min=0.1, r_max=20.0, step_count=oracle.DEFAULT_STEP_COUNT - 1,
-             match_radius=7.0, energy_bracket=(6.0, 8.0)),
-        # non-finite geometry and a non-integral step count, each named
-        dict(r_min=math.nan, r_max=20.0, step_count=20000, match_radius=7.0,
-             energy_bracket=(6.0, 8.0)),
-        dict(r_min=0.1, r_max=math.inf, step_count=20000, match_radius=7.0,
-             energy_bracket=(6.0, 8.0)),
-        dict(r_min=0.1, r_max=20.0, step_count=20000, match_radius=math.nan,
-             energy_bracket=(6.0, 8.0)),
-        dict(r_min=0.1, r_max=20.0, step_count=20000, match_radius=7.0,
-             energy_bracket=(-math.inf, 8.0)),
-        dict(r_min=0.1, r_max=20.0, step_count=20000, match_radius=7.0,
-             energy_bracket=(6.0, math.inf)),
-        dict(r_min=0.1, r_max=20.0, step_count=20000, match_radius=7.0,
-             energy_bracket=(math.nan, 8.0)),
-        dict(r_min=0.1, r_max=20.0, step_count=6000.5, match_radius=7.0,
-             energy_bracket=(6.0, 8.0)),
+        # a non-finite bracket and a non-integral step count, each named
+        dict(step_count=20000, energy_bracket=(-math.inf, 8.0)),
+        dict(step_count=20000, energy_bracket=(6.0, math.inf)),
+        dict(step_count=20000, energy_bracket=(math.nan, 8.0)),
+        dict(step_count=6000.5, energy_bracket=(6.0, 8.0)),
     ])
     def test_rejects_bad_geometry(self, kwargs):
         with pytest.raises(ValueError) as exc:
@@ -134,9 +123,35 @@ class TestShootingConfig:
             ShootingConfig(**{**kwargs, "step_count": floor})
 
     def test_accepts_numpy_integer_step_count(self):
-        cfg = ShootingConfig(r_min=0.1, r_max=20.0, step_count=np.int64(7000),
-                             match_radius=7.0, energy_bracket=(6.0, 8.0))
+        cfg = ShootingConfig(energy_bracket=(6.0, 8.0),
+                             step_count=np.int64(7000))
         assert cfg.step_count == 7000
+
+    @pytest.mark.parametrize("a", [1e307, 1e-300])
+    def test_rejects_unrepresentable_domain(self, a, monkeypatch):
+        # R + 40 a overflows to inf, or rounds to R itself: default_config
+        # rejects the well before any solve
+        p = PhysicalParams(M=10.0, a=a, R=1e308, V0=10.0, E0=10.0,
+                           alpha_prime=0.0)
+
+        def no_solve(*args):
+            raise AssertionError("solved before checking the domain")
+
+        monkeypatch.setattr(oracle, "radial_coefficients", no_solve)
+        with pytest.raises(ValueError, match="r_max"):
+            default_config(p, (6.0, 8.0))
+
+    def test_grid_follows_the_well(self, bound_root):
+        # a config carries no domain: solved on another well, the sweeps
+        # span that well's truncation
+        cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
+        wide = replace(BOUND, R=2.0 * BOUND.R)
+        rc = radial_coefficients(wide, BOUND_STATE)
+        out, inw = oracle._sweeps(rc, cfg)
+        r_min, r_max, r_match = oracle._truncation(wide)
+        assert out.r[0] == r_min and inw.r[0] == r_max
+        h = (r_max - r_min) / cfg.step_count
+        assert abs(out.r[-1] - r_match) <= h / 2.0
 
 
 class TestMismatch:
@@ -188,7 +203,7 @@ class TestMismatches:
         sweep = oracle._sweeps(rc, cfg)[0 if outward else 1]
         Es = [bound_root - 0.05, bound_root, bound_root + 0.3]
         T = oracle._transfer_entries(rc, np.array(Es), sweep)
-        assert T.shape == (2, 2, len(Es), sweep.steps)
+        assert T.shape == (2, 2, len(Es), len(sweep.h))
         for i, E in enumerate(Es):
             single = oracle._transfer_entries(rc, E, sweep)
             assert T[:, :, i].tobytes() == single.tobytes()
@@ -304,8 +319,9 @@ class TestFindEigenvalues:
             raise AssertionError("solved before checking its arguments")
 
         monkeypatch.setattr(oracle, "radial_coefficients", no_solve)
-        for kwargs in (dict(count=0), dict(count=-1), dict(scan_points=1),
-                       dict(scan_points=0), dict(scan_points=-1),
+        for kwargs in (dict(count=0), dict(count=-1), dict(count=1.5),
+                       dict(scan_points=1), dict(scan_points=0),
+                       dict(scan_points=-1), dict(scan_points=25.5),
                        dict(tol=0.0), dict(tol=-1e-9), dict(tol=math.nan),
                        dict(tol=math.inf)):
             with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -442,7 +458,7 @@ class TestTransferEntries:
         cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
         rc = radial_coefficients(BOUND, BOUND_STATE)
         sweep = oracle._sweeps(rc, cfg)[0 if outward else 1]
-        steps = sweep.steps
+        steps = len(sweep.h)
         T = rk4_stage_matrices(rc, E, sweep.r)
         entries = oracle._transfer_entries(rc, E, sweep)
         assert entries.shape == (2, 2, steps)
@@ -458,7 +474,8 @@ class TestEigenfunction:
                                scan_points=25, tol=1e-11)[0]
         r, F = shoot_eigenfunction(eig, cfg, BOUND, BOUND_STATE)
         assert r.shape == F.shape
-        assert r[0] == cfg.r_min and r[-1] == cfg.r_max
+        r_min, r_max, _ = oracle._truncation(BOUND)
+        assert r[0] == r_min and r[-1] == r_max
         assert np.all(np.diff(r) > 0.0)
         assert np.trapezoid(F * F, r) == pytest.approx(1.0, rel=1e-10)
         assert abs(F[0]) < 1e-4 and abs(F[-1]) < 1e-4
@@ -514,8 +531,9 @@ class TestScanTrajectory:
     def test_tree_scan_edge_counts(self, lowest_states, steps, outward):
         cfg, eigs = lowest_states
         rc = radial_coefficients(BOUND, BOUND_STATE)
-        nodes = np.linspace(cfg.r_min, cfg.r_max, steps + 1)  # the whole
-        # domain, to see nodes
+        r_min, r_max, _ = oracle._truncation(BOUND)
+        nodes = np.linspace(r_min, r_max, steps + 1)  # the whole domain,
+        # to see nodes
         sweep = oracle._sweep(rc, nodes if outward else nodes[::-1])
         slopes = oracle._slopes(rc, eigs[3], (sweep, sweep))
         args = (rc, eigs[3], sweep, slopes[0 if outward else 1])
@@ -564,10 +582,12 @@ class TestDefaultStepCount:
 
 
 def uniform_sweeps(rc, cfg):
-    """Both sweeps on the uniform grid of cfg.step_count steps, split at the
-    node nearest the match radius: the reference for the graded tail."""
-    nodes = np.linspace(cfg.r_min, cfg.r_max, cfg.step_count + 1)
-    i = int(np.argmin(np.abs(nodes - cfg.match_radius)))
+    """Both sweeps on the uniform grid of cfg.step_count steps over the
+    well's truncation, split at the node nearest the match radius: the
+    reference for the graded tail."""
+    r_min, r_max, r_match = oracle._truncation(rc.p)
+    nodes = np.linspace(r_min, r_max, cfg.step_count + 1)
+    i = int(np.argmin(np.abs(nodes - r_match)))
     return oracle._sweep(rc, nodes[:i + 1]), oracle._sweep(rc, nodes[i:][::-1])
 
 
@@ -606,8 +626,8 @@ class TestGradedTail:
         graded = oracle._mismatches(grid, rc, oracle._sweeps(rc, cfg))
         uniform = oracle._mismatches(grid, rc, uniform_sweeps(rc, cfg))
         assert np.max(np.abs(graded - uniform)) <= 1e-12
-        assert oracle._sweeps(rc, cfg)[1].steps <= uniform_sweeps(
-            rc, cfg)[1].steps / 3
+        assert len(oracle._sweeps(rc, cfg)[1].h) <= len(uniform_sweeps(
+            rc, cfg)[1].h) / 3
 
     def test_continuum_bracket_is_uniform(self, bound_root):
         # a bracket whose top reaches c0 <= 0 allows tails that do not
@@ -629,14 +649,15 @@ class TestGradedTail:
         rc = radial_coefficients(BOUND, BOUND_STATE)
         cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
         (out, inw), (_, ref) = oracle._sweeps(rc, cfg), uniform_sweeps(rc, cfg)
-        assert inw.steps <= ref.steps / 3
-        assert inw.r[0] == cfg.r_max and inw.r[-1] == out.r[-1]
-        h = (cfg.r_max - cfg.r_min) / cfg.step_count
+        assert len(inw.h) <= len(ref.h) / 3
+        r_min, r_max, _ = oracle._truncation(BOUND)
+        assert inw.r[0] == r_max and inw.r[-1] == out.r[-1]
+        h = (r_max - r_min) / cfg.step_count
         steps = -inw.h[::-1]  # outward from the match node
         assert steps[0] == pytest.approx(h, rel=1e-9)
         assert np.all(np.diff(steps) >= -1e-12)
         # capped at 30 h, give or take the rounding to whole steps
-        assert steps.max() <= 30.0 * h * (1.0 + 1.0 / inw.steps)
+        assert steps.max() <= 30.0 * h * (1.0 + 1.0 / len(inw.h))
 
 
 # sha256 over repr of _shooting_outcomes(bound_root, 20_000), recorded when

@@ -67,6 +67,23 @@ class TestQuantumState:
     def test_accepts_boundary(self):
         QuantumState(n=0, ell=0, D=1)
 
+    @pytest.mark.parametrize("label,value", [
+        ("n", 0.5), ("ell", 20.5), ("D", 2.5), ("D", float("nan")),
+    ])
+    def test_rejects_non_integer_label(self, label, value):
+        # a fractional label names no state, though the closed form would
+        # solve it (n = 0.5 on the attractive well to a root flagged bound)
+        labels = {"n": 0, "ell": 20, "D": 3, label: value}
+        with pytest.raises(ValueError, match=f"^{label} must be an integer"):
+            QuantumState(**labels)
+
+    def test_accepts_numpy_integers(self):
+        # stored as ints, so a narrow type cannot wrap in gamma's products
+        state = QuantumState(n=np.int64(1), ell=np.uint8(20), D=np.uint8(1))
+        assert state == QuantumState(n=1, ell=20, D=1)
+        assert all(type(v) is int for v in (state.n, state.ell, state.D))
+        assert gamma(state) == gamma(QuantumState(1, 20, 1))
+
 
 class TestGamma:
     def test_three_dimensional_reduces_to_ell_ell_plus_one(self):

@@ -217,6 +217,16 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(reference_params(0.0), [], [3], [20], [0])
 
+    @pytest.mark.parametrize("dims, ells, ns, label", [
+        ([3], [20], [0, 0.5], "n"),  # not only the least label is checked
+        ([3], [20.5, 21], [0], "ell"),
+        ([3, float("nan")], [20], [0], "D"),
+        ([3], [20, -1], [0], "ell"),
+    ])
+    def test_rejects_non_integer_label(self, dims, ells, ns, label):
+        with pytest.raises(ValueError, match=f"^{label} must be"):
+            sweep(reference_params(0.0), [0.0], dims, ells, ns)
+
     def test_re_solves_only_the_typed_error_cells(self, monkeypatch):
         # the broadcast pass gives every outcome; solve_energy runs only to
         # name the typed error of a B = 0 or B_n = 0 cell

@@ -140,9 +140,11 @@ class TestLadder:
         assert shifted_A(sp.frak_u, sp.B) == pytest.approx(sp.A, rel=1e-15)
 
     def test_remainder_rejects_step_zero(self):
+        # and a step that is not an integer
         sp = SusyParameters(A=1.0, B=3.0, frak_u=2.0)
-        with pytest.raises(ValueError):
-            remainder(sp, 0, 0.5)
+        for i in (0, 1.5):
+            with pytest.raises(ValueError, match="^ladder step i must be"):
+                remainder(sp, i, 0.5)
 
     def test_remainder_singular_ladder_step(self):
         # B = 1/a makes B_1 vanish exactly
