@@ -14,8 +14,14 @@ A sweep's end state is their ordered product, the root of a pairwise tree
 (the up-sweep) renormalized per level by positive factors, which keep its
 direction, sign included: the mismatch is bounded, has no poles and changes
 sign only at eigenvalues.  One kernel, _mismatches, takes a block of
-energies through one up-sweep per direction, the energy axis before the
-step axis, so the tree's fixed cost per level is paid once per block.  The
+energies through one fused pass, the energy axis before the step axis, so
+the tree's fixed cost per level is paid once per block and once for both
+directions: the two sweeps' steps are laid end to end, each padded with
+steps of h = 0 (the identity) to whole rows of _ROW steps, so one tree
+reduces every row and, once the rows are gathered by direction, finishes
+both directions' products, with the bits of one up-sweep per direction.  A
+pass makes one allocation, a workspace of 8 doubles per step and energy,
+whose halves take the transfer matrices and the tree's levels in turn.  The
 scan grid goes through it a block at a time, and its sign changes are
 refined together by a port of scipy's brentq, run as generators in lockstep
 so that one pass serves every root's next step; the oracle imports no scipy.
@@ -96,16 +102,19 @@ def default_config(p: PhysicalParams, energy_bracket: tuple[float, float],
 # Grid points per kernel pass of find_eigenvalues' scan: 16, or fewer where
 # the block's k x step_count transfer matrices would pass _BLOCK_MATRICES.  A
 # pass has a fixed cost per tree level, which a block shares, and a cost per
-# matrix, which it does not once its arrays outgrow the cache.  One energy's
-# share of a pass near the ground state of the attractive well (V0 = 10,
-# alpha' = 0.0015, ell = 20, D = 3), in ms (best of 9 rounds of 64 energies,
-# of 3 at 80000 steps; a 2-core Xeon with 2 MiB of L2 per core):
+# matrix, which it does not once its arrays outgrow the cache; a pass builds
+# len(fused.h) matrices per energy, both directions and their pads (2304 on
+# the attractive well at 6000 steps).  One energy's share of a pass near the
+# ground state of the attractive well (V0 = 10, alpha' = 0.0015, ell = 20,
+# D = 3), in ms (best of 2 x 9 rounds of 64 energies, of 2 x 3 at 80000
+# steps; a 2-core Xeon with 2 MiB of L2 per core):
 #   steps    k = 1    4     8     16    32    64
-#    6000     0.90  0.46  0.36  0.35  0.38  0.45
-#   10000     1.10  0.65  0.60  0.62  0.70  0.81
-#   20000     1.38  0.88  1.00  1.12  1.22  1.41
-#   80000     3.61  4.02  4.47  5.94  7.18  9.49
-# The rule picks 16, 12, 6 and 1 of these.  The cap of 16 also bounds the
+#    6000     0.39  0.19  0.14  0.12  0.11  0.12
+#   10000     0.60  0.28  0.20  0.17  0.17  0.18
+#   20000     0.58  0.32  0.26  0.29  0.32  0.38
+#   80000     1.69  1.43  1.43  1.66  2.05  2.26
+# The rule picks 16, 12, 6 and 1 of these; at 80000 steps a block of 4 to 8
+# is about 15% cheaper per energy than 1.  The cap of 16 also bounds the
 # points a pass scans past the stop.
 _SCAN_BLOCK = 16
 _BLOCK_MATRICES = 120_000
@@ -116,6 +125,20 @@ _BLOCK_MATRICES = 120_000
 # q = c2 f^2 at its nodes and midpoints, interleaved (2 len(h) + 1 values)
 _Sweep = namedtuple("_Sweep", "r h f q")
 
+# The two sweeps of a solve, outward and inward, and their fused sequence:
+# the outward steps, then the inward ones, each direction padded with steps
+# of h = 0 to a whole number of rows of _ROW steps; its h, f and q are laid
+# out as a _Sweep's, and rows holds each direction's number of rows
+_Sweeps = namedtuple("_Sweeps", "out inw fused")
+_Fused = namedtuple("_Fused", "h f q rows")
+
+# Steps per row of the fused sequence, a power of two.  A step of h = 0 is
+# the identity to the bit where U is finite, and a product with it leaves
+# the other factor's bits, so padding a direction to whole rows changes no
+# product of its pairwise tree; no row straddles the two directions, so a
+# pass takes both through the tree's first log2(_ROW) levels at once
+_ROW = 128
+
 
 def _sweep(rc: RadialCoefficients, r: np.ndarray) -> _Sweep:
     h = np.diff(r)
@@ -123,6 +146,25 @@ def _sweep(rc: RadialCoefficients, r: np.ndarray) -> _Sweep:
     half[0::2], half[1::2] = r, r[:-1] + h / 2.0
     f = shape_factor(half, rc.p.R, rc.p.a)
     return _Sweep(r, h, f, rc.c2 * f * f)
+
+
+def _sweep_pair(out: _Sweep, inw: _Sweep) -> _Sweeps:
+    """The two sweeps with their fused sequence.  Each pad's node and
+    midpoint copy the shape at its direction's last node, so U is finite
+    there.  The outward direction gets at least one pad: its last step joins
+    the outward end to the inward start."""
+    rows = (len(out.h) // _ROW + 1, -(-len(inw.h) // _ROW))
+    bounds = (0, _ROW * rows[0], _ROW * sum(rows))  # each direction's steps
+    h = np.zeros(bounds[-1])
+    f, q = np.empty(2 * bounds[-1] + 1), np.empty(2 * bounds[-1] + 1)
+    for sweep, start, end in zip((out, inw), bounds, bounds[1:]):
+        n = len(sweep.h)
+        h[start:start + n] = sweep.h
+        for dst, src in ((f, sweep.f), (q, sweep.q)):
+            # through node `end`, which the inward sweep's start then takes
+            dst[2 * start:2 * end + 1] = src[-1]
+            dst[2 * start:2 * (start + n) + 1] = src
+    return _Sweeps(out, inw, _Fused(h, f, q, rows))
 
 
 # The inward sweep's grading.  Past the match node, once U(r; E) is close to
@@ -206,7 +248,8 @@ def _sweeps(rc: RadialCoefficients, cfg: ShootingConfig):
     c0_min = min(map(rc.c0, cfg.energy_bracket))  # c0 is least at an end
     if c0_min > 0.0:
         inward = _graded_tail(rc, cfg.energy_bracket, c0_min, inward[0], r_max, h)
-    return _sweep(rc, uniform[:i_match + 1]), _sweep(rc, inward[::-1])
+    return _sweep_pair(_sweep(rc, uniform[:i_match + 1]),
+                       _sweep(rc, inward[::-1]))
 
 
 def _slopes(rc: RadialCoefficients, E: float, sweeps) -> tuple[float, float]:
@@ -221,9 +264,21 @@ def _slopes(rc: RadialCoefficients, E: float, sweeps) -> tuple[float, float]:
     return math.sqrt(max(float(u_min), 0.0)), -math.sqrt(c0)
 
 
-def _transfer_entries(rc: RadialCoefficients, E, sweep) -> np.ndarray:
+def _views(buf: np.ndarray, *shapes):
+    """Consecutive views of the flat array buf, one of each shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buf[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
+def _transfer_entries(rc: RadialCoefficients, E, sweep, T=None, work=None):
     """Closed-form RK4 transfer matrices for y = (F, F'), shape (2, 2, steps)
-    at a scalar E and (2, 2, k, steps) at the k energies of a 1-d E.
+    at a scalar E and (2, 2, k, steps) at the k energies of a 1-d E; written
+    to T if given, with the flat array work, if given, as scratch for U (3
+    steps + 1 doubles per energy).
 
     [..., j] maps y(r[j]) to y(r[j+1]), over the step h = sweep.h[j].  With
     A = [[0, 1], [u, 0]] each RK4 stage is a polynomial in h and the values
@@ -237,15 +292,24 @@ def _transfer_entries(rc: RadialCoefficients, E, sweep) -> np.ndarray:
     """
     E = np.asarray(E, dtype=float)[..., None]
     c0, c1 = rc.c0(E), rc.frak_u(E) - rc.c2
+    lead, steps = E.shape[:-1], len(sweep.h)
+    if T is None:
+        T = np.empty((2, 2) + lead + (steps,))
+    if work is None:
+        work = np.empty(math.prod(lead) * (3 * steps + 1))
     # U at the steps' ends and at their midpoints, each array contiguous
-    ends, u2 = (c0 + c1 * sweep.f[i::2] + sweep.q[i::2] for i in (0, 1))
+    ends, u2, w = _views(work, lead + (steps + 1,), lead + (steps,),
+                         lead + (steps,))
+    for u, i in ((ends, 0), (u2, 1)):
+        np.multiply(c1, sweep.f[i::2], out=u)
+        u += c0
+        u += sweep.q[i::2]
     u1, u3 = ends[..., :-1], ends[..., 1:]
     h = sweep.h  # one per step, broadcast over the energy axis
     h2, h3 = h * h, h * h * h
     h2_6, h4_24 = h2 / 6.0, h2 * h2 / 24.0
-    T = np.empty((2, 2) + u2.shape)
     t00, t01, t10, t11 = T[0, 0], T[0, 1], T[1, 0], T[1, 1]
-    w = np.add(u1, u3)
+    np.add(u1, u3, out=w)
     w *= np.multiply(u2, h3 / 12.0, out=t01)  # t01 as scratch
     np.multiply(u2, 4.0, out=t10)
     t10 += u1
@@ -266,16 +330,20 @@ def _transfer_entries(rc: RadialCoefficients, E, sweep) -> np.ndarray:
     return T
 
 
-def _compose(b: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The 2x2 products b @ a along the last axis, written to out."""
+def _compose(b: np.ndarray, a: np.ndarray, out: np.ndarray,
+             tmp: np.ndarray | None = None) -> np.ndarray:
+    """The 2x2 products b @ a along the last axis, written to out, with tmp,
+    if given, as scratch of out's shape."""
     np.multiply(b[:, :1], a[:1], out=out)
-    out += b[:, 1:] * a[1:]
+    out += np.multiply(b[:, 1:], a[1:], out=tmp)
     return out
 
 
-def _renormalize(M: np.ndarray) -> np.ndarray:
-    """Divide each matrix of M in place by its max-abs entry; the factors."""
-    scale = np.abs(M).max(axis=(0, 1))
+def _renormalize(M: np.ndarray, tmp=None, scale=None) -> np.ndarray:
+    """Divide each matrix of M in place by its max-abs entry and return the
+    factors; tmp (of M's shape) and scale, if given, receive |M| and the
+    factors."""
+    scale = np.maximum.reduce(np.abs(M, out=tmp), axis=(0, 1), out=scale)
     if not np.isfinite(scale).all():
         raise IntegrationBlowup("transfer-matrix product overflowed")
     np.maximum(scale, 1e-300, out=scale)
@@ -283,19 +351,30 @@ def _renormalize(M: np.ndarray) -> np.ndarray:
     return scale
 
 
+def _level(M: np.ndarray, out: np.ndarray, tmp=None, scale=None):
+    """One level of the pairwise tree along M's last axis, written to out:
+    the products M[..., 2i+1] @ M[..., 2i], an odd last matrix carried alone,
+    each renormalized; returns their factors.  tmp, scratch of out's shape,
+    and scale, for the factors, are as in _renormalize; scale may overlay M,
+    which is dead once the products are made."""
+    half = M.shape[-1] // 2
+    _compose(M[..., 1:2 * half:2], M[..., 0:2 * half:2], out[..., :half],
+             None if tmp is None else tmp[..., :half])
+    out[..., half:] = M[..., 2 * half:]
+    return _renormalize(out, tmp, scale)
+
+
 def _up_sweep(T: np.ndarray):
     """Levels of the pairwise tree over T's matrices, along its last axis, and
     their factors: level k + 1 holds the renormalized products of level k's
     pairs (an odd last matrix carried alone), up to T[-1] @ ... @ T[0] at the
-    top.  Leading axes after the first two (a block of energies) ride along."""
+    top, renormalized even over a single matrix, as in the fused pass.
+    Leading axes after the first two (a block of energies) ride along."""
     levels, scales = [T], []
-    while levels[-1].shape[-1] > 1:
-        M, half = levels[-1], levels[-1].shape[-1] // 2
-        out = np.empty(M.shape[:-1] + (M.shape[-1] - half,))
-        _compose(M[..., 1:2 * half:2], M[..., 0:2 * half:2], out[..., :half])
-        out[..., half:] = M[..., 2 * half:]
-        scales.append(_renormalize(out))
-        levels.append(out)
+    while levels[-1].shape[-1] > 1 or not scales:
+        M = levels[-1]
+        levels.append(np.empty(M.shape[:-1] + ((M.shape[-1] + 1) // 2,)))
+        scales.append(_level(M, levels[-1]))
     return levels, scales
 
 
@@ -320,11 +399,52 @@ def _down_sweep(levels, scales):
     return P, P_log
 
 
-def _mismatches(Es, rc: RadialCoefficients, sweeps) -> np.ndarray:
+def _reduce(M: np.ndarray, halves, side: int, width: int):
+    """Tree levels over M, which lies in halves[side], until its last axis
+    is width long: each level goes to the other half, with its scratch, and
+    its factors over the dead level before it.  Returns the last level and
+    the half it lies in."""
+    while M.shape[-1] > width:
+        shape = M.shape[:-1] + ((M.shape[-1] + 1) // 2,)
+        scale, = _views(halves[side], shape[2:])
+        side = 1 - side
+        out, tmp = _views(halves[side], shape, shape)
+        _level(M, out, tmp, scale)
+        M = out
+    return M, side
+
+
+def _tops(E, rc: RadialCoefficients, sweeps: _Sweeps) -> np.ndarray:
+    """The tops of both directions' trees at the energies E, shape (2, 2,
+    len(E), 2), direction last, with the bits of _up_sweep's over each
+    sweep: one tree over the fused sequence, in one workspace.
+
+    The transfer matrices fill one half of the workspace and their U the
+    other, and each level goes to the half its input is not in.  Once each
+    column is a row's product, the rows are gathered by direction, the
+    shorter direction filled with identities, and the tree is finished over
+    the gathered rows."""
+    fused = sweeps.fused
+    k, steps = len(E), len(fused.h)
+    halves = np.split(np.empty(8 * k * steps), 2)
+    T = _transfer_entries(rc, E, fused, halves[0].reshape(2, 2, k, steps),
+                          halves[1])
+    M, side = _reduce(T, halves, 0, sum(fused.rows))
+    side = 1 - side
+    G, = _views(halves[side], (2, 2, k, 2, max(fused.rows)))
+    start = 0
+    for d, rows in enumerate(fused.rows):
+        G[..., d, :rows] = M[..., start:start + rows]
+        G[..., d, rows:] = np.eye(2).reshape(2, 2, 1, 1)
+        start += rows
+    return _reduce(G, halves, side, 1)[0][..., 0]
+
+
+def _mismatches(Es, rc: RadialCoefficients, sweeps: _Sweeps) -> np.ndarray:
     """Mismatch at each energy of the sequence Es, NaN where the tail
-    oscillates: one up-sweep per sweep direction over the whole block.  The
-    Wronskian of the sweeps' end states (F, F') from (1, slope0), each scaled
-    to unit length, with the bits of one energy's own pass."""
+    oscillates: one pass of _tops over the whole block.  The Wronskian of
+    the sweeps' end states (F, F') from (1, slope0), each scaled to unit
+    length, with the bits of one energy's own pass."""
     out = np.full(len(Es), np.nan)
     bound, slopes = [], []
     for i, E in enumerate(Es):
@@ -333,9 +453,9 @@ def _mismatches(Es, rc: RadialCoefficients, sweeps) -> np.ndarray:
             bound.append(i)
     if not bound:
         return out
-    E, states = [Es[i] for i in bound], []
-    for sweep, slope0 in zip(sweeps, np.array(slopes).T):
-        t = _up_sweep(_transfer_entries(rc, E, sweep))[0][-1][..., 0]
+    tops, states = _tops([Es[i] for i in bound], rc, sweeps), []
+    for d, slope0 in enumerate(np.array(slopes).T):
+        t = tops[..., d]
         y0, y1 = t[0, 0] + t[0, 1] * slope0, t[1, 0] + t[1, 1] * slope0
         norm = [math.hypot(a, b) for a, b in zip(y0.tolist(), y1.tolist())]
         states.append((y0 / norm, y1 / norm))

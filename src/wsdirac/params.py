@@ -109,9 +109,15 @@ def gamma(state: QuantumState) -> float:
 def derive_coefficients(p: PhysicalParams, state: QuantumState) -> DerivedCoefficients:
     """The energy-independent coefficients; alpha_prime, ell and D may be arrays."""
     ml = p.E0 * p.E0 - p.M * p.M
+    try:
+        square = (p.E0 + p.M) ** 2
+    except OverflowError:
+        raise OverflowError(f"the deformation coefficient v overflows the "
+                            f"float64 range: (E0 + M)^2 at E0 = {p.E0}, "
+                            f"M = {p.M}") from None
     return DerivedCoefficients(
         gamma=gamma(state),
-        v=2.0 * p.alpha_prime * p.V0 * p.V0 * (p.E0 + p.M) ** 2,
+        v=2.0 * p.alpha_prime * p.V0 * p.V0 * square,
         ml_quartic=2.0 * p.alpha_prime * ml * ml,
         kappa_const=p.V0 * 4.0 * p.alpha_prime * ml * (p.E0 + p.M),
     )
@@ -135,10 +141,15 @@ class RadialCoefficients:
 
     def __init__(self, coeffs: DerivedCoefficients, pk: PekerisCoefficients,
                  p: PhysicalParams):
-        self.c0_const = coeffs.ml_quartic + coeffs.gamma * pk.c0 / p.R**2
-        self.c2 = coeffs.v + coeffs.gamma * pk.c2 / p.R**2
+        try:
+            R2 = p.R**2
+        except OverflowError:
+            raise OverflowError(f"the radial coefficients overflow the "
+                                f"float64 range: R^2 at R = {p.R}") from None
+        self.c0_const = coeffs.ml_quartic + coeffs.gamma * pk.c0 / R2
+        self.c2 = coeffs.v + coeffs.gamma * pk.c2 / R2
         self.frak_u0 = (coeffs.kappa_const - p.V0 * p.M + coeffs.v
-                        + coeffs.gamma * (pk.c1 + pk.c2) / p.R**2)
+                        + coeffs.gamma * (pk.c1 + pk.c2) / R2)
         # a sum is finite iff its terms are, or else leaves the range itself
         if not np.isfinite(self.c0_const + self.c2 + self.frak_u0).all():
             raise OverflowError("radial coefficients overflow the float64 range")

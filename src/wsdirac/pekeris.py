@@ -41,7 +41,12 @@ def pekeris_coefficients(R: float, a: float) -> PekerisCoefficients:
     if R <= 0 or a <= 0:
         raise ValueError(f"R and a must be positive, got R={R}, a={a}")
     w = R / a
-    c = (1.0 - 4.0 / w + 12.0 / w**2, 8.0 / w - 48.0 / w**2, 48.0 / w**2)
+    try:
+        w2 = w**2
+    except OverflowError:
+        raise OverflowError(f"surrogate coefficients overflow the float64 "
+                            f"range: (R/a)^2 at R = {R}, a = {a}") from None
+    c = (1.0 - 4.0 / w + 12.0 / w2, 8.0 / w - 48.0 / w2, 48.0 / w2)
     if not all(map(math.isfinite, c)):
         raise OverflowError(f"surrogate coefficients overflow at R/a = {w}")
     return PekerisCoefficients(w, *c)

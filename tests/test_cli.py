@@ -5,6 +5,7 @@ import argparse
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -311,12 +312,22 @@ def test_negative_label_exit_code(capsys, command):
     # B = inf: the radial coefficients overflow, not B_n = 0
     ["solve", "--depth", "1e160", "--alpha-prime", "0.001"],
     ["wavefunction", "--depth", "1e160", "--alpha-prime", "0.001"],
+    # R^2 overflows after the surrogate's own check has passed
+    ["verify", "--with-oracle", "--radius", "1e308",
+     "--surface-thickness", "1e307"],
 ])
 def test_non_finite_parameter_exit_code(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 2
-    assert out.out == ""
+    if "--with-oracle" in argv:  # the check that ran before the failure
+        assert out.out.splitlines() == [
+            "pass centrifugal-surrogate-taylor-match max_gap=0.000e+00"]
+    else:
+        assert out.out == ""
     assert out.err.startswith("error: ") and len(out.err.splitlines()) == 1
+    # the message names what overflowed, not float pow's errno tuple
+    for line in (out.out + out.err).splitlines():
+        assert not re.match(r"error: \(\d+, '", line), line
 
 
 class TestOutputFile:

@@ -14,6 +14,7 @@ import pytest
 
 from wsdirac import oracle
 from wsdirac import (
+    IntegrationBlowup,
     NoEigenvalueInBracket,
     NotBoundRegime,
     PhysicalParams,
@@ -147,7 +148,7 @@ class TestShootingConfig:
         cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
         wide = replace(BOUND, R=2.0 * BOUND.R)
         rc = radial_coefficients(wide, BOUND_STATE)
-        out, inw = oracle._sweeps(rc, cfg)
+        out, inw, _ = oracle._sweeps(rc, cfg)
         r_min, r_max, r_match = oracle._truncation(wide)
         assert out.r[0] == r_min and inw.r[0] == r_max
         h = (r_max - r_min) / cfg.step_count
@@ -207,6 +208,101 @@ class TestMismatches:
         for i, E in enumerate(Es):
             single = oracle._transfer_entries(rc, E, sweep)
             assert T[:, :, i].tobytes() == single.tobytes()
+
+
+def up_sweep_tops(rc, Es, sweeps):
+    """Each direction's top through its own up-sweep: the reference for the
+    fused pass, shape (2, 2, len(Es), 2)."""
+    return np.stack([oracle._up_sweep(oracle._transfer_entries(
+        rc, Es, sweep))[0][-1][..., 0] for sweep in sweeps[:2]], axis=-1)
+
+
+ROW = oracle._ROW
+
+
+class TestFusedPass:
+    def assert_tops_match(self, rc, Es, sweeps):
+        fused = oracle._tops(Es, rc, sweeps)
+        assert fused.shape == (2, 2, len(Es), 2)
+        assert fused.tobytes() == up_sweep_tops(rc, Es, sweeps).tobytes()
+
+    def test_default_sweeps(self, bound_root):
+        # BOUND's sweeps at the default step count, a block holding two
+        # energies above the continuum edge, whose mismatch is NaN: the
+        # pass does not depend on the tail's slope
+        cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
+        rc = radial_coefficients(BOUND, BOUND_STATE)
+        e_edge = math.sqrt(BOUND.M**2 + rc.c0_const)  # c0(e_edge) = 0
+        sweeps = oracle._sweeps(rc, cfg)
+        assert len(sweeps.fused.h) == 2304 and sweeps.fused.rows == (13, 5)
+        Es = [bound_root - 0.05, e_edge + 1.0, bound_root, e_edge + 1e-6]
+        self.assert_tops_match(rc, Es, sweeps)
+        assert np.isnan(oracle._mismatches(Es, rc, sweeps)[[1, 3]]).all()
+        self.assert_tops_match(rc, [bound_root], sweeps)
+
+    def test_inward_longer_than_outward(self, bound_root):
+        # a bracket that reaches the continuum keeps the uniform tail, so
+        # the inward sweep has more rows than the outward one
+        rc = radial_coefficients(BOUND, BOUND_STATE)
+        e_edge = math.sqrt(BOUND.M**2 + rc.c0_const)
+        sweeps = oracle._sweeps(rc, default_config(BOUND, (bound_root, e_edge)))
+        assert sweeps.fused.rows[1] > sweeps.fused.rows[0]
+        self.assert_tops_match(rc, [bound_root, bound_root + 0.3], sweeps)
+
+    # a direction of row - 1, row or row + 1 steps ends just inside or on a
+    # row's end; at 2 row + 1 and 1025 = 8 row + 1 the odd row is carried
+    # up the gathered tree
+    @pytest.mark.parametrize("n_in", [1, 2, ROW - 1, ROW, ROW + 1, 2 * ROW + 1,
+                                      1025])
+    @pytest.mark.parametrize("n_out", [1, 2, ROW - 1, ROW, ROW + 1,
+                                       2 * ROW + 1, 1025])
+    def test_step_counts(self, bound_root, n_out, n_in):
+        rc = radial_coefficients(BOUND, BOUND_STATE)
+        r_min, r_max, r_match = oracle._truncation(BOUND)
+        sweeps = oracle._sweep_pair(
+            oracle._sweep(rc, np.linspace(r_min, r_match, n_out + 1)),
+            oracle._sweep(rc, np.linspace(r_max, r_match, n_in + 1)))
+        rows = sweeps.fused.rows
+        assert rows == (n_out // ROW + 1, -(-n_in // ROW))
+        # the pads are steps of h = 0
+        h = sweeps.fused.h.reshape(-1, ROW)
+        assert np.count_nonzero(h[:rows[0]]) == n_out
+        assert np.count_nonzero(h[rows[0]:]) == n_in
+        self.assert_tops_match(rc, [bound_root, bound_root + 0.3], sweeps)
+
+
+class TestIntegrationBlowup:
+    # a step of h = 1e200 squares past the float range: where U > 0 at all
+    # three of the step's points its entries are +inf, and where U < 0 at its
+    # start (inside the well) the diagonal's terms meet as inf - inf = NaN
+    @pytest.fixture(params=["inf", "nan"])
+    def blowup(self, request, bound_root):
+        rc = radial_coefficients(BOUND, BOUND_STATE)
+        cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
+        out, inw, _ = oracle._sweeps(rc, cfg)
+        u = rc.u(out.f[0::2], bound_root)
+        start = out.r[np.argmin(u)] if request.param == "nan" else inw.r[0]
+        bad = oracle._sweep(rc, start + np.array([0.0, 1e200, 2e200]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            T = oracle._transfer_entries(rc, bound_root, bad)
+        assert np.isnan(T).any() == (request.param == "nan")
+        assert np.isinf(T).any()
+        return rc, bound_root, bad, (out, inw)
+
+    def test_up_sweep_raises(self, blowup):
+        rc, E, bad, _ = blowup
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationBlowup, match="overflowed"):
+                oracle._up_sweep(oracle._transfer_entries(rc, E, bad))
+
+    @pytest.mark.parametrize("direction", [0, 1])
+    def test_fused_pass_raises(self, blowup, direction):
+        rc, E, bad, sweeps = blowup
+        pair = list(sweeps)
+        pair[direction] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationBlowup, match="overflowed"):
+                oracle._tops([E], rc, oracle._sweep_pair(*pair))
 
 
 class TestFindEigenvalues:
@@ -588,7 +684,8 @@ def uniform_sweeps(rc, cfg):
     r_min, r_max, r_match = oracle._truncation(rc.p)
     nodes = np.linspace(r_min, r_max, cfg.step_count + 1)
     i = int(np.argmin(np.abs(nodes - r_match)))
-    return oracle._sweep(rc, nodes[:i + 1]), oracle._sweep(rc, nodes[i:][::-1])
+    return oracle._sweep_pair(oracle._sweep(rc, nodes[:i + 1]),
+                              oracle._sweep(rc, nodes[i:][::-1]))
 
 
 class TestGradedTail:
@@ -636,8 +733,8 @@ class TestGradedTail:
         e_edge = math.sqrt(BOUND.M**2 + rc.c0_const)  # c0(e_edge) = 0
         for top in (e_edge, e_edge + 1.0):
             cfg = default_config(BOUND, (bound_root, top))
-            for sweep, ref in zip(oracle._sweeps(rc, cfg),
-                                  uniform_sweeps(rc, cfg)):
+            for sweep, ref in zip(oracle._sweeps(rc, cfg)[:2],
+                                  uniform_sweeps(rc, cfg)[:2]):
                 assert np.array_equal(sweep.r, ref.r)
                 assert np.array_equal(sweep.h, ref.h)
 
@@ -648,7 +745,8 @@ class TestGradedTail:
         # rounding of the nodes
         rc = radial_coefficients(BOUND, BOUND_STATE)
         cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
-        (out, inw), (_, ref) = oracle._sweeps(rc, cfg), uniform_sweeps(rc, cfg)
+        (out, inw, _), (_, ref, _) = (oracle._sweeps(rc, cfg),
+                                      uniform_sweeps(rc, cfg))
         assert len(inw.h) <= len(ref.h) / 3
         r_min, r_max, _ = oracle._truncation(BOUND)
         assert inw.r[0] == r_max and inw.r[-1] == out.r[-1]

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -15,7 +16,9 @@ from wsdirac import (
     SurfaceRegimeWarning,
     derive_coefficients,
     gamma,
+    pekeris_coefficients,
     radial_coefficients,
+    solve_energy,
 )
 
 from conftest import BOUND, BOUND_STATE, reference_params
@@ -161,3 +164,26 @@ class TestRadialCoefficients:
             for name in ("c0_const", "c2", "frak_u0"):
                 cell = np.broadcast_to(getattr(grid, name), shape)[i, j, k]
                 assert float(cell).hex() == float(getattr(one, name)).hex()
+
+
+class TestOverflowMessages:
+    # float pow raises OverflowError with an errno tuple for its message; each
+    # site re-raises it naming the coefficient and its inputs
+    @pytest.mark.parametrize("changes, message", [
+        (dict(M=1e200),
+         r"v overflows .* \(E0 \+ M\)\^2 at E0 = 10.0, M = 1e\+200"),
+        (dict(E0=1e160, alpha_prime=0.5),
+         r"v overflows .* \(E0 \+ M\)\^2 at E0 = 1e\+160, M = 10.0"),
+        (dict(R=1e308, a=1e307),
+         r"radial coefficients overflow .* R\^2 at R = 1e\+308"),
+    ])
+    def test_solve_energy_names_the_coefficient(self, changes, message):
+        p = dataclasses.replace(BOUND, **changes)
+        with pytest.raises(OverflowError, match=message):
+            solve_energy(p, BOUND_STATE)
+
+    @pytest.mark.parametrize("R, a", [(7.0, 1e-200), (1e300, 0.5)])
+    def test_surrogate_names_its_inputs(self, R, a):
+        with pytest.raises(OverflowError,
+                           match=re.escape(f"(R/a)^2 at R = {R}, a = {a}")):
+            pekeris_coefficients(R, a)
