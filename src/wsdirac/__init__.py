@@ -50,12 +50,9 @@ from .susyqm import (
     SusyParameters,
     closed_form_A,
     ladder,
-    partner_potentials,
-    remainder,
     shifted_A,
     slope_parameter,
     solve_susy_parameters,
-    superpotential,
 )
 from .wavefunction import (
     RadialWaveFunction,

@@ -10,7 +10,7 @@ class DegenerateSuperpotential(WsdiracError):
 
 
 class LadderSingular(WsdiracError):
-    """A shifted ladder parameter B - i/a vanishes, making a remainder term undefined."""
+    """The shifted slope B_n = B - n/a vanishes at a level n >= 1, where A_n is undefined."""
 
 
 class NoRealRoot(WsdiracError):

@@ -91,27 +91,31 @@ def energy_equation_residual(E, p: PhysicalParams, state: QuantumState):
 
 
 def _solve_quadratic(eq: _EnergyQuadratic):
-    """(upper, lower, no_root) per cell from the numerically stable form.
+    """(upper, lower, no_root, overflow) per cell from the numerically stable form.
 
-    no_root marks a negative discriminant; the roots are NaN there.
+    no_root marks a negative discriminant, overflow one that is not finite
+    (inf - inf where a huge depth V0 squares past the float64 range); the
+    roots are NaN at both.
     """
-    a2 = 1.0 + eq.p * eq.p
-    a1 = 2.0 * eq.p * eq.q
-    a0 = eq.q * eq.q - eq.M * eq.M - eq.const
-    disc = a1 * a1 - 4.0 * a2 * a0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a2 = 1.0 + eq.p * eq.p
+        a1 = 2.0 * eq.p * eq.q
+        a0 = eq.q * eq.q - eq.M * eq.M - eq.const
+        disc = a1 * a1 - 4.0 * a2 * a0
         s = np.sqrt(disc)
         # a sign test, not copysign: a1 = -0.0 takes the first branch
         t = np.where(a1 >= 0.0, -(a1 + s) / 2.0, -(a1 - s) / 2.0)
         r1 = np.where(t == 0.0, 0.0, t / a2)
         r2 = np.where(t == 0.0, 0.0, a0 / t)
     # the first root unless the second is strictly beyond it, as max and min
-    return np.where(r2 > r1, r2, r1), np.where(r2 < r1, r2, r1), disc < 0.0
+    return (np.where(r2 > r1, r2, r1), np.where(r2 < r1, r2, r1), disc < 0.0,
+            ~np.isfinite(disc))
 
 
-def _records(eq: _EnergyQuadratic, upper, lower, no_root) -> list:
-    """The SpectrumResult of every cell, in C order: None where B = 0 or
-    B_n = 0, the no-root record where the discriminant is negative."""
+def _records(eq: _EnergyQuadratic, upper, lower, no_root, overflow=False) -> list:
+    """The SpectrumResult of every cell, in C order: None where B = 0,
+    B_n = 0 or the discriminant overflows, the no-root record where it is
+    negative."""
     a_n = eq.p * upper + eq.q
     columns = (upper, lower, upper - eq.M, (a_n < 0.0) & (0.0 < a_n + eq.B_n))
     e_up, e_lo, e_b, bound = (np.ravel(x).tolist() for x in columns)  # of one shape
@@ -119,7 +123,7 @@ def _records(eq: _EnergyQuadratic, upper, lower, no_root) -> list:
         e_up, e_lo, e_b, itertools.repeat("upper"), itertools.repeat(True), bound)))
     for i in np.flatnonzero(no_root).tolist():  # a few cells per sweep
         out[i] = _NO_ROOT_RESULT
-    for i in np.flatnonzero(eq.code).tolist():
+    for i in np.flatnonzero((eq.code != 0) | overflow).tolist():
         out[i] = None
     return out
 
@@ -129,10 +133,16 @@ def solve_energy(p: PhysicalParams, state: QuantumState) -> SpectrumResult:
 
     A missing real root is reported in the result (roots_real = False), not
     raised, so sweeps can record the complex-eigenvalue boundary as data.
+    Raises OverflowError where the quadratic's discriminant leaves the
+    float64 range.
     """
     eq = _assemble(p, state)
     raise_ladder_error(eq.code, state.n)
-    return _records(eq, *_solve_quadratic(eq))[0]
+    upper, lower, no_root, overflow = _solve_quadratic(eq)
+    if overflow:
+        raise OverflowError(f"the energy quadratic's discriminant overflows the "
+                            f"float64 range at V0 = {p.V0}, B_n = {float(eq.B_n):.6g}")
+    return _records(eq, upper, lower, no_root)[0]
 
 
 def ground_state_energy(p: PhysicalParams, state: QuantumState) -> SpectrumResult:
@@ -234,11 +244,12 @@ def sweep(
     alpha, D, ell, n = np.ix_(*(np.asarray(g, dtype=float) for g in grids))
     cells = SimpleNamespace(**{**vars(p), "alpha_prime": alpha}, D=D, ell=ell, n=n)
     eq = _assemble(cells, cells)
-    upper, lower, no_root = _solve_quadratic(eq)
-    errors = np.where(no_root, NoRealRoot.__name__, None).ravel().tolist()
+    upper, lower, no_root, overflow = _solve_quadratic(eq)
+    errors = np.where(overflow, OverflowError.__name__, np.where(
+        no_root, NoRealRoot.__name__, None)).ravel().tolist()
     # each (alpha_prime, D, ell, n) cell extended by its (result, error)
     out = list(map(SweepCell._make, map(tuple.__add__, itertools.product(*grids), zip(
-        _records(eq, upper, lower, no_root), errors))))
+        _records(eq, upper, lower, no_root, overflow), errors))))
     for i in np.flatnonzero(eq.code).tolist():  # B = 0 or B_n = 0, at a few cells
         alpha, D, ell, n, _, _ = out[i]
         try:

@@ -1,9 +1,13 @@
-"""Superpotential construction, partner potentials and the shape-invariance ladder.
+"""Superpotential constants and the shape-invariance ladder.
 
-The effective radial equation after the centrifugal replacement is factorized
-through the superpotential phi(r) = -(A + B f(r)), with f the Woods-Saxon
-shape factor.  The prefactor hbar/sqrt(2 mu) is set to 1, so A and B carry
-units fm^-1 and the partner potentials fm^-2.
+The effective radial equation F'' = U F after the centrifugal replacement,
+U = c0(E) + c1(E) f + c2 f^2 with f the Woods-Saxon shape factor, is
+factorized through the superpotential phi(r) = -(A + B f(r)): with
+f' = -f(1 - f)/a, matching phi^2 - phi' to U gives A^2 = c0,
+2AB - B/a = c1 and B^2 + B/a = c2.  Shape invariance maps B to the next
+level's B - 1/a, so level n has B_n = B - n/a and A_n = frak_u/(2 B_n) - B_n/2,
+frak_u = c1 + c2.  The prefactor hbar/sqrt(2 mu) is set to 1, so A and B
+carry units fm^-1.
 """
 from __future__ import annotations
 
@@ -12,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSuperpotential, LadderSingular
-from .params import (DerivedCoefficients, PhysicalParams, RadialCoefficients,
-                     require_integer)
-from .pekeris import PekerisCoefficients, shape_factor
+from .params import DerivedCoefficients, PhysicalParams, RadialCoefficients
+from .pekeris import PekerisCoefficients
 
 # relative threshold below which B (or a shifted B_n) counts as vanishing
 _SINGULAR_RTOL = 1e-12
@@ -28,12 +31,10 @@ class SusyParameters:
     """Solved superpotential constants for one configuration and trial energy.
 
     A, B : superpotential constants (fm^-1)
-    frak_u : the SUSY constant c1(E) + c2 at the trial energy (fm^-2)
     """
 
     A: float
     B: float
-    frak_u: float
 
 
 def slope_parameter(c2, a: float):
@@ -82,8 +83,7 @@ def solve_susy_parameters(coeffs: DerivedCoefficients, pk: PekerisCoefficients,
     rc = RadialCoefficients(coeffs, pk, p)
     B, _, code = checked_ladder(rc.c2, 0, p.a)
     raise_ladder_error(code, 0)
-    frak_u = rc.frak_u(E)
-    return SusyParameters(A=shifted_A(frak_u, B), B=B, frak_u=frak_u)
+    return SusyParameters(A=shifted_A(rc.frak_u(E), B), B=B)
 
 
 def closed_form_A(coeffs: DerivedCoefficients, pk: PekerisCoefficients,
@@ -102,24 +102,6 @@ def closed_form_A(coeffs: DerivedCoefficients, pk: PekerisCoefficients,
     return (k + coeffs.gamma * pk.c1 / p.R**2) / denom + 1.0 / (2.0 * p.a)
 
 
-def superpotential(sp: SusyParameters, r, a: float, R: float):
-    """phi(r) = -(A + B f(r))  (fm^-1)."""
-    return -(sp.A + sp.B * shape_factor(r, R, a))
-
-
-def partner_potentials(sp: SusyParameters, r, a: float, R: float):
-    """Partner pair (V_minus, V_plus) at radius r (fm^-2).
-
-    V_minus = phi^2 - phi', V_plus = phi^2 + phi', with phi' taken analytically:
-    f' = -f(1 - f)/a.
-    """
-    A, B = sp.A, sp.B
-    f = shape_factor(r, R, a)
-    v_minus = A * A + (2.0 * A * B - B / a) * f + (B * B + B / a) * f * f
-    v_plus = A * A + (2.0 * A * B + B / a) * f + (B * B - B / a) * f * f
-    return v_minus, v_plus
-
-
 def ladder(B: float, n: int, a: float) -> float:
     """Shifted slope parameter B_n = B - n/a."""
     return B - n / a
@@ -128,14 +110,3 @@ def ladder(B: float, n: int, a: float) -> float:
 def shifted_A(frak_u: float, B_n: float) -> float:
     """A-analogue at a shifted ladder step: frak_u/(2 B_n) - B_n/2."""
     return frak_u / (2.0 * B_n) - B_n / 2.0
-
-
-def remainder(sp: SusyParameters, i: int, a: float) -> float:
-    """r-independent remainder of ladder step i >= 1 (fm^-2)."""
-    require_integer("ladder step i", i, 1)
-    b_i = ladder(sp.B, i, a)
-    b_prev = ladder(sp.B, i - 1, a)
-    scale = max(abs(sp.B), 1.0 / a)
-    if abs(b_i) <= _SINGULAR_RTOL * scale or abs(b_prev) <= _SINGULAR_RTOL * scale:
-        raise LadderSingular(f"B - i/a vanishes at ladder step i={i}")
-    return -(shifted_A(sp.frak_u, b_i) ** 2 - shifted_A(sp.frak_u, b_prev) ** 2)

@@ -8,12 +8,10 @@ from wsdirac import (
     DegenerateSuperpotential,
     PhysicalParams,
     QuantumState,
-    slope_parameter,
-    derive_coefficients,
-    pekeris_coefficients,
     radial_coefficients,
+    shifted_A,
+    slope_parameter,
     solve_energy,
-    solve_susy_parameters,
 )
 
 # reference parameter set: M = 10 fm^-1, a = 0.5 fm, R = 7 fm, V0 = -10 fm^-1,
@@ -83,9 +81,8 @@ def random_valid_config(rng: np.random.Generator,
         )
         state = QuantumState(n=0, ell=int(rng.integers(0, 26)),
                              D=int(rng.integers(1, 6)))
-        dc = derive_coefficients(p, state)
-        pk = pekeris_coefficients(p.R, p.a)
-        B = slope_parameter(radial_coefficients(p, state).c2, p.a)
+        rc = radial_coefficients(p, state)
+        B = slope_parameter(rc.c2, p.a)
         if B < 1.0:
             continue
         if require_ladder and min(abs(B - i / p.a) for i in range(1, 4)) < 0.5:
@@ -99,8 +96,8 @@ def random_valid_config(rng: np.random.Generator,
         if abs(result.e_upper - result.e_lower) < 1e-4:
             continue  # near-tangent quadratic, ill-conditioned for comparisons
         if require_ladder:
-            sp = solve_susy_parameters(dc, pk, p, result.e_upper)
-            if abs(sp.A) > 200.0 or abs(sp.frak_u) > 300.0:
+            frak_u = rc.frak_u(result.e_upper)
+            if abs(shifted_A(frak_u, B)) > 200.0 or abs(frak_u) > 300.0:
                 continue
         return p, state, result
 

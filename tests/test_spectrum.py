@@ -79,6 +79,13 @@ class TestSolveEnergy:
         assert not result.roots_real
         assert result.e_upper is None and result.e_binding is None
 
+    def test_overflowing_discriminant_raises(self):
+        # at alpha' = 0 the depth squares past the float64 range, and the
+        # discriminant is inf - inf: a typed error, not a NaN record, and no
+        # RuntimeWarning (the test config makes one an error)
+        with pytest.raises(OverflowError, match="discriminant overflows"):
+            solve_energy(replace(BOUND, V0=1e200, alpha_prime=0.0), BOUND_STATE)
+
     @pytest.mark.filterwarnings("ignore::wsdirac.SurfaceRegimeWarning")
     @pytest.mark.parametrize("R, state, error", [
         (7.0, DEGENERATE_STATE, DegenerateSuperpotential),
@@ -212,6 +219,18 @@ class TestSweep:
         cells = sweep(reference_params(0.0), [0.0], [3], [5], [0])
         assert cells[0].error == "NoRealRoot"
         assert cells[0].result is not None and not cells[0].result.roots_real
+
+    def test_overflow_cell_recorded(self):
+        # V0 = 1e77 overflows the discriminant at alpha' = 0 only; the
+        # deformed cells beside it are solve_energy's finite records
+        p = replace(BOUND, V0=1e77)
+        cells = sweep(p, [0.0, 0.001], [3], [20], [0, 1])
+        assert [c.error for c in cells] == ["OverflowError"] * 2 + [None] * 2
+        assert [c.result for c in cells[:2]] == [None, None]
+        for c in cells[2:]:
+            state = QuantumState(n=c.n, ell=c.ell, D=c.D)
+            assert c.result == solve_energy(replace(p, alpha_prime=0.001), state)
+            assert math.isfinite(c.result.e_upper)
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
