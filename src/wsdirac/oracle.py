@@ -11,23 +11,24 @@ through the tail, where a bound state decays and errors reach the mismatch
 damped.  The equation is linear, so one RK4 step is a 2x2 transfer matrix,
 closed-form in the step's h and its three values of U.
 A sweep's end state is their ordered product, the root of a pairwise tree
-(the up-sweep) renormalized per level by positive factors, which keep its
-direction, sign included: the mismatch is bounded, has no poles and changes
-sign only at eigenvalues.  One kernel, _mismatches, takes a block of
-energies through one fused pass, the energy axis before the step axis, so
-the tree's fixed cost per level is paid once per block and once for both
-directions: the two sweeps' steps are laid end to end, each padded with
-steps of h = 0 (the identity) to whole rows of _ROW steps, so one tree
-reduces every row and, once the rows are gathered by direction, finishes
-both directions' products, with the bits of one up-sweep per direction.  A
-pass makes one allocation, a workspace of 8 doubles per step and energy,
-whose halves take the transfer matrices and the tree's levels in turn.  The
-scan grid goes through it a block at a time, and its sign changes are
-refined together by a port of scipy's brentq, run as generators in lockstep
-so that one pass serves every root's next step; the oracle imports no scipy.
-The amplitudes along a sweep, for node counts and the eigenfunction, are the
-prefix products of the same matrices: a down-sweep over the tree's levels
-with per-level log scales, O(steps) work (Blelloch, CMU-CS-90-190, 1990).
+renormalized per level by positive factors, which keep its direction, sign
+included: the mismatch is bounded, has no poles and changes sign only at
+eigenvalues.  One kernel, _mismatches, takes a block of energies through
+one fused pass, the energy axis before the step axis, so the tree's fixed
+cost per level is paid once per block and once for both directions: the two
+sweeps' steps are laid end to end, each padded with steps of h = 0 (the
+identity) to whole rows of _ROW steps, so one tree reduces every row and,
+once the rows are gathered by direction, finishes both directions'
+products, with the bits of one tree per direction.  A pass makes one
+allocation, a workspace of 8 doubles per step and energy, whose halves take
+the transfer matrices and the tree's levels in turn.  The scan grid goes
+through it a block at a time, and its sign changes are refined together by
+a port of scipy's brentq, run as generators in lockstep so that one pass
+serves every root's next step; the oracle imports no scipy.
+The amplitudes along a sweep, for node counts and the eigenfunction, take
+no tree: one forward pass y <- T[j] @ y over the same matrices, on Python
+floats, divides y by its size |F| + |F'| and carries that size's log
+whenever it passes a fixed power of two.
 """
 from __future__ import annotations
 
@@ -331,19 +332,18 @@ def _transfer_entries(rc: RadialCoefficients, E, sweep, T=None, work=None):
 
 
 def _compose(b: np.ndarray, a: np.ndarray, out: np.ndarray,
-             tmp: np.ndarray | None = None) -> np.ndarray:
-    """The 2x2 products b @ a along the last axis, written to out, with tmp,
-    if given, as scratch of out's shape."""
+             tmp: np.ndarray) -> np.ndarray:
+    """The 2x2 products b @ a along the last axis, written to out, with tmp
+    as scratch of out's shape."""
     np.multiply(b[:, :1], a[:1], out=out)
     out += np.multiply(b[:, 1:], a[1:], out=tmp)
     return out
 
 
-def _renormalize(M: np.ndarray, tmp=None, scale=None) -> np.ndarray:
+def _renormalize(M: np.ndarray, tmp: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Divide each matrix of M in place by its max-abs entry and return the
-    factors; tmp (of M's shape) and scale, if given, receive |M| and the
-    factors."""
-    scale = np.maximum.reduce(np.abs(M, out=tmp), axis=(0, 1), out=scale)
+    factors; tmp (of M's shape) and scale receive |M| and the factors."""
+    np.maximum.reduce(np.abs(M, out=tmp), axis=(0, 1), out=scale)
     if not np.isfinite(scale).all():
         raise IntegrationBlowup("transfer-matrix product overflowed")
     np.maximum(scale, 1e-300, out=scale)
@@ -351,7 +351,7 @@ def _renormalize(M: np.ndarray, tmp=None, scale=None) -> np.ndarray:
     return scale
 
 
-def _level(M: np.ndarray, out: np.ndarray, tmp=None, scale=None):
+def _level(M: np.ndarray, out: np.ndarray, tmp: np.ndarray, scale: np.ndarray):
     """One level of the pairwise tree along M's last axis, written to out:
     the products M[..., 2i+1] @ M[..., 2i], an odd last matrix carried alone,
     each renormalized; returns their factors.  tmp, scratch of out's shape,
@@ -359,44 +359,9 @@ def _level(M: np.ndarray, out: np.ndarray, tmp=None, scale=None):
     which is dead once the products are made."""
     half = M.shape[-1] // 2
     _compose(M[..., 1:2 * half:2], M[..., 0:2 * half:2], out[..., :half],
-             None if tmp is None else tmp[..., :half])
+             tmp[..., :half])
     out[..., half:] = M[..., 2 * half:]
     return _renormalize(out, tmp, scale)
-
-
-def _up_sweep(T: np.ndarray):
-    """Levels of the pairwise tree over T's matrices, along its last axis, and
-    their factors: level k + 1 holds the renormalized products of level k's
-    pairs (an odd last matrix carried alone), up to T[-1] @ ... @ T[0] at the
-    top, renormalized even over a single matrix, as in the fused pass.
-    Leading axes after the first two (a block of energies) ride along."""
-    levels, scales = [T], []
-    while levels[-1].shape[-1] > 1 or not scales:
-        M = levels[-1]
-        levels.append(np.empty(M.shape[:-1] + ((M.shape[-1] + 1) // 2,)))
-        scales.append(_level(M, levels[-1]))
-    return levels, scales
-
-
-def _down_sweep(levels, scales):
-    """Prefix products T[j] @ ... @ T[0] of the tree's level 0, as (P, logs):
-    a node's prefix is its parent's at odd index, and at even index i > 0 the
-    node times the prefix of the parent's left neighbour, renormalized.  The
-    factors' logs add up, so prefix j is P[..., j] exp(logs[j])."""
-    logs = [np.zeros(levels[0].shape[2])]
-    for scale in scales:  # a node's log: its children's, plus its own factor's
-        pairs = np.arange(0, len(logs[-1]), 2)
-        logs.append(np.add.reduceat(logs[-1], pairs) + np.log(scale))
-    P, P_log = levels[-1], logs[-1]
-    for L, log in zip(levels[-2::-1], logs[-2::-1]):
-        n, m = L.shape[2], (L.shape[2] - 1) // 2
-        Q, Q_log = np.empty_like(L), np.empty(n)
-        Q[..., 0], Q_log[0] = L[..., 0], log[0]
-        Q[..., 1::2], Q_log[1::2] = P[..., :n // 2], P_log[:n // 2]
-        even = _compose(L[..., 2::2], P[..., :m], Q[..., 2::2])
-        Q_log[2::2] = log[2::2] + P_log[:m] + np.log(_renormalize(even))
-        P, P_log = Q, Q_log
-    return P, P_log
 
 
 def _reduce(M: np.ndarray, halves, side: int, width: int):
@@ -416,8 +381,8 @@ def _reduce(M: np.ndarray, halves, side: int, width: int):
 
 def _tops(E, rc: RadialCoefficients, sweeps: _Sweeps) -> np.ndarray:
     """The tops of both directions' trees at the energies E, shape (2, 2,
-    len(E), 2), direction last, with the bits of _up_sweep's over each
-    sweep: one tree over the fused sequence, in one workspace.
+    len(E), 2), direction last, with the bits of a tree of _level over each
+    sweep alone: one tree over the fused sequence, in one workspace.
 
     The transfer matrices fill one half of the workspace and their U the
     other, and each level goes to the half its input is not in.  Once each
@@ -482,12 +447,30 @@ def shoot_mismatch(E: float, cfg: ShootingConfig, p: PhysicalParams,
     return float(_mismatches([E], rc, sweeps)[0])
 
 
+# The size |F| + |F'| past which _trajectory divides its state by that size
+# and carries the size's log: 2^524 below the float range, which one step's
+# growth would have to span to overflow the state between checks
+_RESCALE = 2.0 ** 500
+
+
 def _trajectory(rc: RadialCoefficients, E: float, sweep, slope0: float):
     """Amplitudes F of the sweep from (1, slope0) as (values, log_scales):
-    F at sweep.r[j] is values[j] * exp(log_scales[j])."""
-    P, logs = _down_sweep(*_up_sweep(_transfer_entries(rc, E, sweep)))
-    values = np.concatenate([[1.0], P[0, 0] + P[0, 1] * slope0])
-    return values, np.concatenate([[0.0], logs])
+    F at sweep.r[j] is values[j] * exp(log_scales[j]).  One forward pass y
+    <- T[j] @ y over the sweep's transfer matrices, on Python floats; raises
+    IntegrationBlowup where a matrix or the state is not finite."""
+    T = _transfer_entries(rc, E, sweep).reshape(4, -1)
+    f, g = 1.0, slope0
+    values, logs = [f], np.zeros(T.shape[1] + 1)
+    for t00, t01, t10, t11 in zip(*T.tolist()):
+        f, g = t00 * f + t01 * g, t10 * f + t11 * g
+        if (size := abs(f) + abs(g)) > _RESCALE:
+            f, g = f / size, g / size
+            logs[len(values):] += math.log(size)
+        values.append(f)
+    # NaN or inf from the first step whose matrix or state is not finite
+    if not math.isfinite(f + g + logs[-1]):
+        raise IntegrationBlowup("transfer-matrix product overflowed")
+    return np.array(values), logs
 
 
 def _count_nodes(values: np.ndarray) -> int:

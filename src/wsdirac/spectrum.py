@@ -82,12 +82,18 @@ def energy_equation_residual(E, p: PhysicalParams, state: QuantumState):
     Zero iff E solves the condition A_n(E)^2 = c0(E).  Assembled from the
     radial coefficient and the shifted A directly, not from the reduced
     quadratic.  E may be an array.  Raises the typed error of
-    susyqm.checked_ladder, as solve_energy does.
+    susyqm.checked_ladder, as solve_energy does, and OverflowError where the
+    residual leaves the float64 range.
     """
     rc = radial_coefficients(p, state)
     _, b_n, code = checked_ladder(rc.c2, state.n, p.a)
     raise_ladder_error(code, state.n)
-    return shifted_A(rc.frak_u(E), b_n) ** 2 - rc.c0(E)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = shifted_A(rc.frak_u(E), b_n) ** 2 - rc.c0(E)
+    if not np.isfinite(residual).all():
+        raise OverflowError(f"the energy residual overflows the float64 range "
+                            f"at V0 = {p.V0}, |E| up to {np.max(np.abs(E)):.6g}")
+    return residual
 
 
 def _solve_quadratic(eq: _EnergyQuadratic):
@@ -150,17 +156,22 @@ def ground_state_energy(p: PhysicalParams, state: QuantumState) -> SpectrumResul
 
     Independent code path from solve_energy: the polynomial is assembled in
     monomial form and handed to numpy's companion-matrix root finder.
+    Raises OverflowError where a coefficient leaves the float64 range.
     """
     if state.n != 0:
         raise ValueError(f"ground_state_energy requires n = 0, got n = {state.n}")
     eq = _assemble(p, state)  # B_n = B at n = 0
     raise_ladder_error(eq.code, state.n)
     # (E - M)(E + M) - const + (p E + q)^2 as monomial coefficients
-    poly = [
-        1.0 + eq.p * eq.p,
-        2.0 * eq.p * eq.q,
-        -eq.M * eq.M - eq.const + eq.q * eq.q,
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        poly = [
+            1.0 + eq.p * eq.p,
+            2.0 * eq.p * eq.q,
+            -eq.M * eq.M - eq.const + eq.q * eq.q,
+        ]
+    if not np.isfinite(poly).all():
+        raise OverflowError(f"the ground-state polynomial overflows the float64 "
+                            f"range at V0 = {p.V0}")
     roots = np.roots(poly)
     real = sorted(float(r.real) for r in roots if abs(r.imag) <= 1e-9 * max(1.0, abs(r)))
     roots = (real[-1], real[0], False) if real else (math.nan, math.nan, True)
@@ -176,7 +187,7 @@ def solve_energy_by_bracketing(p: PhysicalParams, state: QuantumState) -> list[f
     residual changes sign is scanned again, on the same grid over the cell,
     until the sign change lies in a cell narrower than 1e-15 max(1, |E|).
     _SCAN_MAX_STEPS bounds the re-scans for a first sign change.  Returns
-    ascending roots (possibly empty).
+    ascending roots (possibly empty); raises the residual's OverflowError.
     """
     e_lo, e_hi = -p.M - _SCAN_MARGIN, p.M + _SCAN_MARGIN
     for _ in range(_SCAN_MAX_STEPS):

@@ -9,7 +9,6 @@ from wsdirac import (
     PhysicalParams,
     QuantumState,
     radial_coefficients,
-    shifted_A,
     slope_parameter,
     solve_energy,
 )
@@ -61,13 +60,11 @@ NO_REAL_ROOT_STATE = QuantumState(n=0, ell=5, D=3)
 DEGENERATE_STATE = QuantumState(n=0, ell=0, D=3)
 
 
-def random_valid_config(rng: np.random.Generator,
-                        require_ladder: bool = False):
+def random_valid_config(rng: np.random.Generator):
     """One random non-degenerate configuration with a real upper root.
 
-    Magnitudes are kept moderate (B >= 1 and, when require_ladder is set,
-    all |B - i/a| >= 0.5 for i <= 3) so that absolute residual tolerances of
-    1e-10 are meaningful against double-precision rounding.
+    Magnitudes are kept moderate (B >= 1) so that absolute residual
+    tolerances of 1e-10 are meaningful against double-precision rounding.
     """
     while True:
         a = rng.uniform(0.3, 0.9)
@@ -85,8 +82,6 @@ def random_valid_config(rng: np.random.Generator,
         B = slope_parameter(rc.c2, p.a)
         if B < 1.0:
             continue
-        if require_ladder and min(abs(B - i / p.a) for i in range(1, 4)) < 0.5:
-            continue
         try:
             result = solve_energy(p, state)
         except DegenerateSuperpotential:
@@ -95,10 +90,6 @@ def random_valid_config(rng: np.random.Generator,
             continue
         if abs(result.e_upper - result.e_lower) < 1e-4:
             continue  # near-tangent quadratic, ill-conditioned for comparisons
-        if require_ladder:
-            frak_u = rc.frak_u(result.e_upper)
-            if abs(shifted_A(frak_u, B)) > 200.0 or abs(frak_u) > 300.0:
-                continue
         return p, state, result
 
 

@@ -123,7 +123,7 @@ def test_04_centrifugal_surrogate_taylor_match(rng):
 def test_05_superpotential_consistency(rng):
     worst_match = worst_elim = 0.0
     for _ in range(200):
-        p, state, result = random_valid_config(rng, require_ladder=True)
+        p, state, result = random_valid_config(rng)
         E = result.e_upper
         dc = derive_coefficients(p, state)
         pk = pekeris_coefficients(p.R, p.a)

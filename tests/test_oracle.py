@@ -210,11 +210,19 @@ class TestMismatches:
             assert T[:, :, i].tobytes() == single.tobytes()
 
 
-def up_sweep_tops(rc, Es, sweeps):
-    """Each direction's top through its own up-sweep: the reference for the
-    fused pass, shape (2, 2, len(Es), 2)."""
-    return np.stack([oracle._up_sweep(oracle._transfer_entries(
-        rc, Es, sweep))[0][-1][..., 0] for sweep in sweeps[:2]], axis=-1)
+def direction_tops(rc, Es, sweeps):
+    """Each direction's top through its own pairwise tree of oracle._level,
+    at least one level, as in the fused pass: the reference for that pass,
+    shape (2, 2, len(Es), 2)."""
+    tops = []
+    for sweep in sweeps[:2]:
+        M = oracle._transfer_entries(rc, Es, sweep)
+        for _ in range(max(1, (M.shape[-1] - 1).bit_length())):
+            out = np.empty(M.shape[:-1] + ((M.shape[-1] + 1) // 2,))
+            oracle._level(M, out, np.empty_like(out), np.empty(out.shape[2:]))
+            M = out
+        tops.append(M[..., 0])
+    return np.stack(tops, axis=-1)
 
 
 ROW = oracle._ROW
@@ -224,7 +232,7 @@ class TestFusedPass:
     def assert_tops_match(self, rc, Es, sweeps):
         fused = oracle._tops(Es, rc, sweeps)
         assert fused.shape == (2, 2, len(Es), 2)
-        assert fused.tobytes() == up_sweep_tops(rc, Es, sweeps).tobytes()
+        assert fused.tobytes() == direction_tops(rc, Es, sweeps).tobytes()
 
     def test_default_sweeps(self, bound_root):
         # BOUND's sweeps at the default step count, a block holding two
@@ -289,11 +297,11 @@ class TestIntegrationBlowup:
         assert np.isinf(T).any()
         return rc, bound_root, bad, (out, inw)
 
-    def test_up_sweep_raises(self, blowup):
+    def test_trajectory_raises(self, blowup):
         rc, E, bad, _ = blowup
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationBlowup, match="overflowed"):
-                oracle._up_sweep(oracle._transfer_entries(rc, E, bad))
+                oracle._trajectory(rc, E, bad, -1.0)
 
     @pytest.mark.parametrize("direction", [0, 1])
     def test_fused_pass_raises(self, blowup, direction):
@@ -620,8 +628,6 @@ class TestScanTrajectory:
         for a, b in zip(F_scan, F_step):
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
-    # at these counts the odd column carried up the tree appears at different
-    # levels (1025 = 2^10 + 1 carries it through every level)
     @pytest.mark.parametrize("steps", [1, 2, 3, 5, 17, 1023, 1025])
     @pytest.mark.parametrize("outward", [True, False])
     def test_tree_scan_edge_counts(self, lowest_states, steps, outward):
@@ -641,12 +647,29 @@ class TestScanTrajectory:
         diff = F_scan / F_scan[peak] - F_step / F_step[peak]
         assert np.max(np.abs(diff)) <= 1e-12
         assert oracle._count_nodes(v_scan) == oracle._count_nodes(v_step)
-        # the up-sweep's top node and the last prefix are one map
-        levels, scales = oracle._up_sweep(oracle._transfer_entries(*args[:3]))
-        top = levels[-1][..., 0]
-        last = oracle._down_sweep(levels, scales)[0][..., -1]
-        diff = top / np.abs(top).max() - last / np.abs(last).max()
-        assert np.max(np.abs(diff)) <= 1e-14
+
+    @pytest.mark.parametrize("outward", [True, False])
+    def test_rescaled_pass(self, lowest_states, monkeypatch, outward):
+        # no sweep of BOUND grows past the default size, 2^500; at a size of
+        # 16 both sweeps of the ground state are rescaled, the inward ones of
+        # every state about 50 times, and keep their nodes and amplitudes
+        cfg, eigs = lowest_states
+        rc = radial_coefficients(BOUND, BOUND_STATE)
+        sweeps, d = oracle._sweeps(rc, cfg), 0 if outward else 1
+        rescaled = []
+        for e in eigs:
+            args = (rc, e, sweeps[d], oracle._slopes(rc, e, sweeps)[d])
+            v_def, l_def = oracle._trajectory(*args)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_RESCALE", 16.0)
+                v_low, l_low = oracle._trajectory(*args)
+            assert not l_def.any()
+            assert np.all(np.diff(l_low) >= 0.0)
+            assert oracle._count_nodes(v_low) == oracle._count_nodes(v_def)
+            F_def, F_low = v_def * np.exp(l_def), v_low * np.exp(l_low)
+            assert np.max(np.abs(F_low - F_def)) <= 1e-13 * np.max(np.abs(F_def))
+            rescaled.append(l_low[-1] > 0.0)
+        assert rescaled[0] and (outward or all(rescaled))
 
 
 class TestDefaultStepCount:

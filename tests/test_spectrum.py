@@ -86,6 +86,16 @@ class TestSolveEnergy:
         with pytest.raises(OverflowError, match="discriminant overflows"):
             solve_energy(replace(BOUND, V0=1e200, alpha_prime=0.0), BOUND_STATE)
 
+    @pytest.mark.parametrize("route", [
+        ground_state_energy, solve_energy_by_bracketing,
+        lambda p, state: energy_equation_residual(7.0, p, state),
+    ], ids=["companion", "bracketing", "residual"])
+    def test_overflowing_depth_raises_on_every_route(self, route):
+        # the same well on the cross-check routes, each checking its own
+        # numbers: an OverflowError naming the depth, and no RuntimeWarning
+        with pytest.raises(OverflowError, match=r"at V0 = 1e\+200"):
+            route(replace(BOUND, V0=1e200, alpha_prime=0.0), BOUND_STATE)
+
     @pytest.mark.filterwarnings("ignore::wsdirac.SurfaceRegimeWarning")
     @pytest.mark.parametrize("R, state, error", [
         (7.0, DEGENERATE_STATE, DegenerateSuperpotential),
