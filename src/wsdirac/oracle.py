@@ -26,9 +26,11 @@ through it a block at a time, and its sign changes are refined together by
 a port of scipy's brentq, run as generators in lockstep so that one pass
 serves every root's next step; the oracle imports no scipy.
 The amplitudes along a sweep, for node counts and the eigenfunction, take
-no tree: one forward pass y <- T[j] @ y over the same matrices, on Python
-floats, divides y by its size |F| + |F'| and carries that size's log
-whenever it passes a fixed power of two.
+no tree: the same matrices' prefix products inside blocks of 8 steps are
+formed for every block at once, and one forward pass y <- P @ y over the
+blocks' products, on Python floats, gives each block's start state, divided
+by its size |F| + |F'| (whose log is carried) where the block could pass a
+fixed power of two.
 """
 from __future__ import annotations
 
@@ -447,30 +449,53 @@ def shoot_mismatch(E: float, cfg: ShootingConfig, p: PhysicalParams,
     return float(_mismatches([E], rc, sweeps)[0])
 
 
-# The size |F| + |F'| past which _trajectory divides its state by that size
-# and carries the size's log: 2^524 below the float range, which one step's
-# growth would have to span to overflow the state between checks
+# The bound on |F| of _trajectory: a block's start state is divided by its
+# size |F| + |F'|, and the size's log carried, once that size passes 2^500
+# over the block's largest prefix entry, which bounds one block's growth.  So
+# products of neighbouring values, and F^2, stay inside the float range
 _RESCALE = 2.0 ** 500
+
+# Steps per block of _trajectory.  Its outward and inward trajectories at
+# the ground state of the attractive well (V0 = 10, alpha' = 0.0015, ell = 20,
+# D = 3) at 6000 steps, 1544 and 584 steps long, take in ms (best of 3 runs of
+# best of 7 x 30 calls; a 2-core Xeon), against 0.60 ms at one step per block:
+#   steps per block   4     8     16    32
+#   ms               0.40  0.36  0.42  0.53
+_TRAJECTORY_BLOCK = 8
 
 
 def _trajectory(rc: RadialCoefficients, E: float, sweep, slope0: float):
     """Amplitudes F of the sweep from (1, slope0) as (values, log_scales):
-    F at sweep.r[j] is values[j] * exp(log_scales[j]).  One forward pass y
-    <- T[j] @ y over the sweep's transfer matrices, on Python floats; raises
-    IntegrationBlowup where a matrix or the state is not finite."""
-    T = _transfer_entries(rc, E, sweep).reshape(4, -1)
-    f, g = 1.0, slope0
-    values, logs = [f], np.zeros(T.shape[1] + 1)
-    for t00, t01, t10, t11 in zip(*T.tolist()):
+    F at sweep.r[j] is values[j] * exp(log_scales[j]).  The transfer
+    matrices, padded with identities to whole blocks of _TRAJECTORY_BLOCK
+    steps, give every block's prefix products P at once, blocks on the last
+    axis; y <- P @ y steps the state by each block's product on Python
+    floats, and row 0 of the block's P applied to its start state gives F
+    inside it.  Raises IntegrationBlowup where a matrix or state is not finite."""
+    steps, width = len(sweep.h), _TRAJECTORY_BLOCK
+    T = np.empty((2, 2, -(-steps // width) * width))
+    _transfer_entries(rc, E, sweep, T[..., :steps])
+    T[..., steps:] = np.eye(2)[..., None]
+    T = T.reshape(2, 2, -1, width).transpose(0, 1, 3, 2)
+    P, tmp = np.empty(T.shape), np.empty(T[:, :, 0].shape)
+    P[:, :, 0] = T[:, :, 0]
+    for j in range(1, width):
+        _compose(T[:, :, j], P[:, :, j - 1], P[:, :, j], tmp)
+    limits = _RESCALE / np.abs(P).max(axis=(0, 1, 2))
+    f, g, log, starts = 1.0, slope0, 0.0, []
+    for t00, t01, t10, t11, limit in zip(*P[:, :, -1].reshape(4, -1).tolist(),
+                                         limits.tolist()):
+        if (size := abs(f) + abs(g)) > limit:
+            f, g, log = f / size, g / size, log + math.log(size)
+        starts += f, g, log
         f, g = t00 * f + t01 * g, t10 * f + t11 * g
-        if (size := abs(f) + abs(g)) > _RESCALE:
-            f, g = f / size, g / size
-            logs[len(values):] += math.log(size)
-        values.append(f)
-    # NaN or inf from the first step whose matrix or state is not finite
-    if not math.isfinite(f + g + logs[-1]):
+    # NaN or inf from the first block whose matrices or state are not finite
+    if not math.isfinite(f + g + log):
         raise IntegrationBlowup("transfer-matrix product overflowed")
-    return np.array(values), logs
+    f0, g0, logs = np.array(starts).reshape(-1, 3).T
+    values = np.concatenate(([1.0], (P[0, 0] * f0 + P[0, 1] * g0).T.ravel()))
+    logs = np.concatenate(([0.0], np.repeat(logs, width)))
+    return values[:steps + 1], logs[:steps + 1]
 
 
 def _count_nodes(values: np.ndarray) -> int:

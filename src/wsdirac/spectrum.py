@@ -182,10 +182,11 @@ def solve_energy_by_bracketing(p: PhysicalParams, state: QuantumState) -> list[f
     """Roots of the residual found by nested grid scans (oracle path).
 
     Independent of the closed-form route: only evaluates
-    energy_equation_residual, each time over a whole 400-point scan grid in
+    energy_equation_residual, each time over whole 400-point scan grids in
     one call.  The first scan covers (-M - 50, M + 50); each cell where the
     residual changes sign is scanned again, on the same grid over the cell,
-    until the sign change lies in a cell narrower than 1e-15 max(1, |E|).
+    until the sign change lies in a cell narrower than 1e-15 max(1, |E|); one
+    call takes every such cell's grid, so the residual keeps each cell's bits.
     _SCAN_MAX_STEPS bounds the re-scans for a first sign change.  Returns
     ascending roots (possibly empty); raises the residual's OverflowError.
     """
@@ -202,17 +203,17 @@ def solve_energy_by_bracketing(p: PhysicalParams, state: QuantumState) -> list[f
         i_min = int(np.argmin(vals))
         e_lo = float(grid[max(i_min - 1, 0)])
         e_hi = float(grid[min(i_min + 1, _SCAN_POINTS - 1)])
-    roots = []
-    for lo, hi in zip(grid[cells].tolist(), grid[cells + 1].tolist()):
-        # each re-scan divides the width by 399, down to adjacent floats
-        while hi - lo >= _SCAN_TOL * 1e-3 * max(1.0, abs(lo)):
-            sub = np.linspace(lo, hi, _SCAN_POINTS)
-            vals = energy_equation_residual(sub, p, state)
-            # the first cell holding the sign change, which the ends keep
-            k = int(np.argmax(vals[:-1] * vals[1:] <= 0.0))
-            lo, hi = sub[k:k + 2].tolist()
-        roots.append(0.5 * (lo + hi))
-    return roots
+    lo, hi = grid[cells], grid[cells + 1]
+    # each re-scan divides the widths by 399, down to adjacent floats; the
+    # unfinished cells' sub-grids go to the residual laid end to end
+    while (live := hi - lo >= _SCAN_TOL * 1e-3 * np.maximum(1.0, abs(lo))).any():
+        sub = np.linspace(lo[live], hi[live], _SCAN_POINTS, axis=1)
+        vals = energy_equation_residual(sub.ravel(), p, state).reshape(sub.shape)
+        # each cell's first sub-cell holding the sign change, which the ends keep
+        k = np.argmax(vals[:, :-1] * vals[:, 1:] <= 0.0, axis=1)
+        rows = np.arange(len(k))
+        lo[live], hi[live] = sub[rows, k], sub[rows, k + 1]
+    return (0.5 * (lo + hi)).tolist()
 
 
 class SweepCell(NamedTuple):

@@ -85,6 +85,21 @@ def stepwise_trajectory(rc, E, sweep, slope0):
     return np.array(values), np.array(logs)
 
 
+def assert_matches_stepwise(args) -> int:
+    """_trajectory(*args) against stepwise_trajectory(*args): the same node
+    count, returned, and amplitudes within 1e-12 once each is scaled to 1 at
+    the stepwise sweep's peak."""
+    (v_scan, l_scan), (v_step, l_step) = (oracle._trajectory(*args),
+                                          stepwise_trajectory(*args))
+    F_scan = v_scan * np.exp(l_scan - l_scan[-1])
+    F_step = v_step * np.exp(l_step - l_step[-1])
+    peak = np.argmax(np.abs(F_step))
+    diff = F_scan / F_scan[peak] - F_step / F_step[peak]
+    assert np.max(np.abs(diff)) <= 1e-12
+    assert oracle._count_nodes(v_scan) == oracle._count_nodes(v_step)
+    return oracle._count_nodes(v_scan)
+
+
 class TestShootingConfig:
     def test_default_geometry(self):
         # the config holds the caller's two values; the domain is the well's
@@ -302,6 +317,22 @@ class TestIntegrationBlowup:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationBlowup, match="overflowed"):
                 oracle._trajectory(rc, E, bad, -1.0)
+
+    # the step inside a longer sweep, after steps of 1e-3 and before steps of
+    # h = 0: as the 4th step of the second block of 8 (16 steps), and as the
+    # last of a partial block (13 steps)
+    @pytest.mark.parametrize("before, after", [(11, 4), (12, 0)],
+                             ids=["mid-block", "partial-block-end"])
+    def test_trajectory_raises_inside_sweep(self, blowup, before, after):
+        rc, E, bad, _ = blowup
+        start = bad.r[0]
+        nodes = np.concatenate([start - 1e-3 * np.arange(before, 0, -1), [start],
+                                np.full(after + 1, start + 1e200)])
+        long = oracle._sweep(rc, nodes)
+        assert len(long.h) == before + 1 + after
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationBlowup, match="overflowed"):
+                oracle._trajectory(rc, E, long, -1.0)
 
     @pytest.mark.parametrize("direction", [0, 1])
     def test_fused_pass_raises(self, blowup, direction):
@@ -628,7 +659,7 @@ class TestScanTrajectory:
         for a, b in zip(F_scan, F_step):
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
-    @pytest.mark.parametrize("steps", [1, 2, 3, 5, 17, 1023, 1025])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 5, 7, 8, 9, 16, 17, 1023, 1025])
     @pytest.mark.parametrize("outward", [True, False])
     def test_tree_scan_edge_counts(self, lowest_states, steps, outward):
         cfg, eigs = lowest_states
@@ -638,15 +669,25 @@ class TestScanTrajectory:
         # to see nodes
         sweep = oracle._sweep(rc, nodes if outward else nodes[::-1])
         slopes = oracle._slopes(rc, eigs[3], (sweep, sweep))
-        args = (rc, eigs[3], sweep, slopes[0 if outward else 1])
-        (v_scan, l_scan), (v_step, l_step) = (oracle._trajectory(*args),
-                                              stepwise_trajectory(*args))
-        F_scan = v_scan * np.exp(l_scan - l_scan[-1])
-        F_step = v_step * np.exp(l_step - l_step[-1])
-        peak = np.argmax(np.abs(F_step))  # each direction, scaled to 1 there
-        diff = F_scan / F_scan[peak] - F_step / F_step[peak]
-        assert np.max(np.abs(diff)) <= 1e-12
-        assert oracle._count_nodes(v_scan) == oracle._count_nodes(v_step)
+        assert_matches_stepwise(
+            (rc, eigs[3], sweep, slopes[0 if outward else 1]))
+
+    def test_deep_well_keeps_headroom(self):
+        # at V0 = 1000 the outward sweep of the ground state grows by about
+        # e^6000 and is rescaled 18 times: no value may pass 2^500, so that
+        # neighbouring values' products and F^2 stay finite
+        p = replace(BOUND, V0=1000.0)
+        root = solve_energy(p, BOUND_STATE).e_upper
+        cfg = default_config(p, (root - 0.5, root + 0.5))
+        with np.errstate(over="raise", invalid="raise"):
+            eigs = find_eigenvalues(cfg, p, BOUND_STATE, count=1)
+        assert eigs == pytest.approx([root], abs=1e-9)
+        rc = radial_coefficients(p, BOUND_STATE)
+        sweeps = oracle._sweeps(rc, cfg)
+        args = (rc, eigs[0], sweeps[0], oracle._slopes(rc, eigs[0], sweeps)[0])
+        values, logs = oracle._trajectory(*args)
+        assert np.max(np.abs(values)) <= 2.0 ** 500 and logs[-1] > 5000.0
+        assert assert_matches_stepwise(args) == 0
 
     @pytest.mark.parametrize("outward", [True, False])
     def test_rescaled_pass(self, lowest_states, monkeypatch, outward):

@@ -44,6 +44,29 @@ from conftest import (
 )
 
 
+def per_cell_bracketing(p, state) -> list[float]:
+    """Reference for solve_energy_by_bracketing: the same scans, but each
+    sign-change cell re-scanned on its own, one residual call per re-scan."""
+    e_lo, e_hi = -p.M - 50.0, p.M + 50.0
+    for _ in range(200):
+        grid = np.linspace(e_lo, e_hi, 400)
+        vals = energy_equation_residual(grid, p, state)
+        cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+        if cells.size or e_hi - e_lo < 1e-12 * max(1.0, abs(e_lo)):
+            break
+        i_min = int(np.argmin(vals))
+        e_lo, e_hi = float(grid[max(i_min - 1, 0)]), float(grid[min(i_min + 1, 399)])
+    roots = []
+    for lo, hi in zip(grid[cells].tolist(), grid[cells + 1].tolist()):
+        while hi - lo >= 1e-12 * 1e-3 * max(1.0, abs(lo)):
+            sub = np.linspace(lo, hi, 400)
+            vals = energy_equation_residual(sub, p, state)
+            k = int(np.argmax(vals[:-1] * vals[1:] <= 0.0))
+            lo, hi = sub[k:k + 2].tolist()
+        roots.append(0.5 * (lo + hi))
+    return roots
+
+
 class TestSolveEnergy:
     def test_roots_zero_the_residual(self, rng):
         for _ in range(20):
@@ -180,8 +203,9 @@ class TestBracketingRoute:
     @pytest.mark.parametrize("p", [BOUND, reference_params(0.0)],
                              ids=["bound", "reference"])
     def test_scans_only(self, monkeypatch, p):
-        # every residual call evaluates a whole scan grid: the first scan, a
-        # re-scan where both roots share a cell, then about six per root
+        # every residual call evaluates whole scan grids: the first scan, a
+        # re-scan where both roots share a cell, then about six levels of
+        # re-scans, each one call over both roots' cells
         calls = []
         residual = spectrum.energy_equation_residual
 
@@ -192,6 +216,28 @@ class TestBracketingRoute:
         monkeypatch.setattr(spectrum, "energy_equation_residual", counted)
         assert len(solve_energy_by_bracketing(p, BOUND_STATE)) == 2
         assert len(calls) <= 16 and set(calls) == {1}
+
+    def test_one_call_per_rescan_level(self, monkeypatch, rng):
+        # the first scan, then one call per level of re-scans, which takes
+        # both of BOUND's cells (six levels, not six calls per cell); every
+        # root keeps the bits of re-scanning each cell on its own
+        calls = []
+        residual = spectrum.energy_equation_residual
+
+        def counted(E, *args):
+            calls.append(np.size(E))
+            return residual(E, *args)
+
+        monkeypatch.setattr(spectrum, "energy_equation_residual", counted)
+        assert solve_energy_by_bracketing(BOUND, BOUND_STATE) == \
+            per_cell_bracketing(BOUND, BOUND_STATE)
+        assert calls == [400] + [800] * 6
+        cases = [(reference_params(0.0), BOUND_STATE),
+                 (BOUND, QuantumState(n=2, ell=20, D=3))]
+        cases += [random_valid_config(rng)[:2] for _ in range(20)]
+        for p, state in cases:
+            assert solve_energy_by_bracketing(p, state) == \
+                per_cell_bracketing(p, state)
 
     def test_gap_metric(self):
         gap = lambda p, state: BRACKETING.metric(p, state, solve_energy(p, state))
