@@ -4,33 +4,31 @@ Independent cross-check of the closed-form spectrum: F'' = U(r; E) F is
 integrated outward from r_min and inward from r_max with the classical
 Runge-Kutta scheme, and the Wronskian of the two sweeps' (F, F') vectors at
 the match radius, each scaled to unit length, is driven to zero over E.  A
-solve builds each sweep's grid once, with the E-independent shape f and
-c2 f^2 at its nodes and midpoints.  The outward grid is uniform; the inward
-one keeps the same step near the match radius and grows it geometrically
-through the tail, where a bound state decays and errors reach the mismatch
-damped.  The equation is linear, so one RK4 step is a 2x2 transfer matrix,
-closed-form in the step's h and its three values of U.
-A sweep's end state is their ordered product, the root of a pairwise tree
+solve builds one grid: both sweeps' steps end to end, each sweep padded with
+steps of h = 0 to whole rows of _ROW steps, with the E-independent shape f and
+c2 f^2 at their nodes and midpoints.  The outward sweep is uniform; the inward
+one grows its step geometrically through the tail, where a bound state decays
+and errors reach the mismatch damped.  The equation is linear, so one RK4 step
+is a 2x2 transfer matrix, closed-form in the step's h and its three values of
+U.  A sweep's end state is their ordered product, the root of a pairwise tree
 renormalized per level by positive factors, which keep its direction, sign
 included: the mismatch is bounded, has no poles and changes sign only at
-eigenvalues.  One kernel, _mismatches, takes a block of energies through
-one fused pass, the energy axis before the step axis, so the tree's fixed
-cost per level is paid once per block and once for both directions: the two
-sweeps' steps are laid end to end, each padded with steps of h = 0 (the
-identity) to whole rows of _ROW steps, so one tree reduces every row and,
-once the rows are gathered by direction, finishes both directions'
-products, with the bits of one tree per direction.  A pass makes one
-allocation, a workspace of 8 doubles per step and energy, whose halves take
-the transfer matrices and the tree's levels in turn.  The scan grid goes
-through it a block at a time, and its sign changes are refined together by
-a port of scipy's brentq, run as generators in lockstep so that one pass
-serves every root's next step; the oracle imports no scipy.
-The amplitudes along a sweep, for node counts and the eigenfunction, take
-no tree: the same matrices' prefix products inside blocks of 8 steps are
-formed for every block at once, and one forward pass y <- P @ y over the
-blocks' products, on Python floats, gives each block's start state, divided
-by its size |F| + |F'| (whose log is carried) where the block could pass a
-fixed power of two.
+eigenvalues.  One kernel, _mismatches, takes a block of energies through one
+pass over the grid, the energy axis before the step axis: one tree reduces
+every row and, once the rows are gathered by direction, finishes both
+directions' products, with the bits of one tree per direction, so its fixed
+cost per level is paid once per block and once for both directions.  A pass
+allocates one workspace, 8 doubles per step and energy, whose halves take the
+transfer matrices and the tree's levels in turn.  The scan takes its energies
+through it a block at a time, and its sign changes are refined together by a
+port of scipy's brentq, run as generators in lockstep so that one pass serves
+every root's next step; the oracle imports no scipy.
+The amplitudes along a sweep, for node counts and the eigenfunction, take no
+tree: the same matrices' prefix products inside blocks of 8 steps, 16 to a
+row, are formed for all of the sweep's rows at once, and one forward pass
+y <- P @ y over the blocks' products, on Python floats, gives each block's
+start state, divided by its size |F| + |F'| (whose log is carried) where the
+block could pass a fixed power of two.
 """
 from __future__ import annotations
 
@@ -102,72 +100,64 @@ def default_config(p: PhysicalParams, energy_bracket: tuple[float, float],
     return ShootingConfig(energy_bracket=energy_bracket, step_count=step_count)
 
 
-# Grid points per kernel pass of find_eigenvalues' scan: 16, or fewer where
-# the block's k x step_count transfer matrices would pass _BLOCK_MATRICES.  A
-# pass has a fixed cost per tree level, which a block shares, and a cost per
-# matrix, which it does not once its arrays outgrow the cache; a pass builds
-# len(fused.h) matrices per energy, both directions and their pads (2304 on
-# the attractive well at 6000 steps).  One energy's share of a pass near the
-# ground state of the attractive well (V0 = 10, alpha' = 0.0015, ell = 20,
-# D = 3), in ms (best of 2 x 9 rounds of 64 energies, of 2 x 3 at 80000
-# steps; a 2-core Xeon with 2 MiB of L2 per core):
+# Grid points per kernel pass of find_eigenvalues' scan.  A pass has a fixed
+# cost per tree level, which a block shares, and a cost per matrix, which it
+# does not once its arrays outgrow the cache; a pass builds len(grid.h)
+# matrices per energy, both directions and their pads (2304 on the attractive
+# well at 6000 steps).  One energy's share of a pass near the ground state of
+# the attractive well (V0 = 10, alpha' = 0.0015, ell = 20, D = 3), in ms (best
+# of 2 x 9 rounds of 64 energies, of 2 x 3 at 80000 steps; a 2-core Xeon with
+# 2 MiB of L2 per core):
 #   steps    k = 1    4     8     16    32    64
 #    6000     0.39  0.19  0.14  0.12  0.11  0.12
 #   10000     0.60  0.28  0.20  0.17  0.17  0.18
 #   20000     0.58  0.32  0.26  0.29  0.32  0.38
 #   80000     1.69  1.43  1.43  1.66  2.05  2.26
-# The rule picks 16, 12, 6 and 1 of these; at 80000 steps a block of 4 to 8
-# is about 15% cheaper per energy than 1.  The cap of 16 also bounds the
-# points a pass scans past the stop.
+# 16 is within 0.01 ms of the best at 6000 and 10000 steps and 16% above it
+# at most; it also bounds the points a pass scans past the stop.
 _SCAN_BLOCK = 16
-_BLOCK_MATRICES = 120_000
 
 
-# A sweep's E-independent grid: its nodes r (len(h) + 1 of them, descending
-# for the inward sweep), its steps h = r[j+1] - r[j], and the shape f and
-# q = c2 f^2 at its nodes and midpoints, interleaved (2 len(h) + 1 values)
-_Sweep = namedtuple("_Sweep", "r h f q")
+# A solve's E-independent grid: each direction's nodes r (outward ones
+# ascending, inward ones descending), both directions' steps h = r[j+1] -
+# r[j] end to end, outward first, each padded with steps of h = 0 to whole
+# rows of _ROW steps (rows[d] of them), and the shape f and q = c2 f^2 at
+# the steps' nodes and midpoints, interleaved (2 len(h) + 1 values)
+_Grid = namedtuple("_Grid", "r h f q rows")
 
-# The two sweeps of a solve, outward and inward, and their fused sequence:
-# the outward steps, then the inward ones, each direction padded with steps
-# of h = 0 to a whole number of rows of _ROW steps; its h, f and q are laid
-# out as a _Sweep's, and rows holds each direction's number of rows
-_Sweeps = namedtuple("_Sweeps", "out inw fused")
-_Fused = namedtuple("_Fused", "h f q rows")
-
-# Steps per row of the fused sequence, a power of two.  A step of h = 0 is
-# the identity to the bit where U is finite, and a product with it leaves
-# the other factor's bits, so padding a direction to whole rows changes no
+# Steps per row of the grid, a power of two.  A step of h = 0 is the
+# identity to the bit where U is finite, and a product with it leaves the
+# other factor's bits, so padding a direction to whole rows changes no
 # product of its pairwise tree; no row straddles the two directions, so a
 # pass takes both through the tree's first log2(_ROW) levels at once
 _ROW = 128
 
 
-def _sweep(rc: RadialCoefficients, r: np.ndarray) -> _Sweep:
-    h = np.diff(r)
-    half = np.empty(2 * len(h) + 1)
-    half[0::2], half[1::2] = r, r[:-1] + h / 2.0
-    f = shape_factor(half, rc.p.R, rc.p.a)
-    return _Sweep(r, h, f, rc.c2 * f * f)
-
-
-def _sweep_pair(out: _Sweep, inw: _Sweep) -> _Sweeps:
-    """The two sweeps with their fused sequence.  Each pad's node and
-    midpoint copy the shape at its direction's last node, so U is finite
-    there.  The outward direction gets at least one pad: its last step joins
-    the outward end to the inward start."""
-    rows = (len(out.h) // _ROW + 1, -(-len(inw.h) // _ROW))
+def _grid(rc: RadialCoefficients, out: np.ndarray, inw: np.ndarray) -> _Grid:
+    """The grid of the outward nodes out and the inward nodes inw.  A pad's
+    node and midpoint sit at its direction's last node, so U is finite there;
+    the outward direction gets at least one pad, whose last step joins the
+    outward end to the inward start."""
+    rows = ((len(out) - 1) // _ROW + 1, -(-(len(inw) - 1) // _ROW))
     bounds = (0, _ROW * rows[0], _ROW * sum(rows))  # each direction's steps
     h = np.zeros(bounds[-1])
-    f, q = np.empty(2 * bounds[-1] + 1), np.empty(2 * bounds[-1] + 1)
-    for sweep, start, end in zip((out, inw), bounds, bounds[1:]):
-        n = len(sweep.h)
-        h[start:start + n] = sweep.h
-        for dst, src in ((f, sweep.f), (q, sweep.q)):
-            # through node `end`, which the inward sweep's start then takes
-            dst[2 * start:2 * end + 1] = src[-1]
-            dst[2 * start:2 * (start + n) + 1] = src
-    return _Sweeps(out, inw, _Fused(h, f, q, rows))
+    x = np.empty(2 * bounds[-1] + 1)  # the steps' nodes and midpoints
+    nodes = x[0::2]
+    for r, start, end in zip((out, inw), bounds, bounds[1:]):
+        h[start:start + len(r) - 1] = np.diff(r)
+        # through node `end`, which the inward start then takes
+        nodes[start:end + 1] = r[-1]
+        nodes[start:start + len(r)] = r
+    x[1::2] = nodes[:-1] + h / 2.0
+    f = shape_factor(x, rc.p.R, rc.p.a)
+    return _Grid((out, inw), h, f, rc.c2 * f * f, rows)
+
+
+def _direction(grid: _Grid, d: int) -> _Grid:
+    """Direction d of the grid (0 outward, 1 inward) as a grid of its own."""
+    start, end = (_ROW * sum(grid.rows[:i]) for i in (d, d + 1))
+    f, q = (a[2 * start:2 * end + 1] for a in (grid.f, grid.q))
+    return _Grid(grid.r[d:d + 1], grid.h[start:end], f, q, grid.rows[d:d + 1])
 
 
 # The inward sweep's grading.  Past the match node, once U(r; E) is close to
@@ -230,17 +220,17 @@ def _graded_tail(rc: RadialCoefficients, bracket, c0_min: float,
     return r
 
 
-def _sweeps(rc: RadialCoefficients, cfg: ShootingConfig):
-    """The outward sweep from r_min and the inward one from r_max, meeting at
-    the node nearest r_match, on the truncation of the well rc was built for
-    (see _truncation).
+def _sweeps(rc: RadialCoefficients, cfg: ShootingConfig) -> _Grid:
+    """The grid of the outward sweep from r_min and the inward one from
+    r_max, meeting at the node nearest r_match, on the truncation of the well
+    rc was built for (see _truncation).
 
-    The outward grid is the uniform one of step_count steps of h = (r_max -
-    r_min) / step_count, up to that node.  The inward grid keeps h out to
-    where U is close to its asymptote for every energy of the bracket, then
-    grades its steps up to about 30 h by the rule above, ending exactly at
-    r_max; where the bracket reaches c0 <= 0 it is the rest of the uniform
-    grid.
+    The outward nodes are those of the uniform grid of step_count steps of
+    h = (r_max - r_min) / step_count, up to that node.  The inward ones keep
+    h out to where U is close to its asymptote for every energy of the
+    bracket, then grade the steps up to about 30 h by the rule above, ending
+    exactly at r_max; where the bracket reaches c0 <= 0 they are the rest of
+    the uniform grid's.
     """
     r_min, r_max, r_match = _truncation(rc.p)
     uniform = np.linspace(r_min, r_max, cfg.step_count + 1)
@@ -251,11 +241,10 @@ def _sweeps(rc: RadialCoefficients, cfg: ShootingConfig):
     c0_min = min(map(rc.c0, cfg.energy_bracket))  # c0 is least at an end
     if c0_min > 0.0:
         inward = _graded_tail(rc, cfg.energy_bracket, c0_min, inward[0], r_max, h)
-    return _sweep_pair(_sweep(rc, uniform[:i_match + 1]),
-                       _sweep(rc, inward[::-1]))
+    return _grid(rc, uniform[:i_match + 1], inward[::-1])
 
 
-def _slopes(rc: RadialCoefficients, E: float, sweeps) -> tuple[float, float]:
+def _slopes(rc: RadialCoefficients, E: float, grid: _Grid) -> tuple[float, float]:
     """Start slopes F'/F at E, growing at r_min and decaying at r_max; raises
     NotBoundRegime where c0(E) <= 0 (oscillatory tail)."""
     c0 = rc.c0(E)
@@ -263,7 +252,7 @@ def _slopes(rc: RadialCoefficients, E: float, sweeps) -> tuple[float, float]:
         raise NotBoundRegime(
             f"asymptotic coefficient <= 0 at E = {E}: oscillatory tail"
         )
-    u_min = rc.u(sweeps[0].f[0], E)
+    u_min = rc.u(grid.f[0], E)
     return math.sqrt(max(float(u_min), 0.0)), -math.sqrt(c0)
 
 
@@ -277,13 +266,13 @@ def _views(buf: np.ndarray, *shapes):
     return views
 
 
-def _transfer_entries(rc: RadialCoefficients, E, sweep, T=None, work=None):
+def _transfer_entries(rc: RadialCoefficients, E, grid: _Grid, T=None, work=None):
     """Closed-form RK4 transfer matrices for y = (F, F'), shape (2, 2, steps)
     at a scalar E and (2, 2, k, steps) at the k energies of a 1-d E; written
     to T if given, with the flat array work, if given, as scratch for U (3
     steps + 1 doubles per energy).
 
-    [..., j] maps y(r[j]) to y(r[j+1]), over the step h = sweep.h[j].  With
+    [..., j] maps y across step j, over h = grid.h[j].  With
     A = [[0, 1], [u, 0]] each RK4 stage is a polynomial in h and the values
     u1, u2, u3 of U at the step's start, midpoint and end; U is summed as in
     RadialCoefficients.u, so it keeps its bits, and each entry is written in
@@ -295,7 +284,7 @@ def _transfer_entries(rc: RadialCoefficients, E, sweep, T=None, work=None):
     """
     E = np.asarray(E, dtype=float)[..., None]
     c0, c1 = rc.c0(E), rc.frak_u(E) - rc.c2
-    lead, steps = E.shape[:-1], len(sweep.h)
+    lead, steps = E.shape[:-1], len(grid.h)
     if T is None:
         T = np.empty((2, 2) + lead + (steps,))
     if work is None:
@@ -304,11 +293,11 @@ def _transfer_entries(rc: RadialCoefficients, E, sweep, T=None, work=None):
     ends, u2, w = _views(work, lead + (steps + 1,), lead + (steps,),
                          lead + (steps,))
     for u, i in ((ends, 0), (u2, 1)):
-        np.multiply(c1, sweep.f[i::2], out=u)
+        np.multiply(c1, grid.f[i::2], out=u)
         u += c0
-        u += sweep.q[i::2]
+        u += grid.q[i::2]
     u1, u3 = ends[..., :-1], ends[..., 1:]
-    h = sweep.h  # one per step, broadcast over the energy axis
+    h = grid.h  # one per step, broadcast over the energy axis
     h2, h3 = h * h, h * h * h
     h2_6, h4_24 = h2 / 6.0, h2 * h2 / 24.0
     t00, t01, t10, t11 = T[0, 0], T[0, 1], T[1, 0], T[1, 1]
@@ -381,33 +370,32 @@ def _reduce(M: np.ndarray, halves, side: int, width: int):
     return M, side
 
 
-def _tops(E, rc: RadialCoefficients, sweeps: _Sweeps) -> np.ndarray:
+def _tops(E, rc: RadialCoefficients, grid: _Grid) -> np.ndarray:
     """The tops of both directions' trees at the energies E, shape (2, 2,
     len(E), 2), direction last, with the bits of a tree of _level over each
-    sweep alone: one tree over the fused sequence, in one workspace.
+    direction's own steps: one tree over the whole grid, in one workspace.
 
     The transfer matrices fill one half of the workspace and their U the
     other, and each level goes to the half its input is not in.  Once each
     column is a row's product, the rows are gathered by direction, the
     shorter direction filled with identities, and the tree is finished over
     the gathered rows."""
-    fused = sweeps.fused
-    k, steps = len(E), len(fused.h)
+    k, steps = len(E), len(grid.h)
     halves = np.split(np.empty(8 * k * steps), 2)
-    T = _transfer_entries(rc, E, fused, halves[0].reshape(2, 2, k, steps),
+    T = _transfer_entries(rc, E, grid, halves[0].reshape(2, 2, k, steps),
                           halves[1])
-    M, side = _reduce(T, halves, 0, sum(fused.rows))
+    M, side = _reduce(T, halves, 0, sum(grid.rows))
     side = 1 - side
-    G, = _views(halves[side], (2, 2, k, 2, max(fused.rows)))
+    G, = _views(halves[side], (2, 2, k, 2, max(grid.rows)))
     start = 0
-    for d, rows in enumerate(fused.rows):
+    for d, rows in enumerate(grid.rows):
         G[..., d, :rows] = M[..., start:start + rows]
         G[..., d, rows:] = np.eye(2).reshape(2, 2, 1, 1)
         start += rows
     return _reduce(G, halves, side, 1)[0][..., 0]
 
 
-def _mismatches(Es, rc: RadialCoefficients, sweeps: _Sweeps) -> np.ndarray:
+def _mismatches(Es, rc: RadialCoefficients, grid: _Grid) -> np.ndarray:
     """Mismatch at each energy of the sequence Es, NaN where the tail
     oscillates: one pass of _tops over the whole block.  The Wronskian of
     the sweeps' end states (F, F') from (1, slope0), each scaled to unit
@@ -416,11 +404,11 @@ def _mismatches(Es, rc: RadialCoefficients, sweeps: _Sweeps) -> np.ndarray:
     bound, slopes = [], []
     for i, E in enumerate(Es):
         with contextlib.suppress(NotBoundRegime):
-            slopes.append(_slopes(rc, E, sweeps))
+            slopes.append(_slopes(rc, E, grid))
             bound.append(i)
     if not bound:
         return out
-    tops, states = _tops([Es[i] for i in bound], rc, sweeps), []
+    tops, states = _tops([Es[i] for i in bound], rc, grid), []
     for d, slope0 in enumerate(np.array(slopes).T):
         t = tops[..., d]
         y0, y1 = t[0, 0] + t[0, 1] * slope0, t[1, 0] + t[1, 1] * slope0
@@ -444,9 +432,9 @@ def shoot_mismatch(E: float, cfg: ShootingConfig, p: PhysicalParams,
     (oscillatory tail, no bound state possible at this E).
     """
     rc = radial_coefficients(p, state)
-    sweeps = _sweeps(rc, cfg)
-    _slopes(rc, E, sweeps)  # raises NotBoundRegime where the tail oscillates
-    return float(_mismatches([E], rc, sweeps)[0])
+    grid = _sweeps(rc, cfg)
+    _slopes(rc, E, grid)  # raises NotBoundRegime where the tail oscillates
+    return float(_mismatches([E], rc, grid)[0])
 
 
 # The bound on |F| of _trajectory: a block's start state is divided by its
@@ -455,27 +443,28 @@ def shoot_mismatch(E: float, cfg: ShootingConfig, p: PhysicalParams,
 # products of neighbouring values, and F^2, stay inside the float range
 _RESCALE = 2.0 ** 500
 
-# Steps per block of _trajectory.  Its outward and inward trajectories at
-# the ground state of the attractive well (V0 = 10, alpha' = 0.0015, ell = 20,
-# D = 3) at 6000 steps, 1544 and 584 steps long, take in ms (best of 3 runs of
-# best of 7 x 30 calls; a 2-core Xeon), against 0.60 ms at one step per block:
+# Steps per block of _trajectory, a divisor of _ROW, so that a direction's
+# rows are whole blocks.  Its outward and inward trajectories at the ground
+# state of the attractive well (V0 = 10, alpha' = 0.0015, ell = 20, D = 3)
+# at 6000 steps, 1544 and 584 steps long, take in ms (best of 3 runs of best
+# of 7 x 30 calls; a 2-core Xeon), against 0.60 ms at one step per block:
 #   steps per block   4     8     16    32
 #   ms               0.40  0.36  0.42  0.53
 _TRAJECTORY_BLOCK = 8
 
 
-def _trajectory(rc: RadialCoefficients, E: float, sweep, slope0: float):
-    """Amplitudes F of the sweep from (1, slope0) as (values, log_scales):
-    F at sweep.r[j] is values[j] * exp(log_scales[j]).  The transfer
-    matrices, padded with identities to whole blocks of _TRAJECTORY_BLOCK
-    steps, give every block's prefix products P at once, blocks on the last
-    axis; y <- P @ y steps the state by each block's product on Python
-    floats, and row 0 of the block's P applied to its start state gives F
-    inside it.  Raises IntegrationBlowup where a matrix or state is not finite."""
-    steps, width = len(sweep.h), _TRAJECTORY_BLOCK
-    T = np.empty((2, 2, -(-steps // width) * width))
-    _transfer_entries(rc, E, sweep, T[..., :steps])
-    T[..., steps:] = np.eye(2)[..., None]
+def _trajectory(rc: RadialCoefficients, E: float, grid: _Grid, d: int,
+                slope0: float):
+    """Amplitudes F of the grid's direction d (0 outward, 1 inward) from
+    (1, slope0) as (values, log_scales): F at grid.r[d][j] is values[j] *
+    exp(log_scales[j]).  The transfer matrices of the direction's rows, whole
+    blocks of _TRAJECTORY_BLOCK steps, give every block's prefix products P
+    at once, blocks on the last axis; y <- P @ y steps the state by each
+    block's product on Python floats, and row 0 of the block's P applied to
+    its start state gives F inside it, up to the direction's last node.
+    Raises IntegrationBlowup where a matrix or state is not finite."""
+    width = _TRAJECTORY_BLOCK
+    T = _transfer_entries(rc, E, _direction(grid, d))
     T = T.reshape(2, 2, -1, width).transpose(0, 1, 3, 2)
     P, tmp = np.empty(T.shape), np.empty(T[:, :, 0].shape)
     P[:, :, 0] = T[:, :, 0]
@@ -495,7 +484,8 @@ def _trajectory(rc: RadialCoefficients, E: float, sweep, slope0: float):
     f0, g0, logs = np.array(starts).reshape(-1, 3).T
     values = np.concatenate(([1.0], (P[0, 0] * f0 + P[0, 1] * g0).T.ravel()))
     logs = np.concatenate(([0.0], np.repeat(logs, width)))
-    return values[:steps + 1], logs[:steps + 1]
+    n = len(grid.r[d])
+    return values[:n], logs[:n]
 
 
 def _count_nodes(values: np.ndarray) -> int:
@@ -563,7 +553,7 @@ def _brentq(xpre: float, xcur: float, fpre: float, fcur: float, xtol: float):
         f"last value {xcur}")
 
 
-def _refine(cells, tol: float, rc: RadialCoefficients, sweeps) -> list[float]:
+def _refine(cells, tol: float, rc: RadialCoefficients, grid: _Grid) -> list[float]:
     """The roots of the mismatch in the sign-change cells (a, b, f(a), f(b)),
     each refined by _brentq to `tol`, in lockstep: one kernel pass takes
     every unfinished root's next point."""
@@ -579,7 +569,7 @@ def _refine(cells, tol: float, rc: RadialCoefficients, sweeps) -> list[float]:
                     roots[i] = stop.value
         if not wanted:
             return roots
-        values = _mismatches(list(wanted.values()), rc, sweeps).tolist()
+        values = _mismatches(list(wanted.values()), rc, grid).tolist()
         sent = dict(zip(wanted, values))
 
 
@@ -609,21 +599,20 @@ def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     rc = radial_coefficients(p, state)
-    sweeps = _sweeps(rc, cfg)
+    grid = _sweeps(rc, cfg)
     lo, hi = cfg.energy_bracket
-    grid = np.linspace(lo, hi, scan_points).tolist()
-    block = min(_SCAN_BLOCK, max(1, _BLOCK_MATRICES // cfg.step_count))
+    Es = np.linspace(lo, hi, scan_points).tolist()
     values, cells, found = [], [], []  # values: NaN where the tail oscillates
-    for start in range(0, scan_points, block):
-        values += _mismatches(grid[start:start + block], rc, sweeps).tolist()
-        cells += [(grid[i - 1], grid[i], values[i - 1], values[i])
+    for start in range(0, scan_points, _SCAN_BLOCK):
+        values += _mismatches(Es[start:start + _SCAN_BLOCK], rc, grid).tolist()
+        cells += [(Es[i - 1], Es[i], values[i - 1], values[i])
                   for i in range(max(start, 1), len(values))
                   if values[i - 1] * values[i] < 0.0]  # false at a NaN
         if len(found) + len(cells) < count and len(values) < scan_points:
             continue
-        for e_star in _refine(cells, tol, rc, sweeps):
-            amps, _ = _trajectory(rc, e_star, sweeps[0],
-                                  _slopes(rc, e_star, sweeps)[0])
+        for e_star in _refine(cells, tol, rc, grid):
+            amps, _ = _trajectory(rc, e_star, grid, 0,
+                                  _slopes(rc, e_star, grid)[0])
             found = sorted(found + [(_count_nodes(amps), e_star)])
             if len(found) >= count and found[count - 1][0] == 0:
                 return [e for _, e in found[:count]]
@@ -639,18 +628,19 @@ def shoot_eigenfunction(E: float, cfg: ShootingConfig, p: PhysicalParams,
                         state: QuantumState):
     """Stitched, L2-normalized eigenfunction at energy E on the shooting grid.
 
-    Returns (r, F) arrays on the sweeps' nodes: r rises strictly from r_min =
-    R/100 to r_max = R + 40 a (see _truncation), in steps of the base step h
-    out to where U nears its asymptote past the match radius R and growing
-    beyond where the bracket is bound (see _sweeps); the inward branch is
-    rescaled for amplitude continuity at the match radius.  Intended for
-    overlap diagnostics at a converged eigenvalue.
+    Returns (r, F) arrays on the grid's nodes, its pads left out: r rises
+    strictly from r_min = R/100 to r_max = R + 40 a (see _truncation), in
+    steps of the base step h out to where U nears its asymptote past the
+    match radius R and growing beyond where the bracket is bound (see
+    _sweeps); the inward branch is rescaled for amplitude continuity at the
+    match radius.  Raises NotBoundRegime where c0(E) <= 0 (oscillatory
+    tail).  Intended for overlap diagnostics at a converged eigenvalue.
     """
     rc = radial_coefficients(p, state)
-    sweeps = _sweeps(rc, cfg)
-    slopes = _slopes(rc, E, sweeps)
-    val_o, log_o = _trajectory(rc, E, sweeps[0], slopes[0])
-    val_i, log_i = _trajectory(rc, E, sweeps[1], slopes[1])
+    grid = _sweeps(rc, cfg)
+    slopes = _slopes(rc, E, grid)
+    val_o, log_o = _trajectory(rc, E, grid, 0, slopes[0])
+    val_i, log_i = _trajectory(rc, E, grid, 1, slopes[1])
     # restore true relative magnitudes within each branch
     out = val_o * np.exp(log_o - log_o[-1])
     inw = (val_i * np.exp(log_i - log_i[-1]))[::-1]
@@ -658,6 +648,6 @@ def shoot_eigenfunction(E: float, cfg: ShootingConfig, p: PhysicalParams,
         raise IntegrationBlowup("inward solution vanished at the match radius")
     inw = inw * (out[-1] / inw[0])
     F = np.concatenate([out, inw[1:]])
-    r = np.concatenate([sweeps[0].r, sweeps[1].r[-2::-1]])
+    r = np.concatenate([grid.r[0], grid.r[1][-2::-1]])
     norm = math.sqrt(np.trapezoid(F * F, r))
     return r, F / norm

@@ -8,6 +8,7 @@ import inspect
 import math
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -71,11 +72,12 @@ def rk4_stage_matrices(rc, E, nodes):
     return np.eye(2) + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
 
 
-def stepwise_trajectory(rc, E, sweep, slope0):
-    """Reference sweep y <- T[j] @ y, one step at a time: (values, log_scales)."""
+def stepwise_trajectory(rc, E, grid, d, slope0):
+    """Reference sweep of the grid's direction d, y <- T[j] @ y, one step at
+    a time: (values, log_scales)."""
     y = np.array([1.0, slope0])
     values, logs, log = [y[0]], [0.0], 0.0
-    for T in rk4_stage_matrices(rc, E, sweep.r):
+    for T in rk4_stage_matrices(rc, E, grid.r[d]):
         y = T @ y
         big = np.abs(y).max()
         if big > 1e100:
@@ -163,11 +165,11 @@ class TestShootingConfig:
         cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
         wide = replace(BOUND, R=2.0 * BOUND.R)
         rc = radial_coefficients(wide, BOUND_STATE)
-        out, inw, _ = oracle._sweeps(rc, cfg)
+        out, inw = oracle._sweeps(rc, cfg).r
         r_min, r_max, r_match = oracle._truncation(wide)
-        assert out.r[0] == r_min and inw.r[0] == r_max
+        assert out[0] == r_min and inw[0] == r_max
         h = (r_max - r_min) / cfg.step_count
-        assert abs(out.r[-1] - r_match) <= h / 2.0
+        assert abs(out[-1] - r_match) <= h / 2.0
 
 
 class TestMismatch:
@@ -216,7 +218,7 @@ class TestMismatches:
         # the scalar call's array to the bit
         cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
         rc = radial_coefficients(BOUND, BOUND_STATE)
-        sweep = oracle._sweeps(rc, cfg)[0 if outward else 1]
+        sweep = oracle._direction(oracle._sweeps(rc, cfg), 0 if outward else 1)
         Es = [bound_root - 0.05, bound_root, bound_root + 0.3]
         T = oracle._transfer_entries(rc, np.array(Es), sweep)
         assert T.shape == (2, 2, len(Es), len(sweep.h))
@@ -225,13 +227,23 @@ class TestMismatches:
             assert T[:, :, i].tobytes() == single.tobytes()
 
 
-def direction_tops(rc, Es, sweeps):
-    """Each direction's top through its own pairwise tree of oracle._level,
-    at least one level, as in the fused pass: the reference for that pass,
-    shape (2, 2, len(Es), 2)."""
+def unpadded(rc, r):
+    """The steps between the nodes r alone, with the shape f and q = c2 f^2
+    at their nodes and midpoints, as oracle._transfer_entries reads them."""
+    h = np.diff(r)
+    x = np.empty(2 * len(h) + 1)
+    x[0::2], x[1::2] = r, r[:-1] + h / 2.0
+    f = shape_factor(x, rc.p.R, rc.p.a)
+    return SimpleNamespace(h=h, f=f, q=rc.c2 * f * f)
+
+
+def direction_tops(rc, Es, grid):
+    """Each direction's top through its own pairwise tree of oracle._level
+    over its own steps, without pads, at least one level, as in the pass
+    over the grid: the reference for that pass, shape (2, 2, len(Es), 2)."""
     tops = []
-    for sweep in sweeps[:2]:
-        M = oracle._transfer_entries(rc, Es, sweep)
+    for r in grid.r:
+        M = oracle._transfer_entries(rc, Es, unpadded(rc, r))
         for _ in range(max(1, (M.shape[-1] - 1).bit_length())):
             out = np.empty(M.shape[:-1] + ((M.shape[-1] + 1) // 2,))
             oracle._level(M, out, np.empty_like(out), np.empty(out.shape[2:]))
@@ -244,10 +256,10 @@ ROW = oracle._ROW
 
 
 class TestFusedPass:
-    def assert_tops_match(self, rc, Es, sweeps):
-        fused = oracle._tops(Es, rc, sweeps)
+    def assert_tops_match(self, rc, Es, grid):
+        fused = oracle._tops(Es, rc, grid)
         assert fused.shape == (2, 2, len(Es), 2)
-        assert fused.tobytes() == direction_tops(rc, Es, sweeps).tobytes()
+        assert fused.tobytes() == direction_tops(rc, Es, grid).tobytes()
 
     def test_default_sweeps(self, bound_root):
         # BOUND's sweeps at the default step count, a block holding two
@@ -256,21 +268,21 @@ class TestFusedPass:
         cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
         rc = radial_coefficients(BOUND, BOUND_STATE)
         e_edge = math.sqrt(BOUND.M**2 + rc.c0_const)  # c0(e_edge) = 0
-        sweeps = oracle._sweeps(rc, cfg)
-        assert len(sweeps.fused.h) == 2304 and sweeps.fused.rows == (13, 5)
+        grid = oracle._sweeps(rc, cfg)
+        assert len(grid.h) == 2304 and grid.rows == (13, 5)
         Es = [bound_root - 0.05, e_edge + 1.0, bound_root, e_edge + 1e-6]
-        self.assert_tops_match(rc, Es, sweeps)
-        assert np.isnan(oracle._mismatches(Es, rc, sweeps)[[1, 3]]).all()
-        self.assert_tops_match(rc, [bound_root], sweeps)
+        self.assert_tops_match(rc, Es, grid)
+        assert np.isnan(oracle._mismatches(Es, rc, grid)[[1, 3]]).all()
+        self.assert_tops_match(rc, [bound_root], grid)
 
     def test_inward_longer_than_outward(self, bound_root):
         # a bracket that reaches the continuum keeps the uniform tail, so
         # the inward sweep has more rows than the outward one
         rc = radial_coefficients(BOUND, BOUND_STATE)
         e_edge = math.sqrt(BOUND.M**2 + rc.c0_const)
-        sweeps = oracle._sweeps(rc, default_config(BOUND, (bound_root, e_edge)))
-        assert sweeps.fused.rows[1] > sweeps.fused.rows[0]
-        self.assert_tops_match(rc, [bound_root, bound_root + 0.3], sweeps)
+        grid = oracle._sweeps(rc, default_config(BOUND, (bound_root, e_edge)))
+        assert grid.rows[1] > grid.rows[0]
+        self.assert_tops_match(rc, [bound_root, bound_root + 0.3], grid)
 
     # a direction of row - 1, row or row + 1 steps ends just inside or on a
     # row's end; at 2 row + 1 and 1025 = 8 row + 1 the odd row is carried
@@ -282,16 +294,22 @@ class TestFusedPass:
     def test_step_counts(self, bound_root, n_out, n_in):
         rc = radial_coefficients(BOUND, BOUND_STATE)
         r_min, r_max, r_match = oracle._truncation(BOUND)
-        sweeps = oracle._sweep_pair(
-            oracle._sweep(rc, np.linspace(r_min, r_match, n_out + 1)),
-            oracle._sweep(rc, np.linspace(r_max, r_match, n_in + 1)))
-        rows = sweeps.fused.rows
+        grid = oracle._grid(rc, np.linspace(r_min, r_match, n_out + 1),
+                            np.linspace(r_max, r_match, n_in + 1))
+        rows = grid.rows
         assert rows == (n_out // ROW + 1, -(-n_in // ROW))
-        # the pads are steps of h = 0
-        h = sweeps.fused.h.reshape(-1, ROW)
-        assert np.count_nonzero(h[:rows[0]]) == n_out
-        assert np.count_nonzero(h[rows[0]:]) == n_in
-        self.assert_tops_match(rc, [bound_root, bound_root + 0.3], sweeps)
+        assert len(grid.h) == ROW * sum(rows)
+        # each direction's rows hold its steps, then pads of h = 0 whose
+        # nodes and midpoints take the shape at the direction's last node
+        for d, r in enumerate(grid.r):
+            sweep, n = oracle._direction(grid, d), len(r) - 1
+            assert len(sweep.h) == ROW * rows[d]
+            assert np.array_equal(sweep.h[:n], np.diff(r))
+            assert not sweep.h[n:].any()
+            for values in (sweep.f, sweep.q):
+                assert np.all(values[2 * n:2 * len(sweep.h)] == values[2 * n])
+            assert sweep.f[2 * n] == shape_factor(r[-1], rc.p.R, rc.p.a)
+        self.assert_tops_match(rc, [bound_root, bound_root + 0.3], grid)
 
 
 class TestIntegrationBlowup:
@@ -302,46 +320,47 @@ class TestIntegrationBlowup:
     def blowup(self, request, bound_root):
         rc = radial_coefficients(BOUND, BOUND_STATE)
         cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
-        out, inw, _ = oracle._sweeps(rc, cfg)
-        u = rc.u(out.f[0::2], bound_root)
-        start = out.r[np.argmin(u)] if request.param == "nan" else inw.r[0]
-        bad = oracle._sweep(rc, start + np.array([0.0, 1e200, 2e200]))
+        grid = oracle._sweeps(rc, cfg)
+        out, inw = grid.r
+        u = rc.u(grid.f[:2 * len(out):2], bound_root)  # at the outward nodes
+        start = out[np.argmin(u)] if request.param == "nan" else inw[0]
+        bad = start + np.array([0.0, 1e200, 2e200])
         with np.errstate(over="ignore", invalid="ignore"):
-            T = oracle._transfer_entries(rc, bound_root, bad)
+            T = oracle._transfer_entries(rc, bound_root, unpadded(rc, bad))
         assert np.isnan(T).any() == (request.param == "nan")
         assert np.isinf(T).any()
-        return rc, bound_root, bad, (out, inw)
+        return rc, bound_root, bad, grid.r
 
     def test_trajectory_raises(self, blowup):
-        rc, E, bad, _ = blowup
+        rc, E, bad, (_, inw) = blowup
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationBlowup, match="overflowed"):
-                oracle._trajectory(rc, E, bad, -1.0)
+                oracle._trajectory(rc, E, oracle._grid(rc, bad, inw), 0, -1.0)
 
     # the step inside a longer sweep, after steps of 1e-3 and before steps of
     # h = 0: as the 4th step of the second block of 8 (16 steps), and as the
-    # last of a partial block (13 steps)
+    # last step of the sweep, in a block its pads fill (13 steps)
     @pytest.mark.parametrize("before, after", [(11, 4), (12, 0)],
                              ids=["mid-block", "partial-block-end"])
     def test_trajectory_raises_inside_sweep(self, blowup, before, after):
-        rc, E, bad, _ = blowup
-        start = bad.r[0]
+        rc, E, bad, (_, inw) = blowup
+        start = bad[0]
         nodes = np.concatenate([start - 1e-3 * np.arange(before, 0, -1), [start],
                                 np.full(after + 1, start + 1e200)])
-        long = oracle._sweep(rc, nodes)
-        assert len(long.h) == before + 1 + after
+        assert len(nodes) - 1 == before + 1 + after
+        long = oracle._grid(rc, nodes, inw)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationBlowup, match="overflowed"):
-                oracle._trajectory(rc, E, long, -1.0)
+                oracle._trajectory(rc, E, long, 0, -1.0)
 
     @pytest.mark.parametrize("direction", [0, 1])
     def test_fused_pass_raises(self, blowup, direction):
-        rc, E, bad, sweeps = blowup
-        pair = list(sweeps)
+        rc, E, bad, nodes = blowup
+        pair = list(nodes)
         pair[direction] = bad
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationBlowup, match="overflowed"):
-                oracle._tops([E], rc, oracle._sweep_pair(*pair))
+                oracle._tops([E], rc, oracle._grid(rc, *pair))
 
 
 class TestFindEigenvalues:
@@ -376,9 +395,9 @@ class TestFindEigenvalues:
 
     def test_refinement_reuses_scan_values(self, bound_root, monkeypatch):
         # Brent starts from both bracket ends, which the scan already holds:
-        # no energy is evaluated twice.  At 20000 steps a pass takes 6 grid
-        # points; the root lies in cell 12 of 24, so the scan stops after the
-        # third pass (18 points) and one refinement pass adds one energy
+        # no energy is evaluated twice.  A pass takes 16 grid points, at
+        # 20000 steps too; the root lies in cell 12 of 24, so the scan stops
+        # after the first pass and one refinement pass adds one energy
         cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05),
                              step_count=20_000)
         mismatches, passes, values = oracle._mismatches, [], {}
@@ -393,8 +412,8 @@ class TestFindEigenvalues:
         eig, = find_eigenvalues(cfg, BOUND, BOUND_STATE, count=1,
                                 scan_points=25, tol=1e-11)
         energies = [E for block in passes for E in block]
-        assert [len(block) for block in passes] == [6, 6, 6, 1]
-        assert len(set(energies)) == len(energies) == 19
+        assert [len(block) for block in passes] == [16, 1]
+        assert len(set(energies)) == len(energies) == 17
         # reference: scipy's brentq on the same scan cell, every value
         # recomputed, to the bit
         from scipy.optimize import brentq
@@ -592,14 +611,19 @@ class TestTransferEntries:
         E = bound_root + offset
         cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
         rc = radial_coefficients(BOUND, BOUND_STATE)
-        sweep = oracle._sweeps(rc, cfg)[0 if outward else 1]
-        steps = len(sweep.h)
-        T = rk4_stage_matrices(rc, E, sweep.r)
-        entries = oracle._transfer_entries(rc, E, sweep)
-        assert entries.shape == (2, 2, steps)
+        grid, d = oracle._sweeps(rc, cfg), 0 if outward else 1
+        steps = len(grid.r[d]) - 1
+        T = rk4_stage_matrices(rc, E, grid.r[d])
+        entries = oracle._transfer_entries(rc, E, oracle._direction(grid, d))
+        assert entries.shape == (2, 2, oracle._ROW * grid.rows[d])
         scale = np.abs(T).max(axis=(1, 2))
-        err = np.abs(np.moveaxis(entries, -1, 0) - T).max(axis=(1, 2))
+        err = np.abs(np.moveaxis(entries[..., :steps], -1, 0) - T)
+        err = err.max(axis=(1, 2))
         assert np.max(err / scale) <= 1e-14
+        # the pads, steps of h = 0, are the identity
+        assert np.array_equal(entries[..., steps:],
+                              np.broadcast_to(np.eye(2)[..., None],
+                                              entries[..., steps:].shape))
 
 
 class TestEigenfunction:
@@ -644,9 +668,9 @@ class TestScanTrajectory:
         cfg, eigs = lowest_states
         rc = radial_coefficients(BOUND, BOUND_STATE)
         nodes_scan, nodes_step = [], []
-        sweeps = oracle._sweeps(rc, cfg)
+        grid = oracle._sweeps(rc, cfg)
         for e in eigs:
-            args = (rc, e, sweeps[0], oracle._slopes(rc, e, sweeps)[0])
+            args = (rc, e, grid, 0, oracle._slopes(rc, e, grid)[0])
             nodes_scan.append(oracle._count_nodes(oracle._trajectory(*args)[0]))
             nodes_step.append(oracle._count_nodes(stepwise_trajectory(*args)[0]))
         assert nodes_scan == nodes_step == [0, 1, 2, 3]
@@ -667,10 +691,9 @@ class TestScanTrajectory:
         r_min, r_max, _ = oracle._truncation(BOUND)
         nodes = np.linspace(r_min, r_max, steps + 1)  # the whole domain,
         # to see nodes
-        sweep = oracle._sweep(rc, nodes if outward else nodes[::-1])
-        slopes = oracle._slopes(rc, eigs[3], (sweep, sweep))
-        assert_matches_stepwise(
-            (rc, eigs[3], sweep, slopes[0 if outward else 1]))
+        grid, d = oracle._grid(rc, nodes, nodes[::-1]), 0 if outward else 1
+        slopes = oracle._slopes(rc, eigs[3], grid)
+        assert_matches_stepwise((rc, eigs[3], grid, d, slopes[d]))
 
     def test_deep_well_keeps_headroom(self):
         # at V0 = 1000 the outward sweep of the ground state grows by about
@@ -683,8 +706,8 @@ class TestScanTrajectory:
             eigs = find_eigenvalues(cfg, p, BOUND_STATE, count=1)
         assert eigs == pytest.approx([root], abs=1e-9)
         rc = radial_coefficients(p, BOUND_STATE)
-        sweeps = oracle._sweeps(rc, cfg)
-        args = (rc, eigs[0], sweeps[0], oracle._slopes(rc, eigs[0], sweeps)[0])
+        grid = oracle._sweeps(rc, cfg)
+        args = (rc, eigs[0], grid, 0, oracle._slopes(rc, eigs[0], grid)[0])
         values, logs = oracle._trajectory(*args)
         assert np.max(np.abs(values)) <= 2.0 ** 500 and logs[-1] > 5000.0
         assert assert_matches_stepwise(args) == 0
@@ -696,10 +719,10 @@ class TestScanTrajectory:
         # every state about 50 times, and keep their nodes and amplitudes
         cfg, eigs = lowest_states
         rc = radial_coefficients(BOUND, BOUND_STATE)
-        sweeps, d = oracle._sweeps(rc, cfg), 0 if outward else 1
+        grid, d = oracle._sweeps(rc, cfg), 0 if outward else 1
         rescaled = []
         for e in eigs:
-            args = (rc, e, sweeps[d], oracle._slopes(rc, e, sweeps)[d])
+            args = (rc, e, grid, d, oracle._slopes(rc, e, grid)[d])
             v_def, l_def = oracle._trajectory(*args)
             with monkeypatch.context() as m:
                 m.setattr(oracle, "_RESCALE", 16.0)
@@ -748,8 +771,7 @@ def uniform_sweeps(rc, cfg):
     r_min, r_max, r_match = oracle._truncation(rc.p)
     nodes = np.linspace(r_min, r_max, cfg.step_count + 1)
     i = int(np.argmin(np.abs(nodes - r_match)))
-    return oracle._sweep_pair(oracle._sweep(rc, nodes[:i + 1]),
-                              oracle._sweep(rc, nodes[i:][::-1]))
+    return oracle._grid(rc, nodes[:i + 1], nodes[i:][::-1])
 
 
 class TestGradedTail:
@@ -787,8 +809,8 @@ class TestGradedTail:
         graded = oracle._mismatches(grid, rc, oracle._sweeps(rc, cfg))
         uniform = oracle._mismatches(grid, rc, uniform_sweeps(rc, cfg))
         assert np.max(np.abs(graded - uniform)) <= 1e-12
-        assert len(oracle._sweeps(rc, cfg)[1].h) <= len(uniform_sweeps(
-            rc, cfg)[1].h) / 3
+        assert len(oracle._sweeps(rc, cfg).r[1]) - 1 <= (len(uniform_sweeps(
+            rc, cfg).r[1]) - 1) / 3
 
     def test_continuum_bracket_is_uniform(self, bound_root):
         # a bracket whose top reaches c0 <= 0 allows tails that do not
@@ -797,10 +819,10 @@ class TestGradedTail:
         e_edge = math.sqrt(BOUND.M**2 + rc.c0_const)  # c0(e_edge) = 0
         for top in (e_edge, e_edge + 1.0):
             cfg = default_config(BOUND, (bound_root, top))
-            for sweep, ref in zip(oracle._sweeps(rc, cfg)[:2],
-                                  uniform_sweeps(rc, cfg)[:2]):
-                assert np.array_equal(sweep.r, ref.r)
-                assert np.array_equal(sweep.h, ref.h)
+            grid, ref = oracle._sweeps(rc, cfg), uniform_sweeps(rc, cfg)
+            for r, r_ref in zip(grid.r, ref.r):
+                assert np.array_equal(r, r_ref)
+            assert np.array_equal(grid.h, ref.h)
 
     def test_tail_is_graded(self, bound_root):
         # BOUND's default inward sweep takes at most a third of the uniform
@@ -809,17 +831,17 @@ class TestGradedTail:
         # rounding of the nodes
         rc = radial_coefficients(BOUND, BOUND_STATE)
         cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
-        (out, inw, _), (_, ref, _) = (oracle._sweeps(rc, cfg),
-                                      uniform_sweeps(rc, cfg))
-        assert len(inw.h) <= len(ref.h) / 3
+        (out, inw), (_, ref) = (oracle._sweeps(rc, cfg).r,
+                                uniform_sweeps(rc, cfg).r)
+        assert len(inw) - 1 <= (len(ref) - 1) / 3
         r_min, r_max, _ = oracle._truncation(BOUND)
-        assert inw.r[0] == r_max and inw.r[-1] == out.r[-1]
+        assert inw[0] == r_max and inw[-1] == out[-1]
         h = (r_max - r_min) / cfg.step_count
-        steps = -inw.h[::-1]  # outward from the match node
+        steps = -np.diff(inw)[::-1]  # outward from the match node
         assert steps[0] == pytest.approx(h, rel=1e-9)
         assert np.all(np.diff(steps) >= -1e-12)
         # capped at 30 h, give or take the rounding to whole steps
-        assert steps.max() <= 30.0 * h * (1.0 + 1.0 / len(inw.h))
+        assert steps.max() <= 30.0 * h * (1.0 + 1.0 / len(steps))
 
 
 # sha256 over repr of _shooting_outcomes(bound_root, 20_000), recorded when
@@ -867,9 +889,9 @@ def test_shooting_digest_at_default(bound_root):
     assert digest == _SHOOTING_DIGEST_DEFAULT, outcomes
 
 
-def test_shape_evaluated_once_per_sweep(bound_root, monkeypatch):
-    # the shape factor does not depend on E: a solve builds it once per
-    # sweep, however many energies the scan and refinement try
+def test_shape_evaluated_once_per_solve(bound_root, monkeypatch):
+    # the shape factor does not depend on E: a solve evaluates it once, on
+    # its grid, however many energies the scan and refinement try
     cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
     calls = []
 
@@ -884,7 +906,7 @@ def test_shape_evaluated_once_per_sweep(bound_root, monkeypatch):
         find_eigenvalues(cfg, BOUND, BOUND_STATE, count=1,
                          scan_points=scan_points, tol=1e-11)
         counts[scan_points] = len(calls)
-    assert counts[25] == counts[40] <= 3  # two sweeps and the r_min slope
+    assert counts[25] == counts[40] == 1
 
 
 def test_solves_leave_no_coefficients_alive(bound_root):
