@@ -15,6 +15,7 @@ from .errors import (
 )
 from .oracle import (
     ShootingConfig,
+    ShootingState,
     default_config,
     find_eigenvalues,
     shoot_eigenfunction,

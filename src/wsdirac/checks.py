@@ -84,6 +84,16 @@ def _shooting_gap(p, state, result) -> float:
     return min(abs(e - E) for e in eigs)
 
 
+def _continuum_margin(p, state, result) -> float | None:
+    # E^2 - (M^2 + Q): the physical equation's U tends to Q - (E^2 - M^2) at
+    # large r, so a bound state lies below its continuum edge sqrt(M^2 + Q);
+    # the surrogate's c0 adds a barrier at infinity the equation does not have
+    if not result.normalizable:
+        return None
+    E = result.e_upper
+    return E * E - (p.M * p.M + derive_coefficients(p, state).ml_quartic)
+
+
 def shooting_agrees(normalizable: bool, n: int, gap: float) -> bool:
     """The shooting check's rule: a bound root needs a shooting state within
     the bound; a root that is not bound needs none within it at n >= 1,
@@ -103,8 +113,10 @@ ELIMINATION = Check("superpotential-elimination-agreement", "gap",
 GROUND_STATE = Check("ground-state-route-agreement", "gap",
                      _ground_state_gap, 1e-10, skip="n > 0")
 BRACKETING = Check("closed-form-vs-bracketing", "gap", _bracketing_gap, 1e-10)
+CONTINUUM = Check("below-continuum-edge", "margin", _continuum_margin, 0.0,
+                  skip="not normalizable")
 # passes by shooting_agrees, not by gap < bound
 SHOOTING = Check("shooting-cross-check", "gap", _shooting_gap, 1e-3)
 
 # the checks of a closed-form root, in verify's order
-ROOT_CHECKS = (MATCHING, ELIMINATION, GROUND_STATE, BRACKETING)
+ROOT_CHECKS = (MATCHING, ELIMINATION, GROUND_STATE, BRACKETING, CONTINUUM)

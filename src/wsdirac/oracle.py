@@ -28,7 +28,10 @@ tree: the same matrices' prefix products inside blocks of 8 steps, 16 to a
 row, are formed for all of the sweep's rows at once, and one forward pass
 y <- P @ y over the blocks' products, on Python floats, gives each block's
 start state, divided by its size |F| + |F'| (whose log is carried) where the
-block could pass a fixed power of two.
+block could pass a fixed power of two.  find_eigenvalues returns each state
+as a ShootingState, a float, the eigenvalue, that carries its node count and
+its solve: the grid and the outward amplitudes at the root, from which
+shoot_eigenfunction of the state integrates only the inward sweep.
 """
 from __future__ import annotations
 
@@ -573,11 +576,50 @@ def _refine(cells, tol: float, rc: RadialCoefficients, grid: _Grid) -> list[floa
         sent = dict(zip(wanted, values))
 
 
+# What a ShootingState carries of its solve: key = (cfg, p, state), their
+# coefficients rc and grid, and the outward (values, log_scales) at its energy
+_Solve = namedtuple("_Solve", "key rc grid outward")
+
+
+class ShootingState(float):
+    """A shooting eigenvalue: the float is its energy, to the bit.
+
+    nodes is the outward sweep's node count at it, by which find_eigenvalues
+    ranks its states.  The state also carries its solve: the (cfg, p, state)
+    it was found for, their coefficients and grid, and the outward amplitudes
+    at the energy, which shoot_eigenfunction reuses when handed the state
+    with equal (cfg, p, state).  It hashes, orders, prints and serializes as
+    its float; a pickle or copy keeps the energy and nodes, not the solve.
+    """
+
+    __slots__ = ("nodes", "_solve")
+
+    def __new__(cls, energy, nodes: int, solve: _Solve | None = None):
+        self = super().__new__(cls, energy)
+        self.nodes, self._solve = nodes, solve
+        return self
+
+    def __reduce__(self):
+        return type(self), (float(self), self.nodes)
+
+
+def _shooting_state(E: float, key, rc: RadialCoefficients,
+                    grid: _Grid) -> ShootingState:
+    """The state at E of the solve key on rc and grid: one outward sweep,
+    whose amplitudes give its nodes.  Raises NotBoundRegime where c0(E) <= 0
+    (oscillatory tail)."""
+    outward = _trajectory(rc, E, grid, 0, _slopes(rc, E, grid)[0])
+    return ShootingState(E, _count_nodes(outward[0]),
+                         _Solve(key, rc, grid, outward))
+
+
 def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
                      state: QuantumState, count: int,
-                     scan_points: int = 400, tol: float = 1e-9) -> list[float]:
+                     scan_points: int = 400, tol: float = 1e-9) -> list[ShootingState]:
     """The first `count` shooting states inside the energy bracket, ordered
-    by (outward node count, energy).
+    by (outward node count, energy), each a ShootingState: a float, the
+    eigenvalue, with its node count `.nodes` and its solve, which
+    shoot_eigenfunction of the state reuses.
 
     One ascending pass over a grid of the bracket, a block of points per
     kernel pass: where the mismatch changes sign between neighbouring
@@ -611,17 +653,16 @@ def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
         if len(found) + len(cells) < count and len(values) < scan_points:
             continue
         for e_star in _refine(cells, tol, rc, grid):
-            amps, _ = _trajectory(rc, e_star, grid, 0,
-                                  _slopes(rc, e_star, grid)[0])
-            found = sorted(found + [(_count_nodes(amps), e_star)])
-            if len(found) >= count and found[count - 1][0] == 0:
-                return [e for _, e in found[:count]]
+            found.append(_shooting_state(e_star, (cfg, p, state), rc, grid))
+            found.sort(key=lambda s: (s.nodes, s))
+            if len(found) >= count and found[count - 1].nodes == 0:
+                return found[:count]
         cells = []
     if not found:
         raise NoEigenvalueInBracket(
             f"no shooting eigenvalue in ({lo}, {hi}) for this configuration"
         )
-    return [e for _, e in found[:count]]
+    return found[:count]
 
 
 def shoot_eigenfunction(E: float, cfg: ShootingConfig, p: PhysicalParams,
@@ -635,12 +676,19 @@ def shoot_eigenfunction(E: float, cfg: ShootingConfig, p: PhysicalParams,
     _sweeps); the inward branch is rescaled for amplitude continuity at the
     match radius.  Raises NotBoundRegime where c0(E) <= 0 (oscillatory
     tail).  Intended for overlap diagnostics at a converged eigenvalue.
+
+    A ShootingState of find_eigenvalues on equal (cfg, p, state) brings its
+    grid and outward amplitudes, so only the inward sweep is integrated;
+    any other E (a float, or a state of another solve) builds both, with the
+    same result to the bit.
     """
-    rc = radial_coefficients(p, state)
-    grid = _sweeps(rc, cfg)
-    slopes = _slopes(rc, E, grid)
-    val_o, log_o = _trajectory(rc, E, grid, 0, slopes[0])
-    val_i, log_i = _trajectory(rc, E, grid, 1, slopes[1])
+    key = (cfg, p, state)
+    solve = getattr(E, "_solve", None)
+    if solve is None or solve.key != key:
+        rc = radial_coefficients(p, state)
+        solve = _shooting_state(E, key, rc, _sweeps(rc, cfg))._solve
+    _, rc, grid, (val_o, log_o) = solve
+    val_i, log_i = _trajectory(rc, E, grid, 1, _slopes(rc, E, grid)[1])
     # restore true relative magnitudes within each branch
     out = val_o * np.exp(log_o - log_o[-1])
     inw = (val_i * np.exp(log_i - log_i[-1]))[::-1]

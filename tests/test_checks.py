@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import replace
 
 import pytest
 
-from wsdirac import cli, spectrum
-from wsdirac.checks import BRACKETING, shooting_agrees
+from wsdirac import cli, derive_coefficients, spectrum
+from wsdirac.checks import BRACKETING, CONTINUUM, shooting_agrees
 
 from conftest import BOUND, BOUND_STATE
 
@@ -51,3 +52,23 @@ def test_bracketing_judges_the_record_it_is_handed():
     assert BRACKETING.metric(BOUND, BOUND_STATE, result) < BRACKETING.bound
     moved = result._replace(e_upper=result.e_upper + 1e-6)
     assert BRACKETING.metric(BOUND, BOUND_STATE, moved) >= BRACKETING.bound
+
+
+@pytest.mark.parametrize("e0, edge", [(10.0, 10.0), (12.0, 10.286)])
+def test_continuum_margin_rule(e0, edge):
+    # the margin E^2 - (M^2 + Q) passes below the edge sqrt(M^2 + Q) and
+    # fails at and above it; a root that is not normalizable is skipped
+    p = replace(BOUND, E0=e0)
+    result = spectrum.solve_energy(p, BOUND_STATE)
+    assert math.sqrt(p.M**2 + derive_coefficients(p, BOUND_STATE).ml_quartic) \
+        == pytest.approx(edge, abs=1e-3)
+
+    def margin(E, normalizable=True):
+        return CONTINUUM.metric(p, BOUND_STATE, result._replace(
+            e_upper=E, normalizable=normalizable))
+
+    assert result.normalizable and margin(result.e_upper) < CONTINUUM.bound
+    assert margin(edge - 1e-3) < CONTINUUM.bound <= margin(edge + 1e-3)
+    if e0 == p.M:  # Q = 0: the margin at E = M is exactly 0, and fails
+        assert margin(p.M) == CONTINUUM.bound
+    assert margin(edge + 1.0, normalizable=False) is None

@@ -181,15 +181,25 @@ VERIFY_CHECKS = ("centrifugal-surrogate-taylor-match", "energy-solve",
                  "superpotential-matching-residuals",
                  "superpotential-elimination-agreement",
                  "ground-state-route-agreement", "closed-form-vs-bracketing",
-                 "shooting-cross-check")
+                 "below-continuum-edge", "shooting-cross-check")
 ALL_PASS = "pass pass pass pass pass pass skip"
 LEVEL_N = "pass pass pass pass skip pass skip"
 
 
-def verify_lines(out, statuses: str) -> bool:
+def verify_statuses(statuses: str, continuum: str) -> list[tuple[str, str]]:
+    """(status, check) of each line verify prints: statuses gives every
+    line's status but the continuum check's, which is `continuum` where the
+    run reaches it ("skip" for a root that is not normalizable)."""
+    expected = statuses.split()
+    if len(expected) == len(VERIFY_CHECKS) - 1:
+        expected.insert(-1, continuum)
+    return list(zip(expected, VERIFY_CHECKS))
+
+
+def verify_lines(out, statuses: str, continuum: str = "skip") -> bool:
     """Whether verify printed exactly these statuses of VERIFY_CHECKS."""
     return ([tuple(l.split()[:2]) for l in out.out.splitlines()]
-            == list(zip(statuses.split(), VERIFY_CHECKS)))
+            == verify_statuses(statuses, continuum))
 
 
 class TestVerify:
@@ -209,9 +219,11 @@ class TestVerify:
     ])
     def test_line_contract(self, capsys, flags, statuses):
         # the tests below lock the lines of the other flag sets, --with-oracle
-        # among them
+        # among them.  Of these roots only BOUND's is normalizable, so only
+        # its continuum line passes
         code, out = run(capsys, "verify", *flags)
-        assert verify_lines(out, statuses)
+        assert verify_lines(out, statuses,
+                            "pass" if flags == BOUND_FLAGS else "skip")
         assert code == (1 if "fail" in statuses else 0)
 
     def test_reference_configuration_passes(self, capsys):
@@ -222,7 +234,7 @@ class TestVerify:
     def test_with_oracle_on_bound_configuration(self, capsys):
         code, out = run(capsys, "verify", *BOUND_FLAGS, "--with-oracle")
         assert code == 0
-        assert verify_lines(out, "pass pass pass pass pass pass pass")
+        assert verify_lines(out, "pass pass pass pass pass pass pass", "pass")
 
     def test_with_oracle_on_reference_configuration(self, capsys):
         # the reference-well root is not a bound state and the oracle finds
@@ -233,9 +245,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("flags", [[], BOUND_FLAGS])
     def test_excited_level_passes(self, capsys, flags):
+        # BOUND's n = 1 root is normalizable, the reference well's is not
         code, out = run(capsys, "verify", *flags, "--n", "1")
         assert code == 0
-        assert verify_lines(out, LEVEL_N)
+        assert verify_lines(out, LEVEL_N, "pass" if flags else "skip")
 
     def test_failed_check_sets_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(checks, "closed_form_A", lambda *args: 1e3)
@@ -254,12 +267,27 @@ class TestVerify:
         code, out = run(capsys, "verify", *BOUND_FLAGS, "--n", n,
                         "--with-oracle")
         assert code == 0
-        assert verify_lines(out, "pass pass pass pass skip pass pass")
+        assert verify_lines(out, "pass pass pass pass skip pass pass",
+                            "pass" if flag == "normalizable=true" else "skip")
         line = next(l for l in out.out.splitlines()
                     if "shooting-cross-check" in l)
         assert line.startswith(f"pass shooting-cross-check {flag}, gap=")
         gap = float(line.rsplit("gap=", 1)[1])
         assert gap_range[0] <= gap < gap_range[1]
+
+    @pytest.mark.parametrize("flags, code, continuum", [
+        # the root 10.0093 is flagged normalizable and the oracle finds it,
+        # but it lies above the physical continuum edge sqrt(M^2 + Q) = 10
+        (["--depth", "10", "--alpha-prime", "0.01", "--ell", "20", "--dim", "4"],
+         1, "fail"),
+        (BOUND_FLAGS, 0, "pass"),
+        # E0 = 12: Q = 5.808 lifts the edge to 10.286, above the root 9.3804
+        ([*BOUND_FLAGS, "--e0", "12"], 0, "pass"),
+    ])
+    def test_continuum_edge(self, capsys, flags, code, continuum):
+        got, out = run(capsys, "verify", *flags, "--n", "0", "--with-oracle")
+        assert got == code
+        assert verify_lines(out, "pass pass pass pass pass pass pass", continuum)
 
     def test_companion_route_without_real_root_fails(self, capsys):
         # a near-tangent quadratic: the closed form has its root pair, the
@@ -368,7 +396,7 @@ class TestOutputFile:
         assert [list(r) for r in records] == \
             [["status", "check", "detail"]] * len(VERIFY_CHECKS)
         assert [(r["status"], r["check"]) for r in records] == \
-            list(zip(ALL_PASS.split(), VERIFY_CHECKS))
+            verify_statuses(ALL_PASS, "skip")
 
 
 # sha256 over the exit code and stdout of each run below: every byte the

@@ -39,8 +39,10 @@ CELLS = {
     "bound-n2": (BOUND, QuantumState(2, 20, 3)),
 }
 
-# the ground-state route's check catches no mutant: it reads _assemble too
-TAYLOR, MATCHING, ELIMINATION, _, BRACKETING = (
+# the ground-state route's check catches no mutant: it reads _assemble too.
+# Nor does the continuum check: no mutant moves a bound root of these cells
+# to the physical edge (it catches the closed form's own flag, ROADMAP item 13)
+TAYLOR, MATCHING, ELIMINATION, _, BRACKETING, _ = (
     check.name for check in (TAYLOR_MATCH, *ROOT_CHECKS))
 SHOOT = SHOOTING.name
 BOUND_CELLS = ("bound-n0", "bound-n1", "bound-e0-12")

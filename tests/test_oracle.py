@@ -5,7 +5,9 @@ import contextlib
 import gc
 import hashlib
 import inspect
+import json
 import math
+import pickle
 import sys
 from dataclasses import replace
 from types import SimpleNamespace
@@ -19,6 +21,7 @@ from wsdirac import (
     NoEigenvalueInBracket,
     NotBoundRegime,
     PhysicalParams,
+    QuantumState,
     RadialCoefficients,
     RefinementNotConverged,
     ShootingConfig,
@@ -100,6 +103,13 @@ def assert_matches_stepwise(args) -> int:
     assert np.max(np.abs(diff)) <= 1e-12
     assert oracle._count_nodes(v_scan) == oracle._count_nodes(v_step)
     return oracle._count_nodes(v_scan)
+
+
+def assert_same_bytes(a, b):
+    """Two (r, F) pairs of shoot_eigenfunction are equal byte for byte."""
+    for x, y in zip(a, b, strict=True):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
 
 
 class TestShootingConfig:
@@ -653,6 +663,51 @@ class TestEigenfunction:
         assert abs(np.trapezoid(Fa * F, r)) > 0.9999
 
 
+class TestShootingState:
+    @pytest.fixture(scope="class")
+    def ground(self, bound_root):
+        cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
+        state, = find_eigenvalues(cfg, BOUND, BOUND_STATE, count=1,
+                                  scan_points=25, tol=1e-11)
+        return cfg, state
+
+    def test_eigenfunction_is_the_floats(self, ground):
+        cfg, s = ground
+        assert type(s) is oracle.ShootingState and s.nodes == 0
+        assert_same_bytes(shoot_eigenfunction(s, cfg, BOUND, BOUND_STATE),
+                          shoot_eigenfunction(float(s), cfg, BOUND, BOUND_STATE))
+
+    @pytest.mark.parametrize("other", ["cfg", "p", "state"])
+    def test_other_solve_is_built_afresh(self, ground, other):
+        # handed with another bracket (so another inward grid), well or
+        # state, a state gives what its float gives there, not its own
+        cfg, s = ground
+        inputs = {"cfg": cfg, "p": BOUND, "state": BOUND_STATE}
+        inputs[other] = {
+            "cfg": default_config(BOUND, (s - 0.1, s + 0.1)),
+            "p": replace(BOUND, alpha_prime=0.002),
+            "state": QuantumState(0, 21, 3),
+        }[other]
+        args = (inputs["cfg"], inputs["p"], inputs["state"])
+        got = shoot_eigenfunction(s, *args)
+        assert_same_bytes(got, shoot_eigenfunction(float(s), *args))
+        own = shoot_eigenfunction(s, cfg, BOUND, BOUND_STATE)
+        assert not all(np.array_equal(a, b) for a, b in zip(got, own))
+
+    def test_serializes_as_its_float(self, ground):
+        # a pickle keeps the energy and nodes, not the solve, whose
+        # eigenfunction is then built afresh, the same
+        cfg, s = ground
+        back = pickle.loads(pickle.dumps(s))
+        assert type(back) is oracle.ShootingState
+        assert back == s and back.nodes == s.nodes
+        assert json.dumps([s]) == json.dumps([float(s)])
+        assert json.loads(json.dumps(s)) == s
+        assert repr(s) == repr(float(s)) and hash(s) == hash(float(s))
+        assert_same_bytes(shoot_eigenfunction(back, cfg, BOUND, BOUND_STATE),
+                          shoot_eigenfunction(s, cfg, BOUND, BOUND_STATE))
+
+
 class TestScanTrajectory:
     @pytest.fixture(scope="class")
     def lowest_states(self, bound_root):
@@ -682,6 +737,16 @@ class TestScanTrajectory:
                           for e in eigs))
         for a, b in zip(F_scan, F_step):
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_states_carry_their_solve(self, lowest_states):
+        # each state's node count is the one the walk ranked it by, and its
+        # eigenfunction, from its own grid and outward sweep, is its float's
+        cfg, eigs = lowest_states
+        assert [s.nodes for s in eigs] == [0, 1, 2, 3]
+        for s in eigs:
+            assert_same_bytes(
+                shoot_eigenfunction(s, cfg, BOUND, BOUND_STATE),
+                shoot_eigenfunction(float(s), cfg, BOUND, BOUND_STATE))
 
     @pytest.mark.parametrize("steps", [1, 2, 3, 5, 7, 8, 9, 16, 17, 1023, 1025])
     @pytest.mark.parametrize("outward", [True, False])
@@ -891,22 +956,36 @@ def test_shooting_digest_at_default(bound_root):
 
 def test_shape_evaluated_once_per_solve(bound_root, monkeypatch):
     # the shape factor does not depend on E: a solve evaluates it once, on
-    # its grid, however many energies the scan and refinement try
+    # its grid, however many energies the scan and refinement try; the
+    # eigenfunction of its state reuses that grid and the outward sweep at
+    # the root, and integrates only the inward one.  A bare float builds both
     cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
-    calls = []
+    calls, sweeps = [], []
+    trajectory = oracle._trajectory
 
     def counted(r, R, a):
         calls.append(np.size(r))
         return shape_factor(r, R, a)
 
+    def traced(rc, E, grid, d, slope0):
+        sweeps.append(d)
+        return trajectory(rc, E, grid, d, slope0)
+
     monkeypatch.setattr(oracle, "shape_factor", counted)
+    monkeypatch.setattr(oracle, "_trajectory", traced)
     counts = {}
     for scan_points in (25, 40):
         calls.clear()
-        find_eigenvalues(cfg, BOUND, BOUND_STATE, count=1,
-                         scan_points=scan_points, tol=1e-11)
-        counts[scan_points] = len(calls)
-    assert counts[25] == counts[40] == 1
+        sweeps.clear()
+        eig, = find_eigenvalues(cfg, BOUND, BOUND_STATE, count=1,
+                                scan_points=scan_points, tol=1e-11)
+        shoot_eigenfunction(eig, cfg, BOUND, BOUND_STATE)
+        counts[scan_points] = len(calls), list(sweeps)
+        calls.clear()
+        sweeps.clear()
+        shoot_eigenfunction(float(eig), cfg, BOUND, BOUND_STATE)
+        assert (len(calls), sweeps) == (1, [0, 1])
+    assert counts[25] == counts[40] == (1, [0, 1])
 
 
 def test_solves_leave_no_coefficients_alive(bound_root):
