@@ -12,6 +12,7 @@ import datetime
 import functools
 import json
 import math
+import operator
 import sys
 
 import numpy as np
@@ -36,6 +37,10 @@ TABLE_ALPHAS = [0.0, 0.001, 0.005, 0.01]
 TABLE1_DIMS = [1, 2, 3, 4, 5]
 TABLE2_ELLS = [20, 21, 22, 23, 24]
 _BLOCK = 4096  # records per write of wavefunction's samples
+# a record's output columns, each a SpectrumResult attribute: a field the
+# record gains appears in no output until it is named here
+_RESULT_COLUMNS = ("e_upper", "e_lower", "e_binding", "branch", "roots_real",
+                   "normalizable")
 
 # the keys a --config file may set, each the name of a flag
 _CONFIG_KEYS = ("mass", "surface_thickness", "radius", "depth", "e0",
@@ -181,10 +186,11 @@ class _Writer:
 
 def _cell_columns(cells: list[SweepCell]) -> dict[str, list]:
     """Sweep cells as columns; the no-root record stands in for a typed-error cell."""
-    rows = [(*c[:4], *(c.result or _NO_ROOT_RESULT), c.error or "") for c in cells]
+    read = operator.attrgetter(*_RESULT_COLUMNS)
+    rows = [(*c[:4], *read(c.result or _NO_ROOT_RESULT), c.error or "") for c in cells]
     # lists, not zip(*rows): freed tuples of up to 20 items stay in CPython free lists
     return {name: [row[k] for row in rows] for k, name in enumerate(
-        ("alpha_prime", "dim", "ell", "n", *SpectrumResult._fields, "error"))}
+        ("alpha_prime", "dim", "ell", "n", *_RESULT_COLUMNS, "error"))}
 
 
 def _cmd_table(args, p, state, writer) -> int:

@@ -1,4 +1,23 @@
-"""Typed failure modes shared across the solver modules."""
+"""Typed failure modes shared across the solver modules, and a float64 range
+check for squares."""
+
+import math
+
+
+def checked_square(x, name: str, overflows: str, **inputs):
+    """x**2 of a scalar x, or an OverflowError naming the square and its
+    inputs where it overflows (overflows says what: "the radial coefficients
+    overflow") or a nonzero x squares to 0; not float pow's errno tuple or a
+    later division by zero."""
+    try:
+        square = x**2
+    except OverflowError:
+        square = math.inf
+    if math.isfinite(square) and (square or not x):
+        return square
+    at = ", ".join(f"{key} = {value}" for key, value in inputs.items())
+    raise OverflowError(f"{overflows} the float64 range: {name} at {at}"
+                        if square else f"{name} underflows to 0 at {at}")
 
 
 class WsdiracError(Exception):

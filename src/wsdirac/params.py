@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import checked_square
 from .pekeris import PekerisCoefficients, pekeris_coefficients
 
 
@@ -61,7 +62,7 @@ class PhysicalParams:
 
 def require_integer(name: str, value, least: int) -> int:
     """value as an int; a ValueError naming it unless an Integral >= least."""
-    if not isinstance(value, numbers.Integral):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
@@ -109,12 +110,9 @@ def gamma(state: QuantumState) -> float:
 def derive_coefficients(p: PhysicalParams, state: QuantumState) -> DerivedCoefficients:
     """The energy-independent coefficients; alpha_prime, ell and D may be arrays."""
     ml = p.E0 * p.E0 - p.M * p.M
-    try:
-        square = (p.E0 + p.M) ** 2
-    except OverflowError:
-        raise OverflowError(f"the deformation coefficient v overflows the "
-                            f"float64 range: (E0 + M)^2 at E0 = {p.E0}, "
-                            f"M = {p.M}") from None
+    square = checked_square(p.E0 + p.M, "(E0 + M)^2",
+                            "the deformation coefficient v overflows",
+                            E0=p.E0, M=p.M)
     return DerivedCoefficients(
         gamma=gamma(state),
         v=2.0 * p.alpha_prime * p.V0 * p.V0 * square,
@@ -136,16 +134,14 @@ class RadialCoefficients:
         of c1, as this sum gives the closed-form energies their bits
     p : the folded configuration (M, V0, and R and a of the shape f)
 
-    Raises OverflowError when a folded coefficient is not finite.
+    Raises OverflowError when R^2 or a folded coefficient leaves the float64
+    range.
     """
 
     def __init__(self, coeffs: DerivedCoefficients, pk: PekerisCoefficients,
                  p: PhysicalParams):
-        try:
-            R2 = p.R**2
-        except OverflowError:
-            raise OverflowError(f"the radial coefficients overflow the "
-                                f"float64 range: R^2 at R = {p.R}") from None
+        R2 = checked_square(p.R, "R^2", "the radial coefficients overflow",
+                            R=p.R)
         self.c0_const = coeffs.ml_quartic + coeffs.gamma * pk.c0 / R2
         self.c2 = coeffs.v + coeffs.gamma * pk.c2 / R2
         self.frak_u0 = (coeffs.kappa_const - p.V0 * p.M + coeffs.v

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import checked_square
+
 # exp overflow boundary for double precision; beyond this the shape factor
 # is clamped to its 0/1 limit
 _EXP_CLAMP = 700.0
@@ -41,11 +43,11 @@ def pekeris_coefficients(R: float, a: float) -> PekerisCoefficients:
     if R <= 0 or a <= 0:
         raise ValueError(f"R and a must be positive, got R={R}, a={a}")
     w = R / a
-    try:
-        w2 = w**2
-    except OverflowError:
-        raise OverflowError(f"surrogate coefficients overflow the float64 "
-                            f"range: (R/a)^2 at R = {R}, a = {a}") from None
+    if not 0.0 < w < math.inf:  # the quotient itself left the float64 range
+        raise OverflowError(f"R/a = {w} leaves the float64 range at R = {R}, "
+                            f"a = {a}")
+    w2 = checked_square(w, "(R/a)^2", "surrogate coefficients overflow",
+                        R=R, a=a)
     c = (1.0 - 4.0 / w + 12.0 / w2, 8.0 / w - 48.0 / w2, 48.0 / w2)
     if not all(map(math.isfinite, c)):
         raise OverflowError(f"surrogate coefficients overflow at R/a = {w}")

@@ -31,27 +31,35 @@ _SCAN_POINTS, _SCAN_MARGIN, _SCAN_TOL, _SCAN_MAX_STEPS = 400, 50.0, 1e-12, 200
 
 
 class SpectrumResult(NamedTuple):
-    """Both energy roots, the selected branch and validity diagnostics.
+    """Both energy roots, the binding energy and the bound-state diagnostic.
 
     e_upper / e_lower are None when the quadratic has no real root.
-    e_binding = e_selected - M for the selected (upper) branch.
+    e_binding = e_upper - M for the selected (upper) branch.
     normalizable is the bound-state condition at the selected root,
     A_n < 0 < A_n + B_n with A_n the shifted-A value: the profile
     exp(A_n r) (1 + exp(-(r - R)/a))^(-a B_n) decays at infinity (A_n < 0)
     and rises from the origin to an interior peak (A_n + B_n > 0).  A root
     with A_n + B_n <= 0 falls monotonically from r = 0 and is not a bound
     state of the radial equation.
+    roots_real and branch follow from e_upper, so they are read-only
+    properties, not fields.
     """
 
     e_upper: float | None
     e_lower: float | None
     e_binding: float | None
-    branch: str | None
-    roots_real: bool
     normalizable: bool
 
+    @property
+    def roots_real(self) -> bool:
+        return self.e_upper is not None
 
-_NO_ROOT_RESULT = SpectrumResult(None, None, None, None, False, False)
+    @property
+    def branch(self) -> str | None:
+        return None if self.e_upper is None else "upper"
+
+
+_NO_ROOT_RESULT = SpectrumResult(None, None, None, False)
 
 
 # coefficients of the residual E^2 - M^2 - const + (p E + q)^2 per cell, with
@@ -125,8 +133,7 @@ def _records(eq: _EnergyQuadratic, upper, lower, no_root, overflow=False) -> lis
     a_n = eq.p * upper + eq.q
     columns = (upper, lower, upper - eq.M, (a_n < 0.0) & (0.0 < a_n + eq.B_n))
     e_up, e_lo, e_b, bound = (np.ravel(x).tolist() for x in columns)  # of one shape
-    out = list(map(SpectrumResult._make, zip(
-        e_up, e_lo, e_b, itertools.repeat("upper"), itertools.repeat(True), bound)))
+    out = list(map(SpectrumResult._make, zip(e_up, e_lo, e_b, bound)))
     for i in np.flatnonzero(no_root).tolist():  # a few cells per sweep
         out[i] = _NO_ROOT_RESULT
     for i in np.flatnonzero((eq.code != 0) | overflow).tolist():

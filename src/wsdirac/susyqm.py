@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSuperpotential, LadderSingular
+from .errors import DegenerateSuperpotential, LadderSingular, checked_square
 from .params import DerivedCoefficients, PhysicalParams, RadialCoefficients
 from .pekeris import PekerisCoefficients
 
@@ -41,9 +41,11 @@ def slope_parameter(c2, a: float):
     """Energy-independent constant B = -1/(2a) + sqrt(c2 + 1/(4a^2)); c2 may be an array.
 
     0 where B is not real (ell = 0, D = 2 and R/a < 48^(1/4)): the ansatz
-    collapses there as at B = 0.
+    collapses there as at B = 0.  Raises OverflowError where a^2 leaves the
+    float64 range.
     """
-    radicand = c2 + 1.0 / (4.0 * a**2)
+    a2 = checked_square(a, "a^2", "the slope parameter B overflows", a=a)
+    radicand = c2 + 1.0 / (4.0 * a2)
     return (-1.0 / (2.0 * a) + np.sqrt(np.abs(radicand))) * (radicand >= 0.0)
 
 

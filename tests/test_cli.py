@@ -32,13 +32,19 @@ def run(capsys, *argv):
 
 
 def test_records_follow_the_csv_schema():
-    # the record schema is the CSV header: a sweep cell's labels (D as dim),
-    # its record's fields in tuple order, then its error
-    schema = CSV_HEADER.split(",")
-    cell, = wsdirac.sweep(reference_params(0.0), [0.0], [3], [20], [0])
-    assert list(cell.result._asdict()) == schema[4:-1]
-    assert [{"D": "dim"}.get(k, k) for k in cell._asdict()] == \
-        [*schema[:4], "result", schema[-1]]
+    # the CSV header is the writer's columns: a sweep cell's labels (D as
+    # dim), the record attributes the writer names, then the cell's error;
+    # each column holds the value of its name, for a rooted and a no-root cell
+    for ell, error in [(20, ""), (5, "NoRealRoot")]:
+        cell, = wsdirac.sweep(reference_params(0.0), [0.0], [3], [ell], [0])
+        assert cell.error == (error or None)
+        columns = cli._cell_columns([cell])
+        assert ",".join(columns) == CSV_HEADER
+        labels = {"alpha_prime": cell.alpha_prime, "dim": cell.D,
+                  "ell": cell.ell, "n": cell.n, "error": error}
+        for name, column in columns.items():
+            value = labels[name] if name in labels else getattr(cell.result, name)
+            assert repr(column) == repr([value]), name
 
 
 class TestTable:
@@ -343,6 +349,16 @@ def test_negative_label_exit_code(capsys, command):
     # R^2 overflows after the surrogate's own check has passed
     ["verify", "--with-oracle", "--radius", "1e308",
      "--surface-thickness", "1e307"],
+    # R/a = inf: no surrogate coefficients, so no Taylor line passes
+    ["verify", "--radius", "1e300", "--surface-thickness", "1e-10"],
+    # a square underflows to 0: (R/a)^2, R^2 and a^2, then R/a itself
+    pytest.param(["solve", "--radius", "1e-320"], marks=pytest.mark.filterwarnings(
+        "ignore::wsdirac.SurfaceRegimeWarning")),
+    ["solve", "--radius", "1e-300", "--surface-thickness", "1e-301"],
+    ["solve", "--radius", "1e-150", "--surface-thickness", "1e-165"],
+    pytest.param(["verify", "--radius", "1e-200", "--surface-thickness", "1e200"],
+                 marks=pytest.mark.filterwarnings(
+                     "ignore::wsdirac.SurfaceRegimeWarning")),
 ])
 def test_non_finite_parameter_exit_code(capsys, argv):
     code, out = run(capsys, *argv)
@@ -353,9 +369,11 @@ def test_non_finite_parameter_exit_code(capsys, argv):
     else:
         assert out.out == ""
     assert out.err.startswith("error: ") and len(out.err.splitlines()) == 1
-    # the message names what overflowed, not float pow's errno tuple
+    # the message names what overflowed, not float pow's errno tuple, nor a
+    # division by a square that underflowed to 0
     for line in (out.out + out.err).splitlines():
         assert not re.match(r"error: \(\d+, '", line), line
+        assert "division by zero" not in line, line
 
 
 class TestOutputFile:

@@ -72,6 +72,7 @@ class TestQuantumState:
 
     @pytest.mark.parametrize("label,value", [
         ("n", 0.5), ("ell", 20.5), ("D", 2.5), ("D", float("nan")),
+        ("n", True), ("ell", False), ("D", True),  # a bool is an Integral
     ])
     def test_rejects_non_integer_label(self, label, value):
         # a fractional label names no state, though the closed form would
@@ -187,3 +188,27 @@ class TestOverflowMessages:
         with pytest.raises(OverflowError,
                            match=re.escape(f"(R/a)^2 at R = {R}, a = {a}")):
             pekeris_coefficients(R, a)
+
+    @pytest.mark.parametrize("R, a, message", [
+        (1e300, 1e-10, "R/a = inf leaves the float64 range at R = 1e+300, "
+                       "a = 1e-10"),
+        (1e-200, 1e200, "R/a = 0.0 leaves the float64 range at R = 1e-200, "
+                        "a = 1e+200"),
+        (1e-320, 0.5, "(R/a)^2 underflows to 0 at R = 1e-320, a = 0.5"),
+        (1e-300, 1e-301, "R^2 underflows to 0 at R = 1e-300"),
+        (1e-150, 1e-165, "a^2 underflows to 0 at a = 1e-165"),
+    ])
+    @pytest.mark.filterwarnings("ignore::wsdirac.SurfaceRegimeWarning")
+    def test_square_leaving_the_range_is_named(self, R, a, message):
+        # an infinite R/a would give c = (1, 0, 0) and NaN Taylor terms that
+        # max drops; a square that underflows to 0 would end in a float
+        # division by zero
+        p = dataclasses.replace(BOUND, R=R, a=a)
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            solve_energy(p, BOUND_STATE)
+
+    def test_deformation_square_underflow_is_named(self):
+        p = dataclasses.replace(BOUND, M=0.0, E0=1e-170)
+        with pytest.raises(OverflowError, match=re.escape(
+                "(E0 + M)^2 underflows to 0 at E0 = 1e-170, M = 0.0")):
+            derive_coefficients(p, BOUND_STATE)

@@ -17,6 +17,7 @@ from wsdirac import (
     LadderSingular,
     PhysicalParams,
     QuantumState,
+    SpectrumResult,
     SurfaceRegimeWarning,
     WsdiracError,
     derive_coefficients,
@@ -297,6 +298,7 @@ class TestSweep:
         ([3], [20.5, 21], [0], "ell"),
         ([3, float("nan")], [20], [0], "D"),
         ([3], [20, -1], [0], "ell"),
+        ([3], [20], [False], "n"),  # a bool is an Integral
     ])
     def test_rejects_non_integer_label(self, dims, ells, ns, label):
         with pytest.raises(ValueError, match=f"^{label} must be"):
@@ -331,6 +333,20 @@ class TestRecords:
         with pytest.raises(AttributeError):
             cell.error = "NoRealRoot"
         assert cell.result == result and cell.error is None
+
+    def test_derived_values_are_properties(self):
+        # roots_real and branch follow from e_upper: no record can set them
+        assert SpectrumResult._fields == ("e_upper", "e_lower", "e_binding",
+                                          "normalizable")
+        result = solve_energy(BOUND, BOUND_STATE)
+        for name, value in [("roots_real", False), ("branch", None)]:
+            with pytest.raises(ValueError, match=name):
+                result._replace(**{name: value})
+            with pytest.raises(AttributeError):
+                setattr(result, name, value)
+        no_root = solve_energy(reference_params(0.0), NO_REAL_ROOT_STATE)
+        assert (result.roots_real, result.branch) == (True, "upper")
+        assert (no_root.roots_real, no_root.branch) == (False, None)
 
 
 class TestQuadraticConditioning:
