@@ -4,16 +4,18 @@ check for squares."""
 import math
 
 
-def checked_square(x, name: str, overflows: str, **inputs):
+def checked_square(x, name: str, overflows: str, *, divides: bool = True,
+                   **inputs):
     """x**2 of a scalar x, or an OverflowError naming the square and its
     inputs where it overflows (overflows says what: "the radial coefficients
-    overflow") or a nonzero x squares to 0; not float pow's errno tuple or a
-    later division by zero."""
+    overflow") or, for a square that divides (divides=True), where a nonzero
+    x squares to 0; not float pow's errno tuple or a later division by
+    zero.  A square that only multiplies may underflow to 0."""
     try:
         square = x**2
     except OverflowError:
         square = math.inf
-    if math.isfinite(square) and (square or not x):
+    if math.isfinite(square) and (square or not (x and divides)):
         return square
     at = ", ".join(f"{key} = {value}" for key, value in inputs.items())
     raise OverflowError(f"{overflows} the float64 range: {name} at {at}"

@@ -6,16 +6,17 @@ Runge-Kutta scheme, and the Wronskian of the two sweeps' (F, F') vectors at
 the match radius, each scaled to unit length, is driven to zero over E.  A
 solve builds one grid: both sweeps' steps end to end, each sweep padded with
 steps of h = 0 to whole rows of _ROW steps, with the E-independent shape f and
-c2 f^2 at their nodes and midpoints.  The outward sweep is uniform; the inward
-one grows its step geometrically through the tail, where a bound state decays
-and errors reach the mismatch damped.  The equation is linear, so one RK4 step
-is a 2x2 transfer matrix, closed-form in the step's h and its three values of
-U.  A sweep's end state is their ordered product, the root of a pairwise tree
-renormalized per level by positive factors, which keep its direction, sign
-included: the mismatch is bounded, has no poles and changes sign only at
-eigenvalues.  One kernel, _mismatches, takes a block of energies through one
-pass over the grid, the energy axis before the step axis: one tree reduces
-every row and, once the rows are gathered by direction, finishes both
+c2 f^2 at their nodes and midpoints.  Each sweep keeps the base step near the
+match radius and grows it geometrically toward its end of the domain, past R
+where a bound state decays and inside R where the outward solution grows, so
+that errors made there reach the mismatch damped.  The equation is linear, so
+one RK4 step is a 2x2 transfer matrix, closed-form in the step's h and its
+three values of U.  A sweep's end state is their ordered product, the root of a
+pairwise tree renormalized per level by positive factors, which keep its
+direction, sign included: the mismatch is bounded, has no poles and changes
+sign only at eigenvalues.  One kernel, _mismatches, takes a block of energies
+through one pass over the grid, the energy axis before the step axis: one tree
+reduces every row and, once the rows are gathered by direction, finishes both
 directions' products, with the bits of one tree per direction, so its fixed
 cost per level is paid once per block and once for both directions.  A pass
 allocates one workspace, 8 doubles per step and energy, whose halves take the
@@ -91,11 +92,11 @@ def default_config(p: PhysicalParams, energy_bracket: tuple[float, float],
     checking that the well's truncation (see _truncation) is representable.
 
     step_count sets the base step h = (r_max - r_min) / step_count, which
-    the outward sweep takes throughout and the inward one out to where U
-    nears its asymptote (about 3.5a past R on the attractive well); beyond,
-    the inward steps grow to about 30 h (see _sweeps), so a solve whose
-    bracket is bound takes fewer than step_count steps.  At
-    the default step count, DEFAULT_STEP_COUNT, an eigenvalue's
+    each sweep takes from the match radius R out to where U nears its
+    asymptote at that end of the domain (about 3.5a past R and 5a inside it
+    on the attractive well); beyond, the steps grow to about 30 h (see
+    _sweeps), so a solve whose bracket is bound takes fewer than step_count
+    steps.  At the default step count, DEFAULT_STEP_COUNT, an eigenvalue's
     discretization error is at most about 1e-10; a larger step_count gives
     less (20000 steps give about 1e-13).
     """
@@ -106,17 +107,17 @@ def default_config(p: PhysicalParams, energy_bracket: tuple[float, float],
 # Grid points per kernel pass of find_eigenvalues' scan.  A pass has a fixed
 # cost per tree level, which a block shares, and a cost per matrix, which it
 # does not once its arrays outgrow the cache; a pass builds len(grid.h)
-# matrices per energy, both directions and their pads (2304 on the attractive
+# matrices per energy, both directions and their pads (1408 on the attractive
 # well at 6000 steps).  One energy's share of a pass near the ground state of
-# the attractive well (V0 = 10, alpha' = 0.0015, ell = 20, D = 3), in ms (best
-# of 2 x 9 rounds of 64 energies, of 2 x 3 at 80000 steps; a 2-core Xeon with
-# 2 MiB of L2 per core):
+# the attractive well (V0 = 10, alpha' = 0.0015, ell = 20, D = 3), in ms
+# (each the best of 2 x 9 rounds of 64 energies, best again over 3 runs; one
+# run of 2 x 3 rounds at 80000 steps; a 2-core Xeon):
 #   steps    k = 1    4     8     16    32    64
-#    6000     0.39  0.19  0.14  0.12  0.11  0.12
-#   10000     0.60  0.28  0.20  0.17  0.17  0.18
-#   20000     0.58  0.32  0.26  0.29  0.32  0.38
-#   80000     1.69  1.43  1.43  1.66  2.05  2.26
-# 16 is within 0.01 ms of the best at 6000 and 10000 steps and 16% above it
+#    6000     0.29  0.12  0.08  0.06  0.06  0.07
+#   10000     0.36  0.15  0.12  0.10  0.11  0.11
+#   20000     0.44  0.19  0.16  0.20  0.19  0.23
+#   80000     1.30  0.81  0.86  0.97  1.22  1.40
+# 16 is within 0.01 ms of the best at 6000 and 10000 steps and 25% above it
 # at most; it also bounds the points a pass scans past the stop.
 _SCAN_BLOCK = 16
 
@@ -163,47 +164,65 @@ def _direction(grid: _Grid, d: int) -> _Grid:
     return _Grid(grid.r[d:d + 1], grid.h[start:end], f, q, grid.rows[d:d + 1])
 
 
-# The inward sweep's grading.  Past the match node, once U(r; E) is close to
-# its asymptote c0(E), a bound state decays like e^{-kappa x}, kappa =
-# sqrt(c0(E)), and an error made at a distance x further out reaches the
-# mismatch damped by about e^{-2 kappa x}; RK4's error there goes as step^4.
-# So the tail keeps the base step h out to x_g, where |U - c0| = |c1 f +
-# c2 f^2| is at most _TAIL_ASYMPTOTE c0 at every energy of the bracket (about
-# 3.5a past R on BOUND's ground state, 6a on the weakly bound state at
-# alpha' = 0.01, whose U dips below zero just outside R), and beyond it grows
-# the step as h e^{beta (x - x_g)}, beta = _TAIL_GROWTH kappa_min: below
-# kappa_min / 2, so step^4 e^{-2 kappa x} still decays at the slowest decay
-# the bracket allows, kappa_min = sqrt(min(c0(lo), c0(hi))).  The step is
-# capped at _TAIL_CAP h, and at 1 / kappa_max (but not below h), where RK4's
-# one-step factors for the fastest decay in the bracket, e^{+-kappa h}, are
-# within 2% and well inside its stability interval (kappa h < 2.78).  Where
-# the bracket reaches the continuum (c0 <= 0) the tail stays uniform.  On
-# BOUND's ground state the grading takes the inward sweep from 4456 to 584
-# steps at the default step count, and over 40 oracle-ground bench wells it
+# The grading of both sweeps away from the match node.  The shape is
+# symmetric about R, 1 - f(R - y) = f(R + y), so U(r; E) nears an asymptote
+# at each end of the domain: U_end(E), U at the shape's limit f_end there (0
+# past R, where U_end = c0(E); 1 inside R, where U_end = c0(E) + frak_u(E)).
+# In the vanishing shape g = |f - f_end|, U - U_end = c1' g + c2 g^2, with
+# c1' = c1(E) past R and -(frak_u(E) + c2) inside.  Where U is close to
+# U_end, with kappa = sqrt(U_end(E)), the inward sweep's bound state decays
+# like e^{-kappa x} a distance x past the match node, and the outward one's
+# grows like e^{kappa r}, so it is e^{-kappa x} of its match value a
+# distance x before the match node.  Either way an error made at x reaches
+# the mismatch damped by about e^{-2 kappa x}, and RK4's error there goes as
+# step^4.  So each sweep keeps the base step h out to x_g, where |U - U_end|
+# = |c1' g + c2 g^2| is at most _TAIL_ASYMPTOTE U_end at every energy of the
+# bracket (on BOUND's ground state about 3.5a past R and 5a inside it; 6a
+# past R on the weakly bound state at alpha' = 0.01, whose U dips below zero
+# just outside R), and beyond it grows the step as h e^{beta (x - x_g)},
+# beta = _TAIL_GROWTH kappa_min: below kappa_min / 2, so step^4 e^{-2 kappa
+# x} still decays at the slowest rate the bracket allows, kappa_min =
+# sqrt(min(U_end(lo), U_end(hi))).  The step is capped at _TAIL_CAP h, and at
+# 1 / kappa_max (but not below h), where RK4's one-step factors for the
+# fastest rate in the bracket, e^{+-kappa h}, are within 2% and well inside
+# its stability interval (kappa h < 2.78).  Where the bracket reaches U_end
+# <= 0 (the continuum past R, an oscillatory interior inside it) the sweep
+# stays uniform.  On BOUND's ground state at the default step count the
+# grading takes the inward sweep from 4456 to 584 steps and the outward one
+# from 1544 to 763; over the 60 oracle-ground bench wells of seeds 1-6 it
 # moves no eigenvalue by more than 2e-15.
 _TAIL_ASYMPTOTE = 0.1
 _TAIL_GROWTH = 0.4
 _TAIL_CAP = 30.0
 
 
-def _graded_tail(rc: RadialCoefficients, bracket, c0_min: float,
-                 r_match: float, r_max: float, h: float) -> np.ndarray:
-    """Ascending nodes from r_match to exactly r_max of the tail graded for
-    the energies of the bracket, whose least c0 is c0_min > 0: nodes at
-    about unit steps of xi(x) = int_0^x dx' / s(x'), the number of steps
-    s(x) that reach the distance x past r_match, inverted in closed form
-    over its three pieces (uniform, geometric, capped)."""
+def _graded_tail(rc: RadialCoefficients, bracket, r_match: float,
+                 r_end: float, h: float) -> np.ndarray | None:
+    """Nodes from r_match to exactly r_end (r_max or r_min) of the sweep
+    graded for the energies of the bracket by the rule above, or None where
+    U_end <= 0 at an energy of the bracket: nodes at about unit steps of
+    xi(x) = int_0^x dx' / s(x'), the number of steps s(x) that reach the
+    distance x from r_match, inverted in closed form over its three pieces
+    (uniform, geometric, capped)."""
+    sign = 1.0 if r_end > r_match else -1.0
+    f_end = (1.0 - sign) / 2.0  # the shape's limit at r_end
     lo, hi = bracket
-    # c0 is a downward parabola in E, largest at E = 0; c1 is linear in E
-    kappa_max = math.sqrt(rc.c0(min(max(0.0, lo), hi)))
-    c1 = max(abs(rc.frak_u(E) - rc.c2) for E in (lo, hi))
-    # the shape f_g <= 1/2 at which |c1| f + |c2| f^2 = _TAIL_ASYMPTOTE c0_min
-    b = _TAIL_ASYMPTOTE * c0_min
-    f_g = 2.0 * b / max(c1 + math.sqrt(c1 * c1 + 4.0 * abs(rc.c2) * b), 4.0 * b)
-    length = r_max - r_match
-    x_g = rc.p.R + rc.p.a * math.log(1.0 / f_g - 1.0) - r_match
+    # U_end is a downward parabola in E, largest at E = -V0 f_end / 2, so
+    # least at an end; c1' is linear in E
+    kappa2_min = min(rc.u(f_end, E) for E in bracket)
+    if not kappa2_min > 0.0:
+        return None
+    e_top = min(max(-0.5 * rc.p.V0 * f_end, lo), hi)
+    kappa_max = math.sqrt(rc.u(f_end, e_top))
+    c1 = max(abs(sign * rc.frak_u(E) - rc.c2) for E in bracket)
+    # the shape g_g <= 1/2 at which |c1'| g + |c2| g^2 = _TAIL_ASYMPTOTE
+    # kappa2_min
+    b = _TAIL_ASYMPTOTE * kappa2_min
+    g_g = 2.0 * b / max(c1 + math.sqrt(c1 * c1 + 4.0 * abs(rc.c2) * b), 4.0 * b)
+    length = sign * (r_end - r_match)
+    x_g = sign * (rc.p.R + sign * rc.p.a * math.log(1.0 / g_g - 1.0) - r_match)
     x_g = min(max(x_g, 0.0), length)
-    beta = _TAIL_GROWTH * math.sqrt(c0_min)
+    beta = _TAIL_GROWTH * math.sqrt(kappa2_min)
     cap = min(_TAIL_CAP, max(1.0, 1.0 / (kappa_max * h)))
     x_c = min(x_g + math.log(cap) / beta, length)
     xi_g = x_g / h
@@ -218,33 +237,34 @@ def _graded_tail(rc: RadialCoefficients, bracket, c0_min: float,
     x = h * np.minimum(xi, xi_g)
     x -= np.log1p(-beta * h * (np.clip(xi, xi_g, xi_c) - xi_g)) / beta
     x += cap * h * np.maximum(xi - xi_c, 0.0)
-    r = r_match + x
-    r[-1] = r_max
+    r = r_match + sign * x
+    r[-1] = r_end
     return r
 
 
 def _sweeps(rc: RadialCoefficients, cfg: ShootingConfig) -> _Grid:
     """The grid of the outward sweep from r_min and the inward one from
-    r_max, meeting at the node nearest r_match, on the truncation of the well
-    rc was built for (see _truncation).
+    r_max, meeting at the node nearest r_match of the uniform grid of
+    step_count steps of h = (r_max - r_min) / step_count, on the truncation
+    of the well rc was built for (see _truncation).
 
-    The outward nodes are those of the uniform grid of step_count steps of
-    h = (r_max - r_min) / step_count, up to that node.  The inward ones keep
-    h out to where U is close to its asymptote for every energy of the
-    bracket, then grade the steps up to about 30 h by the rule above, ending
-    exactly at r_max; where the bracket reaches c0 <= 0 they are the rest of
-    the uniform grid's.
+    Each sweep keeps h from the match node out to where U is close to its
+    asymptote at that end for every energy of the bracket, then grades the
+    steps up to about 30 h by the rule above, ending exactly at r_min or
+    r_max; where the bracket reaches U_end <= 0 at that end, its nodes are
+    the rest of the uniform grid's.
     """
     r_min, r_max, r_match = _truncation(rc.p)
     uniform = np.linspace(r_min, r_max, cfg.step_count + 1)
     h = (r_max - r_min) / cfg.step_count
     i_match = int(round((r_match - r_min) / h))
     i_match = min(max(i_match, 1), cfg.step_count - 1)
-    inward = uniform[i_match:]
-    c0_min = min(map(rc.c0, cfg.energy_bracket))  # c0 is least at an end
-    if c0_min > 0.0:
-        inward = _graded_tail(rc, cfg.energy_bracket, c0_min, inward[0], r_max, h)
-    return _grid(rc, uniform[:i_match + 1], inward[::-1])
+    sweeps = []  # each from its end of the domain to the match node
+    for nodes, r_end in ((uniform[i_match::-1], r_min),
+                         (uniform[i_match:], r_max)):
+        graded = _graded_tail(rc, cfg.energy_bracket, nodes[0], r_end, h)
+        sweeps.append((nodes if graded is None else graded)[::-1])
+    return _grid(rc, *sweeps)
 
 
 def _slopes(rc: RadialCoefficients, E: float, grid: _Grid) -> tuple[float, float]:
@@ -432,7 +452,9 @@ def shoot_mismatch(E: float, cfg: ShootingConfig, p: PhysicalParams,
     unit length, the mismatch is u_0 w_1 - u_1 w_0: it lies in [-1, 1] and
     changes sign only where the two sweeps meet as one solution.
     Raises NotBoundRegime when the asymptotic coefficient is non-positive
-    (oscillatory tail, no bound state possible at this E).
+    (oscillatory tail, no bound state possible at this E).  The grid is
+    graded for the energies of cfg's bracket (see _sweeps): at an E outside
+    it the mismatch is evaluated on that grid, with no such error bound.
     """
     rc = radial_coefficients(p, state)
     grid = _sweeps(rc, cfg)
@@ -449,8 +471,9 @@ _RESCALE = 2.0 ** 500
 # Steps per block of _trajectory, a divisor of _ROW, so that a direction's
 # rows are whole blocks.  Its outward and inward trajectories at the ground
 # state of the attractive well (V0 = 10, alpha' = 0.0015, ell = 20, D = 3)
-# at 6000 steps, 1544 and 584 steps long, take in ms (best of 3 runs of best
-# of 7 x 30 calls; a 2-core Xeon), against 0.60 ms at one step per block:
+# at 6000 steps, 1544 and 584 steps long when the outward sweep was uniform
+# (763 and 584 now), took in ms (best of 3 runs of best of 7 x 30 calls; a
+# 2-core Xeon), against 0.60 ms at one step per block:
 #   steps per block   4     8     16    32
 #   ms               0.40  0.36  0.42  0.53
 _TRAJECTORY_BLOCK = 8
@@ -671,11 +694,12 @@ def shoot_eigenfunction(E: float, cfg: ShootingConfig, p: PhysicalParams,
 
     Returns (r, F) arrays on the grid's nodes, its pads left out: r rises
     strictly from r_min = R/100 to r_max = R + 40 a (see _truncation), in
-    steps of the base step h out to where U nears its asymptote past the
-    match radius R and growing beyond where the bracket is bound (see
-    _sweeps); the inward branch is rescaled for amplitude continuity at the
-    match radius.  Raises NotBoundRegime where c0(E) <= 0 (oscillatory
-    tail).  Intended for overlap diagnostics at a converged eigenvalue.
+    steps of the base step h near the match radius R, growing toward each
+    end of the domain where U nears its asymptote there at every energy of
+    the bracket (see _sweeps); the inward branch is rescaled for amplitude
+    continuity at the match radius.  Raises NotBoundRegime where c0(E) <= 0
+    (oscillatory tail).  Intended for overlap diagnostics at a converged
+    eigenvalue.
 
     A ShootingState of find_eigenvalues on equal (cfg, p, state) brings its
     grid and outward amplitudes, so only the inward sweep is integrated;

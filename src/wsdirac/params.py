@@ -110,9 +110,10 @@ def gamma(state: QuantumState) -> float:
 def derive_coefficients(p: PhysicalParams, state: QuantumState) -> DerivedCoefficients:
     """The energy-independent coefficients; alpha_prime, ell and D may be arrays."""
     ml = p.E0 * p.E0 - p.M * p.M
+    # the square only multiplies into v, so it may underflow to 0
     square = checked_square(p.E0 + p.M, "(E0 + M)^2",
                             "the deformation coefficient v overflows",
-                            E0=p.E0, M=p.M)
+                            divides=False, E0=p.E0, M=p.M)
     return DerivedCoefficients(
         gamma=gamma(state),
         v=2.0 * p.alpha_prime * p.V0 * p.V0 * square,

@@ -376,6 +376,16 @@ def test_non_finite_parameter_exit_code(capsys, argv):
         assert "division by zero" not in line, line
 
 
+def test_deformation_square_may_underflow(capsys):
+    # (E0 + M)^2 = 4e-340 rounds to 0 but only multiplies into v, so the
+    # well is solved as at v = 0 and every check runs
+    code, out = run(capsys, "verify", "--mass", "1e-170", "--e0", "1e-170")
+    assert code == 0
+    assert not any(line.startswith("error:")
+                   for line in (out.out + out.err).splitlines())
+    assert out.out.startswith("pass ")
+
+
 class TestOutputFile:
     @pytest.mark.parametrize("argv, expected", [
         (["verify", "--n", "-1"], 2),

@@ -279,7 +279,7 @@ class TestFusedPass:
         rc = radial_coefficients(BOUND, BOUND_STATE)
         e_edge = math.sqrt(BOUND.M**2 + rc.c0_const)  # c0(e_edge) = 0
         grid = oracle._sweeps(rc, cfg)
-        assert len(grid.h) == 2304 and grid.rows == (13, 5)
+        assert len(grid.h) == 1408 and grid.rows == (6, 5)
         Es = [bound_root - 0.05, e_edge + 1.0, bound_root, e_edge + 1e-6]
         self.assert_tops_match(rc, Es, grid)
         assert np.isnan(oracle._mismatches(Es, rc, grid)[[1, 3]]).all()
@@ -845,12 +845,14 @@ class TestGradedTail:
         (BOUND, (0.1, 0.4)),
         (RICHARDSON, (-0.05, 0.05)),
         (replace(BOUND, alpha_prime=0.01), (-0.05, 0.05)),
+        (replace(BOUND, V0=1000.0), (-0.05, 0.05)),
     ])
     def test_adds_no_error(self, p, offsets, monkeypatch):
-        # the TestDefaultStepCount cells: the graded tail gives the uniform
-        # grid's eigenvalue, far inside the discretization error of either
-        # (up to about 1e-10); at alpha' = 0.01 U dips below zero outside R,
-        # so the tail decays late
+        # the TestDefaultStepCount cells and the deep well: the graded sweeps
+        # give the uniform grid's eigenvalue, far inside the discretization
+        # error of either (up to about 1e-10); at alpha' = 0.01 U dips below
+        # zero outside R, so the tail decays late; on the deep well the
+        # 1 / kappa_max cap holds the interior's steps at the base step
         e0 = solve_energy(p, BOUND_STATE).e_upper
         cfg = default_config(p, tuple(e0 + d for d in offsets))
 
@@ -908,16 +910,65 @@ class TestGradedTail:
         # capped at 30 h, give or take the rounding to whole steps
         assert steps.max() <= 30.0 * h * (1.0 + 1.0 / len(steps))
 
+    def test_interior_is_graded(self, bound_root):
+        # the mirror of the tail: BOUND's default outward sweep takes at most
+        # half of the uniform grid's steps, from exactly r_min to the match
+        # node, in steps that start at the base step and never shrink toward
+        # r_min, up to the rounding of the nodes
+        rc = radial_coefficients(BOUND, BOUND_STATE)
+        cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
+        (out, inw), (ref, _) = (oracle._sweeps(rc, cfg).r,
+                                uniform_sweeps(rc, cfg).r)
+        assert len(out) - 1 <= (len(ref) - 1) / 2
+        r_min, r_max, _ = oracle._truncation(BOUND)
+        assert out[0] == r_min and out[-1] == ref[-1] == inw[-1]
+        h = (r_max - r_min) / cfg.step_count
+        steps = np.diff(out)[::-1]  # inward from the match node
+        assert steps[0] == pytest.approx(h, rel=1e-9)
+        assert np.all(np.diff(steps) >= -1e-12)
+        assert steps.max() <= 30.0 * h * (1.0 + 1.0 / len(steps))
+
+    def test_deep_well_interior_keeps_the_base_step(self):
+        # at V0 = 1000, 1 / kappa_max is below the base step, so the
+        # interior's steps stay at h
+        p = replace(BOUND, V0=1000.0)
+        root = solve_energy(p, BOUND_STATE).e_upper
+        cfg = default_config(p, (root - 0.05, root + 0.05))
+        out = oracle._sweeps(radial_coefficients(p, BOUND_STATE), cfg).r[0]
+        r_min, r_max, _ = oracle._truncation(p)
+        assert np.diff(out) == pytest.approx((r_max - r_min) / cfg.step_count,
+                                             rel=1e-9)
+
+    @pytest.mark.parametrize("offsets, step_count", [
+        ((-0.5, 0.5), oracle.DEFAULT_STEP_COUNT),  # verify's bracket
+        ((-0.05, -0.05 + 59 * 3.05 / 299), 10_000),  # oracle-ladder's scan
+    ])
+    def test_oscillatory_interior_is_uniform(self, bound_root, offsets,
+                                             step_count):
+        # a bracket whose top has U_in = U(f = 1) <= 0 allows an interior
+        # that does not grow: the outward nodes are the uniform grid's
+        rc = radial_coefficients(BOUND, BOUND_STATE)
+        bracket = tuple(bound_root + d for d in offsets)
+        assert rc.u(1.0, bracket[1]) <= 0.0
+        cfg = default_config(BOUND, bracket, step_count=step_count)
+        assert np.array_equal(oracle._sweeps(rc, cfg).r[0],
+                              uniform_sweeps(rc, cfg).r[0])
+
 
 # sha256 over repr of _shooting_outcomes(bound_root, 20_000), recorded when
-# the inward tail was graded: against the uniform grid before it, mismatches
-# moved by at most 4e-15 and eigenvalues not at all
+# the interior was graded as the tail is: against the graded tail alone
+# before it, eigenvalues did not move; mismatches inside the ground bracket
+# and on the reference well moved by at most 2.1e-15, and the two outside
+# that bracket, at bound_root + 0.3 and + 1.0, whose interior (U_in <= 0
+# there) the grid is not graded for, by 3.1e-10 and 1.6e-5
 _SHOOTING_DIGEST = (
-    "48dd306d77566cf8bfa2e10801c6634925f4d56f64b89ee2f05c414b3fb64707")
+    "6b2b3f96ae56a7aed4216fc841378742c49beb5eabcd8b14f8371c23bfc5b820")
 # the same outcomes at the default step count (6000), recorded then too:
-# mismatches moved by at most 1.0e-14 and eigenvalues by at most 8.9e-16
+# eigenvalues moved by at most 1.8e-15; mismatches inside the ground bracket
+# and on the reference well by at most 1.6e-14, and the two outside it by
+# 3.9e-8 and 1.8e-3
 _SHOOTING_DIGEST_DEFAULT = (
-    "9a6452da130c513b060ff5ce4f865748747b58262cc8901519fad48d36914dcf")
+    "f23e80b3b8862f90b7632343852aecc2645b12c8f538242fa984d4a04a12ad45")
 
 
 def _shooting_outcomes(bound_root, step_count):

@@ -207,8 +207,13 @@ class TestOverflowMessages:
         with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
             solve_energy(p, BOUND_STATE)
 
-    def test_deformation_square_underflow_is_named(self):
+    def test_deformation_square_may_underflow(self):
+        # (E0 + M)^2 only multiplies into v, so its underflow to 0 is v = 0,
+        # not an error; its overflow is still named
         p = dataclasses.replace(BOUND, M=0.0, E0=1e-170)
+        assert derive_coefficients(p, BOUND_STATE).v == 0.0
+        p = dataclasses.replace(BOUND, M=0.0, E0=1e200)
         with pytest.raises(OverflowError, match=re.escape(
-                "(E0 + M)^2 underflows to 0 at E0 = 1e-170, M = 0.0")):
+                "the deformation coefficient v overflows the float64 range: "
+                "(E0 + M)^2 at E0 = 1e+200, M = 0.0")):
             derive_coefficients(p, BOUND_STATE)
