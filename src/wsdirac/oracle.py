@@ -23,7 +23,9 @@ allocates one workspace, 8 doubles per step and energy, whose halves take the
 transfer matrices and the tree's levels in turn.  The scan takes its energies
 through it a block at a time, and its sign changes are refined together by a
 port of scipy's brentq, run as generators in lockstep so that one pass serves
-every root's next step; the oracle imports no scipy.
+every root's next step; the oracle imports no scipy.  Where 2E + V0 f > 0 on
+the outward sweep, node counts rise with E (Sturm), so the scan refines only
+the lowest cells it needs and stops at its count-th state.
 The amplitudes along a sweep, for node counts and the eigenfunction, take no
 tree: the same matrices' prefix products inside blocks of 8 steps, 16 to a
 row, are formed for all of the sweep's rows at once, and one forward pass
@@ -453,10 +455,13 @@ def shoot_mismatch(E: float, cfg: ShootingConfig, p: PhysicalParams,
     changes sign only where the two sweeps meet as one solution.
     Raises NotBoundRegime when the asymptotic coefficient is non-positive
     (oscillatory tail, no bound state possible at this E).  The grid is
-    graded for the energies of cfg's bracket (see _sweeps): at an E outside
-    it the mismatch is evaluated on that grid, with no such error bound.
+    graded for the energies of cfg's bracket widened to hold E (see
+    _sweeps), so an E inside the bracket gets the bracket's own grid.
     """
     rc = radial_coefficients(p, state)
+    if math.isfinite(E):
+        lo, hi = cfg.energy_bracket
+        cfg = ShootingConfig((min(lo, E), max(hi, E)), cfg.step_count)
     grid = _sweeps(rc, cfg)
     _slopes(rc, E, grid)  # raises NotBoundRegime where the tail oscillates
     return float(_mismatches([E], rc, grid)[0])
@@ -649,11 +654,21 @@ def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
     points, Brent's method refines that cell to `tol` and the state's nodes
     are counted.  The mismatch has no poles, so every sign change holds an
     eigenvalue; a cell that holds an even number of them shows none.  The
-    pass stops once the `count`-th smallest key found has 0 nodes: every
-    later state lies higher with >= 0 nodes, so none can enter the result.
-    Refinement waits until the states found and the cells pending could
-    number `count`, as fewer cannot stop the pass; the pending cells are then
-    refined together and walked in ascending order.
+    pass stops once no later state can outrank the `count`-th smallest key
+    found: a later state lies higher, with at least a floor of nodes.  The
+    floor is 0, unless node counts rise with E: where w = 2 lo + V0 f > 0 on
+    the outward sweep, lo the bracket's low end (w is linear in f, so f at
+    r_min and at r_match decide it), dU/dE = -(2E + V0 f) < 0 at every
+    energy scanned, and U and the start slope sqrt(max(U(r_min), 0)) both
+    fall as E rises, so the node count cannot fall (Sturm).  There the floor
+    is the most nodes found, while the states found ascend in energy as they
+    do in key; once they do not, the grid's counts have failed to rise, and
+    the floor is 0 from then on.  Refinement waits until the states found
+    and the cells pending could number `count`, as fewer cannot stop the
+    pass.  Where counts rise, only the lowest cells that could make up
+    `count` states are refined, the others kept pending; otherwise all
+    pending cells are.  A round's cells are refined together and their
+    states walked in ascending order.
 
     `tol` is Brent's tolerance on the root of the discretized mismatch; the
     discretization error of that root, about C h^4, is set by
@@ -666,6 +681,9 @@ def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
     rc = radial_coefficients(p, state)
     grid = _sweeps(rc, cfg)
     lo, hi = cfg.energy_bracket
+    # w > 0 at both ends of the outward sweep: node counts rise with E
+    f_match = grid.f[2 * (len(grid.r[0]) - 1)]  # at its last node
+    rising = min(2.0 * lo + p.V0 * f for f in (grid.f[0], f_match)) > 0.0
     Es = np.linspace(lo, hi, scan_points).tolist()
     values, cells, found = [], [], []  # values: NaN where the tail oscillates
     for start in range(0, scan_points, _SCAN_BLOCK):
@@ -673,14 +691,17 @@ def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
         cells += [(Es[i - 1], Es[i], values[i - 1], values[i])
                   for i in range(max(start, 1), len(values))
                   if values[i - 1] * values[i] < 0.0]  # false at a NaN
-        if len(found) + len(cells) < count and len(values) < scan_points:
-            continue
-        for e_star in _refine(cells, tol, rc, grid):
-            found.append(_shooting_state(e_star, (cfg, p, state), rc, grid))
-            found.sort(key=lambda s: (s.nodes, s))
-            if len(found) >= count and found[count - 1].nodes == 0:
-                return found[:count]
-        cells = []
+        while cells and (len(found) + len(cells) >= count
+                         or len(values) == scan_points):
+            take = count - len(found) if rising else len(cells)
+            for e_star in _refine(cells[:take], tol, rc, grid):
+                found.append(_shooting_state(e_star, (cfg, p, state), rc, grid))
+                found.sort(key=lambda s: (s.nodes, s))
+                rising = rising and all(a < b for a, b in zip(found, found[1:]))
+                floor = found[-1].nodes if rising else 0
+                if len(found) >= count and found[count - 1].nodes <= floor:
+                    return found[:count]
+            cells = cells[take:]
     if not found:
         raise NoEigenvalueInBracket(
             f"no shooting eigenvalue in ({lo}, {hi}) for this configuration"

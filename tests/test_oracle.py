@@ -199,13 +199,33 @@ class TestMismatch:
         with pytest.raises(NotBoundRegime):
             shoot_mismatch(e_edge + 1.0, cfg, BOUND, BOUND_STATE)
 
+    @pytest.mark.parametrize("step_count", [oracle.DEFAULT_STEP_COUNT, 20_000])
+    def test_grid_holds_the_energy(self, bound_root, step_count):
+        # an energy outside the bracket gets the grid of the bracket widened
+        # to hold it, which is uniform inside R at bound_root + 1.0 (U_in < 0
+        # there); the ground bracket's own grid, graded inside R, was off by
+        # 1.8e-3 at 6000 steps.  An energy inside keeps the bracket's grid
+        lo, hi = bound_root - 0.05, bound_root + 0.05
+        cfg = default_config(BOUND, (lo, hi), step_count=step_count)
+        rc = radial_coefficients(BOUND, BOUND_STATE)
+        uniform = uniform_sweeps(rc, cfg)
+        for E in (bound_root + 0.3, bound_root + 1.0):
+            wide = default_config(BOUND, (lo, E), step_count=step_count)
+            m = shoot_mismatch(E, cfg, BOUND, BOUND_STATE)
+            assert m == oracle._mismatches([E], rc, oracle._sweeps(rc, wide))[0]
+            assert abs(m - oracle._mismatches([E], rc, uniform)[0]) <= 1e-15
+        for E in (lo, bound_root, hi):
+            assert shoot_mismatch(E, cfg, BOUND, BOUND_STATE) == (
+                oracle._mismatches([E], rc, oracle._sweeps(rc, cfg))[0])
+
 
 class TestMismatches:
     def test_block_matches_single_calls(self, bound_root):
         # one pass over a block, an energy above the continuum edge among
         # them, gives each energy's shoot_mismatch to the bit, and NaN
-        # exactly where that raises NotBoundRegime
-        cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
+        # exactly where that raises NotBoundRegime; the bracket holds every
+        # bound energy of the block, so shoot_mismatch builds the same grid
+        cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 1.0))
         rc = radial_coefficients(BOUND, BOUND_STATE)
         e_edge = math.sqrt(BOUND.M**2 + rc.c0_const)  # c0(e_edge) = 0
         Es = [bound_root - 0.05, e_edge + 1.0, bound_root, 1e-9 + bound_root,
@@ -373,6 +393,22 @@ class TestIntegrationBlowup:
                 oracle._tops([E], rc, oracle._grid(rc, *pair))
 
 
+def ranked(states):
+    """Each state's energy and node count, in order."""
+    return [(float(s), s.nodes) for s in states]
+
+
+def counting(monkeypatch, record):
+    """Route oracle._mismatches through record(Es) first."""
+    mismatches = oracle._mismatches
+
+    def counted(Es, *solve):
+        record(Es)
+        return mismatches(Es, *solve)
+
+    monkeypatch.setattr(oracle, "_mismatches", counted)
+
+
 class TestFindEigenvalues:
     def test_matches_analytic_ground_state(self, bound_root):
         cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
@@ -434,41 +470,40 @@ class TestFindEigenvalues:
                      grid[i], grid[i + 1], xtol=1e-11)
         assert eig == ref
 
-    @pytest.mark.parametrize("offsets, tol, stops", [
-        ((-0.05, -0.05 + 39 * 3.05 / 299), 1e-6, True),  # levels with 0-3 nodes
-        ((0.1, 0.4), 1e-10, False),  # excited states only, each with nodes
-    ])
+    @pytest.mark.parametrize("offsets, tol, scan_points, full_pins, first_pins", [
+        # levels with 0-3 nodes: a block of 16 holds the ground state's cell,
+        # and the 3-node state's cell is in the last block, so count=4 scans
+        # every point
+        ((-0.05, -0.05 + 39 * 3.05 / 299), 1e-6, 40, (11, 61), (4, 19)),
+        # excited states only, each with nodes: count=1 stops after its first
+        # state, as node counts rise with E; count=4 needs the whole scan
+        ((0.1, 0.4), 1e-10, 40, (11, 65), (7, 37)),
+        # oracle-ladder's 60-point bracket: count=4 stops after the first 48
+        # points' 4 cells, refined in one round (16 passes and 92 energies,
+        # 7 cells refined, when only a 0-node count-th state stopped a scan)
+        ((-0.05, -0.05 + 59 * 3.05 / 299), 1e-6, 60, (11, 69), (4, 19)),
+    ], ids=["levels-0-3", "excited", "ladder-60"])
     def test_early_stop_is_exact(self, bound_root, monkeypatch, offsets, tol,
-                                 stops):
-        # count=4 meets no stop on either bracket, so it is the full pass;
-        # count=1 returns its first state, and stops early only where that
-        # state has 0 nodes.  Either way no energy is evaluated twice
+                                 scan_points, full_pins, first_pins):
+        # count=1 returns the first of count=4's states; on BOUND, where
+        # w = 2E + V0 f > 0, each stops once it holds count states whose node
+        # counts rise with E.  Either way no energy is evaluated twice
         cfg = default_config(BOUND, tuple(bound_root + d for d in offsets))
-        mismatches, passes = oracle._mismatches, []
-
-        def counted(Es, *solve):
-            passes.append(list(Es))
-            return mismatches(Es, *solve)
+        passes = []
 
         def run(count):
             passes.clear()
             eigs = find_eigenvalues(cfg, BOUND, BOUND_STATE, count=count,
-                                    scan_points=40, tol=tol)
+                                    scan_points=scan_points, tol=tol)
             energies = [E for block in passes for E in block]
             assert len(set(energies)) == len(energies)
-            return eigs, len(passes), len(energies)
+            return eigs, (len(passes), len(energies))
 
-        monkeypatch.setattr(oracle, "_mismatches", counted)
-        full, full_passes, full_energies = run(4)
-        first, first_passes, first_energies = run(1)
+        counting(monkeypatch, lambda Es: passes.append(list(Es)))
+        full, full_passes = run(4)
+        first, first_passes = run(1)
         assert first == full[:1]
-        if stops:  # a block of 16 holds the ground state's cell
-            assert (full_passes, full_energies) == (11, 61)
-            assert (first_passes, first_energies) == (4, 19)
-        else:  # the same energies, in more passes: each refinement waits
-            # only for count cells
-            assert (full_passes, full_energies) == (11, 65)
-            assert (first_passes, first_energies) == (17, 65)
+        assert (full_passes, first_passes) == (full_pins, first_pins)
 
     def test_empty_bracket_raises(self, bound_root):
         cfg = default_config(BOUND, (bound_root - 0.04, bound_root - 0.02))
@@ -491,6 +526,90 @@ class TestFindEigenvalues:
             with pytest.raises(ValueError, match=next(iter(kwargs))):
                 find_eigenvalues(cfg, BOUND, BOUND_STATE,
                                  **{"count": 1, **kwargs})
+
+
+class TestSturmStop:
+    # on BOUND and on wells drawn around it, w = 2E + V0 f > 0 on the outward
+    # sweep over the whole bracket, so node counts rise with E and a scan
+    # stops at its count-th state; it must return the full pass's first
+    # count states
+
+    @pytest.fixture(scope="class")
+    def wells(self):
+        """BOUND and 3 wells drawn around it (depth, alpha', ell and R), each
+        with oracle-ladder's config: the first 60 points of the 300-point grid
+        over (E0 - 0.05, E0 + 3) at 10000 steps."""
+        rng, wells = np.random.default_rng(29), [(BOUND, BOUND_STATE)]
+        for _ in range(3):
+            wells.append((replace(BOUND, V0=rng.uniform(9.7, 10.3),
+                                  alpha_prime=rng.uniform(0.00145, 0.00155),
+                                  R=rng.uniform(6.9, 7.1)),
+                          QuantumState(n=0, ell=int(rng.integers(19, 22)), D=3)))
+        configs = []
+        for p, state in wells:
+            lo = solve_energy(p, state).e_upper - 0.05
+            configs.append((p, state, default_config(
+                p, (lo, lo + 59 * 3.05 / 299), step_count=10_000)))
+        return configs
+
+    def test_matches_the_full_pass(self, wells):
+        for p, state, cfg in wells:
+            full = find_eigenvalues(cfg, p, state, count=sys.maxsize,
+                                    scan_points=60, tol=1e-6)
+            assert [s.nodes for s in full[:4]] == [0, 1, 2, 3]
+            for count in (1, 2, 3, 4):
+                stopped = find_eigenvalues(cfg, p, state, count=count,
+                                           scan_points=60, tol=1e-6)
+                assert ranked(stopped) == ranked(full[:count])
+
+    def test_falling_counts_fall_back(self, wells, monkeypatch):
+        # a grid on which the 0- and 1-node states' counts trade places: the
+        # states refined first do not rise with E, so the scan runs on as if
+        # no count rose, to the end of the bracket, and ranks as the full pass
+        count_nodes, energies = oracle._count_nodes, []
+
+        def swapped(values):
+            n = count_nodes(values)
+            return {0: 1, 1: 0}.get(n, n)
+
+        monkeypatch.setattr(oracle, "_count_nodes", swapped)
+        counting(monkeypatch, energies.extend)
+        p, state, cfg = wells[0]
+        full = find_eigenvalues(cfg, p, state, count=sys.maxsize,
+                                scan_points=60, tol=1e-6)
+        energies.clear()
+        eigs = find_eigenvalues(cfg, p, state, count=4, scan_points=60,
+                                tol=1e-6)
+        assert [s.nodes for s in eigs] == [0, 1, 2, 3]
+        assert ranked(eigs) == ranked(full[:4])
+        assert eigs[0] > eigs[1]
+        assert cfg.energy_bracket[1] in energies  # the scan's last point
+
+    @pytest.mark.parametrize("well, offsets, count, pins", [
+        # the reference well (V0 = -10, E near -10): w < 0 everywhere, and
+        # no shooting state, so the scan runs to its end
+        ("reference", (-0.5, 0.5), 1, (25, 400)),
+        # BOUND from below E = -V0 f(r_match) / 2, where w < 0 at the match
+        # radius: count=2 finds its 1-node state in block 20 of 25 but runs
+        # on, as a scan whose counts need not rise stops only at a 0-node
+        # state, and refines every later cell: the passes of a scan that
+        # only a 0-node count-th state could stop
+        ("bound", (-10.0, 3.0), 2, (69, 529)),
+    ], ids=["reference", "bound"])
+    def test_falling_sign_keeps_the_full_pass(self, monkeypatch, well,
+                                              offsets, count, pins):
+        p = reference_params(0.0) if well == "reference" else BOUND
+        e0 = solve_energy(p, BOUND_STATE).e_upper
+        cfg = default_config(p, tuple(e0 + d for d in offsets))
+        grid = oracle._sweeps(radial_coefficients(p, BOUND_STATE), cfg)
+        f_match = grid.f[2 * (len(grid.r[0]) - 1)]
+        assert 2.0 * cfg.energy_bracket[0] + p.V0 * f_match < 0.0
+        passes = []
+        counting(monkeypatch, lambda Es: passes.append(len(Es)))
+        with (pytest.raises(NoEigenvalueInBracket) if well == "reference"
+              else contextlib.nullcontext()):
+            find_eigenvalues(cfg, p, BOUND_STATE, count=count)
+        assert (len(passes), sum(passes)) == pins
 
 
 def brent_port_root(f, a, b, xtol):
@@ -956,19 +1075,22 @@ class TestGradedTail:
 
 
 # sha256 over repr of _shooting_outcomes(bound_root, 20_000), recorded when
-# the interior was graded as the tail is: against the graded tail alone
-# before it, eigenvalues did not move; mismatches inside the ground bracket
-# and on the reference well moved by at most 2.1e-15, and the two outside
-# that bracket, at bound_root + 0.3 and + 1.0, whose interior (U_in <= 0
-# there) the grid is not graded for, by 3.1e-10 and 1.6e-5
+# shoot_mismatch took the grid of its bracket widened to hold E: against the
+# bracket's own grid before it, no eigenvalue moved, nor any mismatch inside
+# its bracket; the two ground-cfg mismatches outside it, at bound_root + 0.3
+# and + 1.0, moved by 3.1e-10 and 1.6e-5, to within 0 and 2.8e-17 of the
+# uniform grid's value (3.1e-10 and 1.6e-5 away before), and the reference
+# well's at -9.0, 0.0 and 9.5 by at most 2.2e-16, each within 3.4e-16 of it
+# (the one at -9.0 moved away from it, by 2 ulp: rounding, at either grid)
 _SHOOTING_DIGEST = (
-    "6b2b3f96ae56a7aed4216fc841378742c49beb5eabcd8b14f8371c23bfc5b820")
-# the same outcomes at the default step count (6000), recorded then too:
-# eigenvalues moved by at most 1.8e-15; mismatches inside the ground bracket
-# and on the reference well by at most 1.6e-14, and the two outside it by
-# 3.9e-8 and 1.8e-3
+    "a146cd53d8b16649462eb8fa304b08145642019e516c96a8893e2bc440e2818b")
+# the same outcomes at the default step count (6000), recorded then too: no
+# eigenvalue moved; the ground-cfg mismatches at + 0.3 and + 1.0 moved by
+# 3.9e-8 and 1.8e-3, to within 2.3e-16 and 8.4e-17 of the uniform grid's
+# value, and the reference well's at -10.3, -9.0 and 9.5 by at most 1.4e-15,
+# each within 2.3e-16 of it (-9.0 moved 1 ulp away from it)
 _SHOOTING_DIGEST_DEFAULT = (
-    "f23e80b3b8862f90b7632343852aecc2645b12c8f538242fa984d4a04a12ad45")
+    "a900fd4399907d61876d1b3ce493e278849960c5040db19cf9a9621f2e038654")
 
 
 def _shooting_outcomes(bound_root, step_count):
