@@ -47,7 +47,8 @@ class NotBoundRegime(WsdiracError):
 
 
 class IntegrationBlowup(WsdiracError):
-    """The shooting integration overflowed despite in-flight renormalization."""
+    """The shooting integration left the float range: the kernel's tree with
+    every level renormalized, or a sweep's amplitudes despite their rescaling."""
 
 
 class NoEigenvalueInBracket(WsdiracError):

@@ -4,37 +4,22 @@ Independent cross-check of the closed-form spectrum: F'' = U(r; E) F is
 integrated outward from r_min and inward from r_max with the classical
 Runge-Kutta scheme, and the Wronskian of the two sweeps' (F, F') vectors at
 the match radius, each scaled to unit length, is driven to zero over E.  A
-solve builds one grid: both sweeps' steps end to end, each sweep padded with
-steps of h = 0 to whole rows of _ROW steps, with the E-independent shape f and
-c2 f^2 at their nodes and midpoints.  Each sweep keeps the base step near the
-match radius and grows it geometrically toward its end of the domain, past R
-where a bound state decays and inside R where the outward solution grows, so
-that errors made there reach the mismatch damped.  The equation is linear, so
-one RK4 step is a 2x2 transfer matrix, closed-form in the step's h and its
-three values of U.  A sweep's end state is their ordered product, the root of a
-pairwise tree renormalized per level by positive factors, which keep its
-direction, sign included: the mismatch is bounded, has no poles and changes
-sign only at eigenvalues.  One kernel, _mismatches, takes a block of energies
-through one pass over the grid, the energy axis before the step axis: one tree
-reduces every row and, once the rows are gathered by direction, finishes both
-directions' products, with the bits of one tree per direction, so its fixed
-cost per level is paid once per block and once for both directions.  A pass
-allocates one workspace, 8 doubles per step and energy, whose halves take the
-transfer matrices and the tree's levels in turn.  The scan takes its energies
-through it a block at a time, and its sign changes are refined together by a
-port of scipy's brentq, run as generators in lockstep so that one pass serves
-every root's next step; the oracle imports no scipy.  Where 2E + V0 f > 0 on
-the outward sweep, node counts rise with E (Sturm), so the scan refines only
-the lowest cells it needs and stops at its count-th state.
-The amplitudes along a sweep, for node counts and the eigenfunction, take no
-tree: the same matrices' prefix products inside blocks of 8 steps, 16 to a
-row, are formed for all of the sweep's rows at once, and one forward pass
-y <- P @ y over the blocks' products, on Python floats, gives each block's
-start state, divided by its size |F| + |F'| (whose log is carried) where the
-block could pass a fixed power of two.  find_eigenvalues returns each state
-as a ShootingState, a float, the eigenvalue, that carries its node count and
-its solve: the grid and the outward amplitudes at the root, from which
-shoot_eigenfunction of the state integrates only the inward sweep.
+solve builds one grid of both sweeps' steps, which grow away from the match
+radius where errors reach the mismatch damped (_sweeps).  The equation is
+linear, so one RK4 step is a 2x2 transfer matrix, closed-form in the step's h
+and its three values of U.  A sweep's end state is their ordered product, the
+root of a pairwise tree renormalized by powers of two: exact, so its direction
+keeps every bit, sign included, and needed only one level in three.  The
+mismatch is bounded, has no poles and changes sign only at eigenvalues.  One
+kernel, _mismatches, takes a block of energies through one pass of the tree
+over both directions (_tops), so its fixed cost per level is paid once per
+block.  The scan takes its energies through it a block at a time, and its sign
+changes are refined together by a port of scipy's brentq, run as generators in
+lockstep so that one pass serves every root's next step; the oracle imports no
+scipy.  Where node counts rise with E (Sturm), the scan stops at its count-th
+state.  The amplitudes along a sweep, for node counts and the eigenfunction,
+take no tree but a forward pass over blocks of steps (_trajectory).  Each
+eigenvalue is a float that carries its node count and solve (ShootingState).
 """
 from __future__ import annotations
 
@@ -111,16 +96,16 @@ def default_config(p: PhysicalParams, energy_bracket: tuple[float, float],
 # does not once its arrays outgrow the cache; a pass builds len(grid.h)
 # matrices per energy, both directions and their pads (1408 on the attractive
 # well at 6000 steps).  One energy's share of a pass near the ground state of
-# the attractive well (V0 = 10, alpha' = 0.0015, ell = 20, D = 3), in ms
-# (each the best of 2 x 9 rounds of 64 energies, best again over 3 runs; one
-# run of 2 x 3 rounds at 80000 steps; a 2-core Xeon):
-#   steps    k = 1    4     8     16    32    64
-#    6000     0.29  0.12  0.08  0.06  0.06  0.07
-#   10000     0.36  0.15  0.12  0.10  0.11  0.11
-#   20000     0.44  0.19  0.16  0.20  0.19  0.23
-#   80000     1.30  0.81  0.86  0.97  1.22  1.40
-# 16 is within 0.01 ms of the best at 6000 and 10000 steps and 25% above it
-# at most; it also bounds the points a pass scans past the stop.
+# the attractive well (V0 = 10, alpha' = 0.0015, ell = 20, D = 3), in ms (the
+# best of 3 x 3 runs of 2 x 9 rounds of 64 energies, 2 x 3 at 80000 steps; a
+# 2-core Xeon):
+#   steps    k = 1    4      8      16     32     64
+#    6000     0.228  0.087  0.058  0.045  0.047  0.049
+#   10000     0.271  0.111  0.081  0.078  0.080  0.093
+#   20000     0.370  0.166  0.138  0.150  0.165  0.190
+#   80000     0.748  0.592  0.650  0.732  0.982  1.010
+# 16 is the best at 6000 and 10000 steps and 24% above it at most; it also
+# bounds the points a pass scans past the stop.
 _SCAN_BLOCK = 16
 
 
@@ -137,6 +122,12 @@ _Grid = namedtuple("_Grid", "r h f q rows")
 # product of its pairwise tree; no row straddles the two directions, so a
 # pass takes both through the tree's first log2(_ROW) levels at once
 _ROW = 128
+
+# Tree levels per renormalization in a pass of _tops.  A 2x2 product's max-abs
+# entry is at most twice its factors', so three levels over leaves of max-abs
+# L >= 1 (8 on BOUND, 2.6e4 at V0 = 1000, 2.2e8 at V0 = 1e4) or over a
+# renormalized level stay below 2^7 L^8, in the float range while L < 1e38
+_RENORM_EVERY = 3
 
 
 def _grid(rc: RadialCoefficients, out: np.ndarray, inw: np.ndarray) -> _Grid:
@@ -356,68 +347,75 @@ def _compose(b: np.ndarray, a: np.ndarray, out: np.ndarray,
     return out
 
 
-def _renormalize(M: np.ndarray, tmp: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Divide each matrix of M in place by its max-abs entry and return the
-    factors; tmp (of M's shape) and scale receive |M| and the factors."""
+def _renormalize(M: np.ndarray, tmp: np.ndarray, scale: np.ndarray):
+    """Scale each matrix of M in place, exactly, by the power of two that puts
+    its max-abs entry in [1/2, 1), raising IntegrationBlowup where one is not
+    finite; tmp (of M's shape) and scale receive |M| and those entries."""
     np.maximum.reduce(np.abs(M, out=tmp), axis=(0, 1), out=scale)
     if not np.isfinite(scale).all():
         raise IntegrationBlowup("transfer-matrix product overflowed")
-    np.maximum(scale, 1e-300, out=scale)
-    M /= scale
-    return scale
+    np.ldexp(M, -np.frexp(scale)[1], out=M)
 
 
-def _level(M: np.ndarray, out: np.ndarray, tmp: np.ndarray, scale: np.ndarray):
-    """One level of the pairwise tree along M's last axis, written to out:
-    the products M[..., 2i+1] @ M[..., 2i], an odd last matrix carried alone,
-    each renormalized; returns their factors.  tmp, scratch of out's shape,
-    and scale, for the factors, are as in _renormalize; scale may overlay M,
-    which is dead once the products are made."""
+def _level(M: np.ndarray, out: np.ndarray, tmp: np.ndarray):
+    """The next level of the pairwise tree along M's last axis, in out (tmp,
+    its scratch): the products M[..., 2i+1] @ M[..., 2i], an odd last alone."""
     half = M.shape[-1] // 2
     _compose(M[..., 1:2 * half:2], M[..., 0:2 * half:2], out[..., :half],
              tmp[..., :half])
     out[..., half:] = M[..., 2 * half:]
-    return _renormalize(out, tmp, scale)
 
 
-def _reduce(M: np.ndarray, halves, side: int, width: int):
+def _reduce(M: np.ndarray, halves, side: int, width: int, every: int):
     """Tree levels over M, which lies in halves[side], until its last axis
-    is width long: each level goes to the other half, with its scratch, and
-    its factors over the dead level before it.  Returns the last level and
-    the half it lies in."""
+    is width long, each to the other half with its scratch; every `every`-th
+    level and the last are renormalized, their max-abs entries over the dead
+    level before.  Returns the last level and the half it lies in."""
+    level = 0
     while M.shape[-1] > width:
+        level += 1
         shape = M.shape[:-1] + ((M.shape[-1] + 1) // 2,)
         scale, = _views(halves[side], shape[2:])
         side = 1 - side
         out, tmp = _views(halves[side], shape, shape)
-        _level(M, out, tmp, scale)
+        _level(M, out, tmp)
+        if level % every == 0 or shape[-1] <= width:
+            _renormalize(out, tmp, scale)
         M = out
     return M, side
 
 
 def _tops(E, rc: RadialCoefficients, grid: _Grid) -> np.ndarray:
     """The tops of both directions' trees at the energies E, shape (2, 2,
-    len(E), 2), direction last, with the bits of a tree of _level over each
-    direction's own steps: one tree over the whole grid, in one workspace.
+    len(E), 2), direction last, each matrix's max-abs entry in [1/2, 1), with
+    the bits of a renormalized tree of _level over each direction's own steps:
+    one tree over the whole grid, in one workspace.
 
     The transfer matrices fill one half of the workspace and their U the
     other, and each level goes to the half its input is not in.  Once each
     column is a row's product, the rows are gathered by direction, the
     shorter direction filled with identities, and the tree is finished over
-    the gathered rows."""
+    them.  A pass past the float range runs again, renormalizing every
+    level, in the caller's error state."""
     k, steps = len(E), len(grid.h)
     halves = np.split(np.empty(8 * k * steps), 2)
-    T = _transfer_entries(rc, E, grid, halves[0].reshape(2, 2, k, steps),
-                          halves[1])
-    M, side = _reduce(T, halves, 0, sum(grid.rows))
-    side = 1 - side
-    G, = _views(halves[side], (2, 2, k, 2, max(grid.rows)))
-    start = 0
-    for d, rows in enumerate(grid.rows):
-        G[..., d, :rows] = M[..., start:start + rows]
-        G[..., d, rows:] = np.eye(2).reshape(2, 2, 1, 1)
-        start += rows
-    return _reduce(G, halves, side, 1)[0][..., 0]
+    T = halves[0].reshape(2, 2, k, steps)
+    for every, ignored in ((_RENORM_EVERY, "ignore"), (1, None)):
+        try:
+            with np.errstate(over=ignored, invalid=ignored):
+                _transfer_entries(rc, E, grid, T, halves[1])
+                M, side = _reduce(T, halves, 0, sum(grid.rows), every)
+                side = 1 - side
+                G, = _views(halves[side], (2, 2, k, 2, max(grid.rows)))
+                start = 0
+                for d, rows in enumerate(grid.rows):
+                    G[..., d, :rows] = M[..., start:start + rows]
+                    G[..., d, rows:] = np.eye(2).reshape(2, 2, 1, 1)
+                    start += rows
+                return _reduce(G, halves, side, 1, every)[0][..., 0]
+        except IntegrationBlowup:
+            if every == 1:
+                raise
 
 
 def _mismatches(Es, rc: RadialCoefficients, grid: _Grid) -> np.ndarray:
@@ -469,8 +467,8 @@ def shoot_mismatch(E: float, cfg: ShootingConfig, p: PhysicalParams,
 
 # The bound on |F| of _trajectory: a block's start state is divided by its
 # size |F| + |F'|, and the size's log carried, once that size passes 2^500
-# over the block's largest prefix entry, which bounds one block's growth.  So
-# products of neighbouring values, and F^2, stay inside the float range
+# over the block's largest prefix entry, so |F| stays below 2^501 unless one
+# block grows by more (to 1e225 at depth 1e10; node counts read signs alone)
 _RESCALE = 2.0 ** 500
 
 # Steps per block of _trajectory, a divisor of _ROW, so that a direction's
@@ -520,7 +518,7 @@ def _trajectory(rc: RadialCoefficients, E: float, grid: _Grid, d: int,
 
 
 def _count_nodes(values: np.ndarray) -> int:
-    return int(np.sum(values[1:] * values[:-1] < 0.0))
+    return int(np.sum(np.sign(values[1:]) * np.sign(values[:-1]) < 0.0))
 
 
 # Brent's method as scipy.optimize.brentq runs it, ported line by line from

@@ -269,14 +269,16 @@ def unpadded(rc, r):
 
 def direction_tops(rc, Es, grid):
     """Each direction's top through its own pairwise tree of oracle._level
-    over its own steps, without pads, at least one level, as in the pass
-    over the grid: the reference for that pass, shape (2, 2, len(Es), 2)."""
+    over its own steps, without pads, at least one level, each renormalized,
+    as in the pass over the grid: the reference for that pass, shape (2, 2,
+    len(Es), 2)."""
     tops = []
     for r in grid.r:
         M = oracle._transfer_entries(rc, Es, unpadded(rc, r))
         for _ in range(max(1, (M.shape[-1] - 1).bit_length())):
             out = np.empty(M.shape[:-1] + ((M.shape[-1] + 1) // 2,))
-            oracle._level(M, out, np.empty_like(out), np.empty(out.shape[2:]))
+            oracle._level(M, out, tmp := np.empty_like(out))
+            oracle._renormalize(out, tmp, np.empty(out.shape[2:]))
             M = out
         tops.append(M[..., 0])
     return np.stack(tops, axis=-1)
@@ -290,6 +292,13 @@ class TestFusedPass:
         fused = oracle._tops(Es, rc, grid)
         assert fused.shape == (2, 2, len(Es), 2)
         assert fused.tobytes() == direction_tops(rc, Es, grid).tobytes()
+        # the factors are powers of two, so renormalizing every level
+        # changes no bit, and each top's max-abs entry lies in [1/2, 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_RENORM_EVERY", 1)
+            assert oracle._tops(Es, rc, grid).tobytes() == fused.tobytes()
+        big = np.abs(fused).max(axis=(0, 1))
+        assert np.all((0.5 <= big) & (big < 1.0))
 
     def test_default_sweeps(self, bound_root):
         # BOUND's sweeps at the default step count, a block holding two
@@ -313,6 +322,40 @@ class TestFusedPass:
         grid = oracle._sweeps(rc, default_config(BOUND, (bound_root, e_edge)))
         assert grid.rows[1] > grid.rows[0]
         self.assert_tops_match(rc, [bound_root, bound_root + 0.3], grid)
+
+    def test_ladder_bracket(self, bound_root):
+        # oracle-ladder's bracket, 60 points at the 300-point grid's spacing,
+        # at its 10000 steps: 16 energies across it
+        lo, step = bound_root - 0.05, 3.05 / 299
+        cfg = default_config(BOUND, (lo, lo + 59 * step), step_count=10_000)
+        rc = radial_coefficients(BOUND, BOUND_STATE)
+        grid = oracle._sweeps(rc, cfg)
+        self.assert_tops_match(rc, np.linspace(*cfg.energy_bracket, 16).tolist(),
+                               grid)
+
+    def test_overflowing_pass_runs_again(self, monkeypatch):
+        # at V0 = 1e20 the transfer matrices' entries reach about 2e72, and
+        # three levels without renormalization leave the float range: the
+        # pass breaks off in its first reduction and runs again renormalizing
+        # every level, which stays in range, raising nothing on the way
+        p = replace(BOUND, V0=1e20)
+        E = solve_energy(p, BOUND_STATE).e_upper
+        rc = radial_coefficients(p, BOUND_STATE)
+        grid = oracle._sweeps(rc, default_config(p, (E - 0.05, E + 0.05)))
+        with monkeypatch.context() as mp:
+            mp.setattr(oracle, "_RENORM_EVERY", 1)
+            every_level = oracle._tops([E], rc, grid)
+        reduce, intervals = oracle._reduce, []
+
+        def traced(M, halves, side, width, every):
+            intervals.append(every)
+            return reduce(M, halves, side, width, every)
+
+        monkeypatch.setattr(oracle, "_reduce", traced)
+        with np.errstate(all="raise"):
+            tops = oracle._tops([E], rc, grid)
+        assert intervals == [oracle._RENORM_EVERY, 1, 1]
+        assert tops.tobytes() == every_level.tobytes()
 
     # a direction of row - 1, row or row + 1 steps ends just inside or on a
     # row's end; at 2 row + 1 and 1025 = 8 row + 1 the odd row is carried
@@ -391,6 +434,25 @@ class TestIntegrationBlowup:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationBlowup, match="overflowed"):
                 oracle._tops([E], rc, oracle._grid(rc, *pair))
+
+    @pytest.mark.parametrize("direction", [0, 1])
+    def test_fused_pass_keeps_the_callers_error_state(self, blowup, direction):
+        # the pass that ignores overflow breaks off; the one that follows,
+        # renormalizing every level, overflows under the caller's error state
+        rc, E, bad, nodes = blowup
+        pair = list(nodes)
+        pair[direction] = bad
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                oracle._tops([E], rc, oracle._grid(rc, *pair))
+
+
+@pytest.mark.parametrize("size", [1e200, 1e-200])
+def test_node_count_reads_signs(size):
+    # the product of the two neighbours overflows at 1e200, and at 1e-200
+    # underflows to -0.0, which would drop the node
+    with np.errstate(all="raise"):
+        assert oracle._count_nodes(np.array([size, -size])) == 1
 
 
 def ranked(states):
@@ -1081,16 +1143,23 @@ class TestGradedTail:
 # and + 1.0, moved by 3.1e-10 and 1.6e-5, to within 0 and 2.8e-17 of the
 # uniform grid's value (3.1e-10 and 1.6e-5 away before), and the reference
 # well's at -9.0, 0.0 and 9.5 by at most 2.2e-16, each within 3.4e-16 of it
-# (the one at -9.0 moved away from it, by 2 ulp: rounding, at either grid)
+# (the one at -9.0 moved away from it, by 2 ulp: rounding, at either grid).
+# Re-recorded when the pass's tree took its renormalizing factors as powers of
+# two, exact, in place of each matrix's max-abs entry: one eigenvalue moved,
+# the fourth ladder state, by 8.9e-16 (1 ulp); the ground-cfg mismatches by at
+# most 1.4e-14 (at + 0.3), and the reference well's by at most 2.2e-16
 _SHOOTING_DIGEST = (
-    "a146cd53d8b16649462eb8fa304b08145642019e516c96a8893e2bc440e2818b")
+    "a5388a7a4d2db82dc9c01c1399ddaddc0ffec12f22ff546e7fd166cd4737c411")
 # the same outcomes at the default step count (6000), recorded then too: no
 # eigenvalue moved; the ground-cfg mismatches at + 0.3 and + 1.0 moved by
 # 3.9e-8 and 1.8e-3, to within 2.3e-16 and 8.4e-17 of the uniform grid's
 # value, and the reference well's at -10.3, -9.0 and 9.5 by at most 1.4e-15,
-# each within 2.3e-16 of it (-9.0 moved 1 ulp away from it)
+# each within 2.3e-16 of it (-9.0 moved 1 ulp away from it).  Re-recorded
+# with the powers of two too: no eigenvalue moved; the ground-cfg mismatches
+# moved by at most 1.9e-15 (at + 0.3), and the reference well's by at most
+# 1.1e-16
 _SHOOTING_DIGEST_DEFAULT = (
-    "a900fd4399907d61876d1b3ce493e278849960c5040db19cf9a9621f2e038654")
+    "0abbf6c39c9baa7cf12c41c39403e6d19604565734eec38a9f53497005605dc4")
 
 
 def _shooting_outcomes(bound_root, step_count):
