@@ -260,16 +260,23 @@ def _sweeps(rc: RadialCoefficients, cfg: ShootingConfig) -> _Grid:
     return _grid(rc, *sweeps)
 
 
-def _slopes(rc: RadialCoefficients, E: float, grid: _Grid) -> tuple[float, float]:
-    """Start slopes F'/F at E, growing at r_min and decaying at r_max; raises
+def _inward_slope(rc: RadialCoefficients, E: float) -> float:
+    """Start slope F'/F at E decaying at r_max, -sqrt(c0(E)); raises
     NotBoundRegime where c0(E) <= 0 (oscillatory tail)."""
     c0 = rc.c0(E)
     if c0 <= 0.0:
         raise NotBoundRegime(
             f"asymptotic coefficient <= 0 at E = {E}: oscillatory tail"
         )
+    return -math.sqrt(c0)
+
+
+def _slopes(rc: RadialCoefficients, E: float, grid: _Grid) -> tuple[float, float]:
+    """Start slopes F'/F at E, growing at r_min and decaying at r_max; raises
+    NotBoundRegime where c0(E) <= 0 (oscillatory tail)."""
+    inward = _inward_slope(rc, E)
     u_min = rc.u(grid.f[0], E)
-    return math.sqrt(max(float(u_min), 0.0)), -math.sqrt(c0)
+    return math.sqrt(max(float(u_min), 0.0)), inward
 
 
 def _views(buf: np.ndarray, *shapes):
@@ -347,14 +354,17 @@ def _compose(b: np.ndarray, a: np.ndarray, out: np.ndarray,
     return out
 
 
-def _renormalize(M: np.ndarray, tmp: np.ndarray, scale: np.ndarray):
+def _renormalize(M: np.ndarray, tmp: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Scale each matrix of M in place, exactly, by the power of two that puts
     its max-abs entry in [1/2, 1), raising IntegrationBlowup where one is not
-    finite; tmp (of M's shape) and scale receive |M| and those entries."""
+    finite; tmp (of M's shape) and scale receive |M| and those entries.
+    Returns the exponents k of the powers 2^-k applied."""
     np.maximum.reduce(np.abs(M, out=tmp), axis=(0, 1), out=scale)
     if not np.isfinite(scale).all():
         raise IntegrationBlowup("transfer-matrix product overflowed")
-    np.ldexp(M, -np.frexp(scale)[1], out=M)
+    exponents = np.frexp(scale)[1]
+    np.ldexp(M, -exponents, out=M)
+    return exponents
 
 
 def _level(M: np.ndarray, out: np.ndarray, tmp: np.ndarray):
@@ -470,6 +480,7 @@ def shoot_mismatch(E: float, cfg: ShootingConfig, p: PhysicalParams,
 # over the block's largest prefix entry, so |F| stays below 2^501 unless one
 # block grows by more (to 1e225 at depth 1e10; node counts read signs alone)
 _RESCALE = 2.0 ** 500
+_LN2 = math.log(2.0)
 
 # Steps per block of _trajectory, a divisor of _ROW, so that a direction's
 # rows are whole blocks.  Its outward and inward trajectories at the ground
@@ -490,16 +501,31 @@ def _trajectory(rc: RadialCoefficients, E: float, grid: _Grid, d: int,
     blocks of _TRAJECTORY_BLOCK steps, give every block's prefix products P
     at once, blocks on the last axis; y <- P @ y steps the state by each
     block's product on Python floats, and row 0 of the block's P applied to
-    its start state gives F inside it, up to the direction's last node.
-    Raises IntegrationBlowup where a matrix or state is not finite."""
+    its start state gives F inside it, up to the direction's last node.  A
+    pass whose prefixes leave the float range (on deep wells, at depth 1e13
+    and past) runs again, in the caller's error state, scaling each prefix
+    by the power of two of _renormalize, whose exponents the log scales
+    carry; its state is rescaled at every block's start.  Raises
+    IntegrationBlowup where a matrix or state is not finite."""
     width = _TRAJECTORY_BLOCK
     T = _transfer_entries(rc, E, _direction(grid, d))
     T = T.reshape(2, 2, -1, width).transpose(0, 1, 3, 2)
     P, tmp = np.empty(T.shape), np.empty(T[:, :, 0].shape)
     P[:, :, 0] = T[:, :, 0]
-    for j in range(1, width):
-        _compose(T[:, :, j], P[:, :, j - 1], P[:, :, j], tmp)
-    limits = _RESCALE / np.abs(P).max(axis=(0, 1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, width):
+            _compose(T[:, :, j], P[:, :, j - 1], P[:, :, j], tmp)
+    limits = np.abs(P).max(axis=(0, 1, 2))  # each block's largest entry
+    exponents = None  # of the prefixes' scales, where they are scaled
+    if np.isfinite(limits).all():
+        limits = _RESCALE / limits
+    else:
+        exponents = np.empty(T.shape[2:], dtype=int)
+        exponents[0] = _renormalize(P[:, :, 0], tmp, limits)
+        for j in range(1, width):
+            _compose(T[:, :, j], P[:, :, j - 1], P[:, :, j], tmp)
+            exponents[j] = exponents[j - 1] + _renormalize(P[:, :, j], tmp, limits)
+        limits[:] = 0.0  # every block's start state rescaled
     f, g, log, starts = 1.0, slope0, 0.0, []
     for t00, t01, t10, t11, limit in zip(*P[:, :, -1].reshape(4, -1).tolist(),
                                          limits.tolist()):
@@ -512,7 +538,13 @@ def _trajectory(rc: RadialCoefficients, E: float, grid: _Grid, d: int,
         raise IntegrationBlowup("transfer-matrix product overflowed")
     f0, g0, logs = np.array(starts).reshape(-1, 3).T
     values = np.concatenate(([1.0], (P[0, 0] * f0 + P[0, 1] * g0).T.ravel()))
-    logs = np.concatenate(([0.0], np.repeat(logs, width)))
+    if exponents is None:
+        logs = np.repeat(logs, width)
+    else:
+        # a block starts at the scaled products of the blocks before it
+        before = np.cumsum(exponents[-1]) - exponents[-1]
+        logs = (logs + _LN2 * (before + exponents)).T.ravel()
+    logs = np.concatenate(([0.0], logs))
     n = len(grid.r[d])
     return values[:n], logs[:n]
 
@@ -603,8 +635,18 @@ def _refine(cells, tol: float, rc: RadialCoefficients, grid: _Grid) -> list[floa
 
 
 # What a ShootingState carries of its solve: key = (cfg, p, state), their
-# coefficients rc and grid, and the outward (values, log_scales) at its energy
+# coefficients rc, the grid's inward half (_inward_half), which the states of
+# one solve share, and the outward (values, log_scales) at its energy
 _Solve = namedtuple("_Solve", "key rc grid outward")
+
+
+def _inward_half(grid: _Grid) -> _Grid:
+    """The grid with no outward steps (rows[0] = 0), both directions' nodes
+    kept: what shoot_eigenfunction reads of a solve.  Its arrays are copies,
+    so the whole grid's are freed with it."""
+    inward = _direction(grid, 1)
+    return _Grid(grid.r, inward.h.copy(), inward.f.copy(), inward.q.copy(),
+                 (0, grid.rows[1]))
 
 
 class ShootingState(float):
@@ -612,10 +654,11 @@ class ShootingState(float):
 
     nodes is the outward sweep's node count at it, by which find_eigenvalues
     ranks its states.  The state also carries its solve: the (cfg, p, state)
-    it was found for, their coefficients and grid, and the outward amplitudes
-    at the energy, which shoot_eigenfunction reuses when handed the state
-    with equal (cfg, p, state).  It hashes, orders, prints and serializes as
-    its float; a pickle or copy keeps the energy and nodes, not the solve.
+    it was found for, their coefficients, the inward half of their grid with
+    both directions' nodes, and the outward amplitudes at the energy, which
+    shoot_eigenfunction reuses when handed the state with equal (cfg, p,
+    state).  It hashes, orders, prints and serializes as its float; a pickle
+    or copy keeps the energy and nodes, not the solve.
     """
 
     __slots__ = ("nodes", "_solve")
@@ -629,14 +672,14 @@ class ShootingState(float):
         return type(self), (float(self), self.nodes)
 
 
-def _shooting_state(E: float, key, rc: RadialCoefficients,
-                    grid: _Grid) -> ShootingState:
-    """The state at E of the solve key on rc and grid: one outward sweep,
-    whose amplitudes give its nodes.  Raises NotBoundRegime where c0(E) <= 0
-    (oscillatory tail)."""
+def _shooting_state(E: float, key, rc: RadialCoefficients, grid: _Grid,
+                    half: _Grid) -> ShootingState:
+    """The state at E of the solve key on rc and grid, whose inward half the
+    states of one solve share: one outward sweep, whose amplitudes give its
+    nodes.  Raises NotBoundRegime where c0(E) <= 0 (oscillatory tail)."""
     outward = _trajectory(rc, E, grid, 0, _slopes(rc, E, grid)[0])
     return ShootingState(E, _count_nodes(outward[0]),
-                         _Solve(key, rc, grid, outward))
+                         _Solve(key, rc, half, outward))
 
 
 def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
@@ -678,6 +721,7 @@ def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     rc = radial_coefficients(p, state)
     grid = _sweeps(rc, cfg)
+    half = None  # what the states keep of the grid, made with the first
     lo, hi = cfg.energy_bracket
     # w > 0 at both ends of the outward sweep: node counts rise with E
     f_match = grid.f[2 * (len(grid.r[0]) - 1)]  # at its last node
@@ -693,7 +737,10 @@ def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
                          or len(values) == scan_points):
             take = count - len(found) if rising else len(cells)
             for e_star in _refine(cells[:take], tol, rc, grid):
-                found.append(_shooting_state(e_star, (cfg, p, state), rc, grid))
+                if half is None:
+                    half = _inward_half(grid)
+                found.append(_shooting_state(e_star, (cfg, p, state), rc,
+                                             grid, half))
                 found.sort(key=lambda s: (s.nodes, s))
                 rising = rising and all(a < b for a, b in zip(found, found[1:]))
                 floor = found[-1].nodes if rising else 0
@@ -721,17 +768,18 @@ def shoot_eigenfunction(E: float, cfg: ShootingConfig, p: PhysicalParams,
     eigenvalue.
 
     A ShootingState of find_eigenvalues on equal (cfg, p, state) brings its
-    grid and outward amplitudes, so only the inward sweep is integrated;
-    any other E (a float, or a state of another solve) builds both, with the
-    same result to the bit.
+    grid's inward half and outward amplitudes, so only the inward sweep is
+    integrated; any other E (a float, or a state of another solve) builds
+    both, with the same result to the bit.
     """
     key = (cfg, p, state)
     solve = getattr(E, "_solve", None)
     if solve is None or solve.key != key:
         rc = radial_coefficients(p, state)
-        solve = _shooting_state(E, key, rc, _sweeps(rc, cfg))._solve
+        grid = _sweeps(rc, cfg)
+        solve = _shooting_state(E, key, rc, grid, _inward_half(grid))._solve
     _, rc, grid, (val_o, log_o) = solve
-    val_i, log_i = _trajectory(rc, E, grid, 1, _slopes(rc, E, grid)[1])
+    val_i, log_i = _trajectory(rc, E, grid, 1, _inward_slope(rc, E))
     # restore true relative magnitudes within each branch
     out = val_o * np.exp(log_o - log_o[-1])
     inw = (val_i * np.exp(log_i - log_i[-1]))[::-1]

@@ -560,10 +560,10 @@ class TestConfigFile:
 
 
 def test_common_commands_load_no_scipy():
-    # scipy is imported only where it is used (normalize), not by `import
-    # wsdirac`; the bracketing route resolves the reference well's sub-grid
-    # root pair by re-scanning, and the shooting oracle refines its roots by
-    # its own Brent iteration, both without scipy.optimize
+    # no command loads scipy: the bracketing route resolves the reference
+    # well's sub-grid root pair by re-scanning, the shooting oracle refines
+    # its roots by its own Brent iteration, both without scipy.optimize, and
+    # normalize takes its incomplete beta function from the standard library
     script = (
         "import contextlib, io, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
@@ -575,9 +575,13 @@ def test_common_commands_load_no_scipy():
         "for argv in (['table', '1'], ['table', '2'], ['solve'], ['verify'],\n"
         "             ['verify', *bound], ['verify', *bound, '--n', '1'],\n"
         "             ['verify', '--with-oracle', *bound, '--n', '0'],\n"
-        "             ['verify', '--with-oracle', *bound, '--n', '1']):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert cli.main(argv) == 0, argv\n"
+        "             ['verify', '--with-oracle', *bound, '--n', '1'],\n"
+        "             ['wavefunction'], ['wavefunction', *bound]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "            contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    # the reference well's ground state is not normalizable: exit 5\n"
+        "    assert code == (5 if argv == ['wavefunction'] else 0), argv\n"
         "    assert not loaded(), (argv, loaded())\n"
     )
     src = str(Path(wsdirac.__file__).resolve().parents[1])

@@ -875,6 +875,18 @@ class TestShootingState:
         own = shoot_eigenfunction(s, cfg, BOUND, BOUND_STATE)
         assert not all(np.array_equal(a, b) for a, b in zip(got, own))
 
+    def test_keeps_the_inward_half(self, ground):
+        # of its solve's grid a state keeps the inward steps and both
+        # directions' nodes, the inward arrays its own, not views that would
+        # keep the whole grid alive
+        cfg, s = ground
+        full = oracle._sweeps(radial_coefficients(BOUND, BOUND_STATE), cfg)
+        grid, inward = s._solve.grid, oracle._direction(full, 1)
+        assert grid.rows == (0, full.rows[1])
+        for kept, field in zip(grid[1:4], inward[1:4]):  # h, f, q
+            assert kept.base is None and np.array_equal(kept, field)
+        assert all(np.array_equal(a, b) for a, b in zip(grid.r, full.r, strict=True))
+
     def test_serializes_as_its_float(self, ground):
         # a pickle keeps the energy and nodes, not the solve, whose
         # eigenfunction is then built afresh, the same
@@ -929,6 +941,11 @@ class TestScanTrajectory:
                 shoot_eigenfunction(s, cfg, BOUND, BOUND_STATE),
                 shoot_eigenfunction(float(s), cfg, BOUND, BOUND_STATE))
 
+    def test_states_share_the_inward_half(self, lowest_states):
+        # the states of one solve keep one copy of its grid's inward half
+        _, eigs = lowest_states
+        assert len({id(s._solve.grid) for s in eigs}) == 1
+
     @pytest.mark.parametrize("steps", [1, 2, 3, 5, 7, 8, 9, 16, 17, 1023, 1025])
     @pytest.mark.parametrize("outward", [True, False])
     def test_tree_scan_edge_counts(self, lowest_states, steps, outward):
@@ -957,6 +974,30 @@ class TestScanTrajectory:
         values, logs = oracle._trajectory(*args)
         assert np.max(np.abs(values)) <= 2.0 ** 500 and logs[-1] > 5000.0
         assert assert_matches_stepwise(args) == 0
+
+    @pytest.mark.parametrize("depth", [1e13, 1e16])
+    def test_deeper_well_scales_its_prefixes(self, depth, monkeypatch):
+        # from depth 1e13 on, a block's prefix products leave the float
+        # range: the pass runs again with each prefix scaled by a power of
+        # two, which the log scales carry, so nothing overflows under
+        # over="raise", and both sweeps keep the stepwise sweep's amplitudes
+        # and nodes
+        p = replace(BOUND, V0=depth)
+        root = solve_energy(p, BOUND_STATE).e_upper
+        cfg = default_config(p, (root - 0.5, root + 0.5))
+        scaled = []
+        renormalize = oracle._renormalize
+        monkeypatch.setattr(oracle, "_renormalize",
+                            lambda M, *a: scaled.append(M.ndim) or renormalize(M, *a))
+        with np.errstate(over="raise", invalid="raise"):
+            eig, = find_eigenvalues(cfg, p, BOUND_STATE, count=1)
+            r, F = shoot_eigenfunction(eig, cfg, p, BOUND_STATE)
+        assert eig.nodes == 0 and np.isfinite(F).all()
+        assert 3 in scaled  # a trajectory's prefixes, (2, 2, blocks)
+        rc = radial_coefficients(p, BOUND_STATE)
+        grid = oracle._sweeps(rc, cfg)
+        for d in (0, 1):
+            assert_matches_stepwise((rc, eig, grid, d, oracle._slopes(rc, eig, grid)[d]))
 
     @pytest.mark.parametrize("outward", [True, False])
     def test_rescaled_pass(self, lowest_states, monkeypatch, outward):

@@ -23,7 +23,8 @@ from wsdirac import (
     solve_energy,
     solve_susy_parameters,
 )
-from wsdirac.wavefunction import peak_radius
+from wsdirac import wavefunction
+from wsdirac.wavefunction import _log_beta_complement, peak_radius
 
 from conftest import BOUND, BOUND_STATE
 
@@ -129,6 +130,116 @@ class TestNormalize:
             normalize(0.5, 5.0, 0.5, 7.0)
         with pytest.raises(NotNormalizable):
             normalize(0.0, 5.0, 0.5, 7.0)
+
+
+def mp_log_tail(p, q, y0):
+    """log J at 50 digits, J = int_y0^1 t^(p-1) (1 - t)^(q-1) dt = B(p, q)
+    [1 - I_y0(p, q)], for mpf p, q and y0 within a 50-digit context.
+
+    mp.betainc(a, b, 0, z) sums a 2F1 series in z whose parameter 1 - b
+    converges where b is at most about 1e3 (at b = 1e6 and 1e8 it did not):
+    J = B(p, q) - betainc(p, q, 0, y0) where q <= p, and by the symmetry
+    J = betainc(q, p, 0, 1 - y0) where p < q; the other form where the
+    first one's series fails (1 - y0 near 1).  Where p and q both pass
+    1e3, J is mp.quad of the integrand over its peak, m +- 20 sigma (the
+    Beta distribution's mode and spread), or from y0 over 200 e-folds of
+    its decay where y0 lies past the peak: what is left out is below
+    e^-200 of J."""
+    from mpmath import mp
+
+    if min(p, q) > 1e3:
+        phi = lambda t: (p - 1) * mp.log(t) + (q - 1) * mp.log1p(-t)
+        m, s = (p - 1) / (p + q - 2), mp.sqrt(p * q / (p + q) ** 3)
+        if y0 >= m + 20 * s:
+            slope = abs((p - 1) / y0 - (q - 1) / (1 - y0))
+            points = [y0, y0 + 200 / slope]
+        elif y0 >= m:
+            points = [y0, m + 20 * s]
+        else:
+            points = [max(y0, m - 20 * s), m, m + 20 * s]
+        top = phi(max(y0, m))
+        return top + mp.log(mp.quad(lambda t: mp.exp(phi(t) - top), points))
+    forms = [lambda: mp.beta(p, q) - mp.betainc(p, q, 0, y0),
+             lambda: mp.betainc(q, p, 0, 1 - y0)]
+    for form in forms if q <= p else forms[::-1]:
+        try:
+            J = form()
+        except (ValueError, mp.NoConvergence):
+            continue
+        if mp.isfinite(J) and mp.im(J) == 0 and J > 0:
+            return mp.log(J)
+    raise AssertionError(f"no mpmath form of J converged at p = {p}, q = {q}")
+
+
+def mp_log_norm(A, B, a, R):
+    """Reference log N at 50 digits, from the exact values of the float
+    inputs: log N = -(log a + 2AR + log J)/2 (see mp_log_tail)."""
+    from mpmath import mp
+
+    with mp.workdps(50):
+        A, B, a, R = (mp.mpf(v) for v in (A, B, a, R))
+        y0 = 1 / (1 + mp.exp(R / a))
+        log_J = mp_log_tail(2 * a * (A + B), -2 * a * A, y0)
+        return -(mp.log(a) + 2 * A * R + log_J) / 2
+
+
+def assert_matches_reference(A, B, a, R):
+    ref = mp_log_norm(A, B, a, R)
+    log_norm = normalize(A, B, a, R).log_norm
+    assert abs(log_norm - ref) <= 1e-13 * max(1.0, abs(ref)), (A, B, a, R)
+
+
+class TestNormReferences:
+    # p and q as their float inputs A = -q, B = p + q give them (a = 1/2),
+    # so one far below the other, p = 1e-2 against q = 1e8, is near 1e-2
+    GRID = (1e-2, 0.5, 3.0, 50.0, 1e3, 1e6, 1e8)
+
+    @pytest.mark.parametrize("p", GRID)
+    def test_grid(self, p):
+        for q, t in itertools.product(self.GRID, (1e-3, 0.05, 1.0, 14.0, 60.0)):
+            assert_matches_reference(-q, p + q, 0.5, 0.5 * t)
+
+    def test_bound(self, bound_solution):
+        _, sp = bound_solution
+        assert_matches_reference(sp.A, sp.B, BOUND.a, BOUND.R)
+
+    @pytest.mark.parametrize("A, B, a, R", [(-2000.0, 2000.5, 0.5, 0.05),
+                                            (-1e4, 1e4 + 1e-3, 0.5, 0.005)])
+    def test_complement_near_zero(self, A, B, a, R):
+        # 1 - I is about e^-1293 and e^-6897 here: its float underflows to 0,
+        # and its log, taken of that float, was a math domain error
+        assert_matches_reference(A, B, a, R)
+
+    @pytest.mark.parametrize("p", [1e-6, 1e-10, 1e-15])
+    def test_near_the_normalizable_edge(self, p):
+        # A + B = p just above 0: I nears 1 and 1 - I is about p, which its
+        # power series keeps; taken as 1 - I of the continued fraction's I,
+        # log(1 - I) was off by 5e-12 at p = 1e-4, 1e-7 at 1e-8 and 2e-2 at
+        # 1e-13 (q = 0.5, R/a = 1), and a math domain error at 1e-15
+        for q, t in itertools.product((0.5, 5.0), (1.0, 14.0)):
+            assert_matches_reference(-q, q + p, 0.5, 0.5 * t)
+
+    @pytest.mark.parametrize("p, q, t", [(1e6, 1e6, 1e-3), (1e8, 1e8, 1e-5),
+                                         (1e6, 1e8, math.log(100.0))])
+    def test_prefactor_near_the_peak(self, p, q, t):
+        # log(1 - I) itself, where I is near 1/2 at large p and q: with the
+        # prefactor z^a (1 - z)^b / (a B(a, b)) from log B, it was off by
+        # 6e-11, 9e-9 and 5e-10 on these cells; Stirling's form in lam keeps
+        # 1e-11
+        from mpmath import mp
+
+        with mp.workdps(50):
+            y0 = 1 / (1 + mp.exp(mp.mpf(t)))
+            ref = mp_log_tail(mp.mpf(p), mp.mpf(q), y0) - mp.log(mp.beta(p, q))
+        assert abs(_log_beta_complement(p, q, t) - ref) <= 1e-11
+
+
+def test_slow_fraction_is_typed(monkeypatch):
+    # a continued fraction that takes more than _MAX_PAIRS pairs raises
+    # ArithmeticError, which the CLI reports with exit 2, and does not run on
+    monkeypatch.setattr(wavefunction, "_MAX_PAIRS", 3)
+    with pytest.raises(ArithmeticError, match="continued fraction"):
+        normalize(-1e6, 2e6, 0.5, 5e-4)
 
 
 class TestDerivatives:
