@@ -7,19 +7,22 @@ the match radius, each scaled to unit length, is driven to zero over E.  A
 solve builds one grid of both sweeps' steps, which grow away from the match
 radius where errors reach the mismatch damped (_sweeps).  The equation is
 linear, so one RK4 step is a 2x2 transfer matrix, closed-form in the step's h
-and its three values of U.  A sweep's end state is their ordered product, the
-root of a pairwise tree renormalized by powers of two: exact, so its direction
-keeps every bit, sign included, and needed only one level in three.  The
-mismatch is bounded, has no poles and changes sign only at eigenvalues.  One
-kernel, _mismatches, takes a block of energies through one pass of the tree
-over both directions (_tops), so its fixed cost per level is paid once per
-block.  The scan takes its energies through it a block at a time, and its sign
-changes are refined together by a port of scipy's brentq, run as generators in
-lockstep so that one pass serves every root's next step; the oracle imports no
-scipy.  Where node counts rise with E (Sturm), the scan stops at its count-th
-state.  The amplitudes along a sweep, for node counts and the eigenfunction,
-take no tree but a forward pass over blocks of steps (_trajectory).  Each
-eigenvalue is a float that carries its node count and solve (ShootingState).
+and its three values of U, which is quadratic in E: each entry is a quartic
+in E - E_ref, E_ref the bracket's midpoint, whose coefficients the grid holds
+(_transfer_entries).  A sweep's end state is the matrices' ordered product,
+the root of a pairwise tree renormalized by powers of two: exact, so its
+direction keeps every bit, sign included, and needed only one level in three.
+The mismatch is bounded, has no poles and changes sign only at eigenvalues.
+One kernel, _mismatches, takes a block of energies through one pass of the
+tree over both directions (_tops), so its fixed cost per level is paid once
+per block.  The scan takes its energies through it a block at a time, and its
+sign changes are refined together by a port of scipy's brentq, run as
+generators in lockstep so that one pass serves every root's next step; the
+oracle imports no scipy.  Where node counts rise with E (Sturm), the scan
+stops at its count-th state.  The amplitudes along a sweep, for node counts
+and the eigenfunction, take no tree but a forward pass over blocks of steps
+(_trajectory).  Each eigenvalue is a float that carries its node count and
+solve (ShootingState).
 """
 from __future__ import annotations
 
@@ -96,25 +99,26 @@ def default_config(p: PhysicalParams, energy_bracket: tuple[float, float],
 # does not once its arrays outgrow the cache; a pass builds len(grid.h)
 # matrices per energy, both directions and their pads (1408 on the attractive
 # well at 6000 steps).  One energy's share of a pass near the ground state of
-# the attractive well (V0 = 10, alpha' = 0.0015, ell = 20, D = 3), in ms (the
-# best of 3 x 3 runs of 2 x 9 rounds of 64 energies, 2 x 3 at 80000 steps; a
-# 2-core Xeon):
+# the attractive well (V0 = 10, alpha' = 0.0015, ell = 20, D = 3), in ms (best
+# of 9 runs of 9 rounds of 64 energies, 6 of 3 at 80000 steps; 2-core Xeon):
 #   steps    k = 1    4      8      16     32     64
-#    6000     0.228  0.087  0.058  0.045  0.047  0.049
-#   10000     0.271  0.111  0.081  0.078  0.080  0.093
-#   20000     0.370  0.166  0.138  0.150  0.165  0.190
-#   80000     0.748  0.592  0.650  0.732  0.982  1.010
-# 16 is the best at 6000 and 10000 steps and 24% above it at most; it also
-# bounds the points a pass scans past the stop.
+#    6000     0.190  0.084  0.054  0.039  0.031  0.031
+#   10000     0.227  0.105  0.073  0.057  0.050  0.051
+#   20000     0.287  0.124  0.108  0.100  0.103  0.124
+#   80000     0.572  0.413  0.400  0.432  0.600  0.648
+# 32 is 12-20% cheaper per energy at 6000 and 10000 steps, but a block bounds
+# the points a pass scans past the stop: at 32 the bench scans, which stop
+# after 48 of 60 points (oracle-ladder) and 16 of 25 (oracle-ground), scan
+# them all, and their requests took 16% and 15% longer.
 _SCAN_BLOCK = 16
 
 
-# A solve's E-independent grid: each direction's nodes r (outward ones
-# ascending, inward ones descending), both directions' steps h = r[j+1] -
-# r[j] end to end, outward first, each padded with steps of h = 0 to whole
-# rows of _ROW steps (rows[d] of them), and the shape f and q = c2 f^2 at
-# the steps' nodes and midpoints, interleaved (2 len(h) + 1 values)
-_Grid = namedtuple("_Grid", "r h f q rows")
+# A solve's grid: each direction's nodes r (outward ones ascending, inward
+# ones descending), both directions' steps h = r[j+1] - r[j] end to end,
+# outward first, each padded with steps of h = 0 to whole rows of _ROW steps
+# (rows[d] of them), the shape f at the steps' nodes and midpoints (None in
+# a direction's grid), and the coefficients D at E_ref of _coefficients
+_Grid = namedtuple("_Grid", "r h f D E_ref rows")
 
 # Steps per row of the grid, a power of two.  A step of h = 0 is the
 # identity to the bit where U is finite, and a product with it leaves the
@@ -130,11 +134,13 @@ _ROW = 128
 _RENORM_EVERY = 3
 
 
-def _grid(rc: RadialCoefficients, out: np.ndarray, inw: np.ndarray) -> _Grid:
-    """The grid of the outward nodes out and the inward nodes inw.  A pad's
-    node and midpoint sit at its direction's last node, so U is finite there;
-    the outward direction gets at least one pad, whose last step joins the
-    outward end to the inward start."""
+def _grid(rc: RadialCoefficients, out: np.ndarray, inw: np.ndarray,
+          E_ref: float) -> _Grid:
+    """The grid of the outward nodes out and the inward nodes inw, its
+    coefficients taken at E_ref.  A pad's node and midpoint sit at its
+    direction's last node, so U is finite there; the outward direction gets
+    at least one pad, whose last step joins the outward end to the inward
+    start."""
     rows = ((len(out) - 1) // _ROW + 1, -(-(len(inw) - 1) // _ROW))
     bounds = (0, _ROW * rows[0], _ROW * sum(rows))  # each direction's steps
     h = np.zeros(bounds[-1])
@@ -147,14 +153,44 @@ def _grid(rc: RadialCoefficients, out: np.ndarray, inw: np.ndarray) -> _Grid:
         nodes[start:start + len(r)] = r
     x[1::2] = nodes[:-1] + h / 2.0
     f = shape_factor(x, rc.p.R, rc.p.a)
-    return _Grid((out, inw), h, f, rc.c2 * f * f, rows)
+    return _Grid((out, inw), h, f, _coefficients(rc, f, h, E_ref), E_ref, rows)
+
+
+def _coefficients(rc: RadialCoefficients, f: np.ndarray, h: np.ndarray,
+                  E_ref: float) -> np.ndarray:
+    """D[p, e, j], the coefficient of eps^p, eps = E - E_ref, in entry e
+    (row-major) of the RK4 matrix of step j, of h[j] and f at its nodes and
+    midpoint.  With A = [[0, 1], [u, 0]] and u1, u2, u3 the values of U at
+    the step's start, midpoint and end, that matrix is
+        [[1 + h^2/6 (u1 + 2 u2) + h^4/24 u1 u2,   h + h^3/6 u2],
+         [h/6 (u1 + 4 u2 + u3) + h^3/12 u2 (u1 + u3),
+          1 + h^2/6 (2 u2 + u3) + h^4/24 u2 u3]],
+    and U = a + b eps - eps^2, a = U(r; E_ref) summed as in
+    RadialCoefficients.u, b = -(2 E_ref + V0 f).  A pad (h = 0) gets
+    D = (I, 0, 0, 0, 0), the identity at every energy to the bit."""
+    a, b = rc.u(f, E_ref), -(2.0 * E_ref + rc.p.V0 * f)
+    (a1, a2, a3), (b1, b2, b3) = ((v[:-1:2], v[1::2], v[2::2]) for v in (a, b))
+    h2 = h * h
+    k2, k3, k4 = h2 / 6.0, h2 * h / 12.0, h2 * h2 / 24.0
+    D = np.zeros((5, 4, len(h)))
+    for e, x, y in ((0, a1, b1), (3, a3, b3)):  # the diagonal, u_end = u1, u3
+        D[:, e] = (1.0 + k2 * (x + 2.0 * a2) + k4 * x * a2,
+                   k2 * (y + 2.0 * b2) + k4 * (x * b2 + a2 * y),
+                   k4 * (y * b2 - x - a2) - 3.0 * k2, -k4 * (y + b2), k4)
+    D[:3, 1] = h + 2.0 * k3 * a2, 2.0 * k3 * b2, -2.0 * k3
+    sa, sb, h6 = a1 + a3, b1 + b3, h / 6.0
+    D[:, 2] = (h6 * (sa + 4.0 * a2) + k3 * a2 * sa,
+               h6 * (sb + 4.0 * b2) + k3 * (a2 * sb + b2 * sa),
+               k3 * (b2 * sb - 2.0 * a2 - sa) - h, -k3 * (sb + 2.0 * b2),
+               2.0 * k3)
+    return D
 
 
 def _direction(grid: _Grid, d: int) -> _Grid:
-    """Direction d of the grid (0 outward, 1 inward) as a grid of its own."""
+    """Direction d of the grid (0 outward, 1 inward), a grid without f."""
     start, end = (_ROW * sum(grid.rows[:i]) for i in (d, d + 1))
-    f, q = (a[2 * start:2 * end + 1] for a in (grid.f, grid.q))
-    return _Grid(grid.r[d:d + 1], grid.h[start:end], f, q, grid.rows[d:d + 1])
+    return _Grid(grid.r[d:d + 1], grid.h[start:end], None,
+                 grid.D[..., start:end], grid.E_ref, grid.rows[d:d + 1])
 
 
 # The grading of both sweeps away from the match node.  The shape is
@@ -245,7 +281,8 @@ def _sweeps(rc: RadialCoefficients, cfg: ShootingConfig) -> _Grid:
     asymptote at that end for every energy of the bracket, then grades the
     steps up to about 30 h by the rule above, ending exactly at r_min or
     r_max; where the bracket reaches U_end <= 0 at that end, its nodes are
-    the rest of the uniform grid's.
+    the rest of the uniform grid's.  Its coefficients are taken at the
+    bracket's midpoint.
     """
     r_min, r_max, r_match = _truncation(rc.p)
     uniform = np.linspace(r_min, r_max, cfg.step_count + 1)
@@ -257,7 +294,7 @@ def _sweeps(rc: RadialCoefficients, cfg: ShootingConfig) -> _Grid:
                          (uniform[i_match:], r_max)):
         graded = _graded_tail(rc, cfg.energy_bracket, nodes[0], r_end, h)
         sweeps.append((nodes if graded is None else graded)[::-1])
-    return _grid(rc, *sweeps)
+    return _grid(rc, *sweeps, 0.5 * sum(cfg.energy_bracket))
 
 
 def _inward_slope(rc: RadialCoefficients, E: float) -> float:
@@ -289,59 +326,20 @@ def _views(buf: np.ndarray, *shapes):
     return views
 
 
-def _transfer_entries(rc: RadialCoefficients, E, grid: _Grid, T=None, work=None):
-    """Closed-form RK4 transfer matrices for y = (F, F'), shape (2, 2, steps)
-    at a scalar E and (2, 2, k, steps) at the k energies of a 1-d E; written
-    to T if given, with the flat array work, if given, as scratch for U (3
-    steps + 1 doubles per energy).
-
-    [..., j] maps y across step j, over h = grid.h[j].  With
-    A = [[0, 1], [u, 0]] each RK4 stage is a polynomial in h and the values
-    u1, u2, u3 of U at the step's start, midpoint and end; U is summed as in
-    RadialCoefficients.u, so it keeps its bits, and each entry is written in
-    place in the operation order of
-        1 + h^2/6 (u1 + 2 u2) + h^4/24 u1 u2,   h + h^3/6 u2,
-        h/6 (u1 + 4 u2 + u3) + h^3/12 u2 (u1 + u3),
-        1 + h^2/6 (2 u2 + u3) + h^4/24 u2 u3,
-    up to commutation, so each keeps its bits too.
-    """
-    E = np.asarray(E, dtype=float)[..., None]
-    c0, c1 = rc.c0(E), rc.frak_u(E) - rc.c2
-    lead, steps = E.shape[:-1], len(grid.h)
+def _transfer_entries(rc: RadialCoefficients, E, grid: _Grid, T=None):
+    """RK4 transfer matrices for y = (F, F'), shape (2, 2, steps) at a scalar E
+    and (2, 2, k, steps) at the k energies of a 1-d E, written to T if given:
+    [..., j] maps y across step j, the polynomial of grid.D[:, :, j] (which
+    holds rc's U) in eps = E - grid.E_ref.  One einsum contracts the powers of
+    eps with D: it keeps each energy's bits in a block of any size, where
+    matmul's one-energy call would not."""
+    E = np.asarray(E, dtype=float)
+    powers = np.ones((E.size, 5))  # 1, eps, eps^2, eps^3, eps^4
+    powers[:, 1:] = E.reshape(-1, 1) - grid.E_ref
+    np.cumprod(powers, axis=1, out=powers)
     if T is None:
-        T = np.empty((2, 2) + lead + (steps,))
-    if work is None:
-        work = np.empty(math.prod(lead) * (3 * steps + 1))
-    # U at the steps' ends and at their midpoints, each array contiguous
-    ends, u2, w = _views(work, lead + (steps + 1,), lead + (steps,),
-                         lead + (steps,))
-    for u, i in ((ends, 0), (u2, 1)):
-        np.multiply(c1, grid.f[i::2], out=u)
-        u += c0
-        u += grid.q[i::2]
-    u1, u3 = ends[..., :-1], ends[..., 1:]
-    h = grid.h  # one per step, broadcast over the energy axis
-    h2, h3 = h * h, h * h * h
-    h2_6, h4_24 = h2 / 6.0, h2 * h2 / 24.0
-    t00, t01, t10, t11 = T[0, 0], T[0, 1], T[1, 0], T[1, 1]
-    np.add(u1, u3, out=w)
-    w *= np.multiply(u2, h3 / 12.0, out=t01)  # t01 as scratch
-    np.multiply(u2, 4.0, out=t10)
-    t10 += u1
-    t10 += u3
-    t10 *= h / 6.0
-    t10 += w
-    np.multiply(u2, h3 / 6.0, out=t01)
-    t01 += h
-    # the diagonal: 1 + h^2/6 (u_end + 2 u2) + (h^4/24 x) y
-    for t, u_end, (x, y) in ((t00, u1, (u1, u2)), (t11, u3, (u2, u3))):
-        np.multiply(u2, 2.0, out=t)
-        t += u_end
-        t *= h2_6
-        t += 1.0
-        np.multiply(x, h4_24, out=w)
-        w *= y
-        t += w
+        T = np.empty((2, 2) + E.shape + grid.h.shape)
+    np.einsum("kp,pen->ekn", powers, grid.D, out=T.reshape(4, E.size, -1))
     return T
 
 
@@ -401,11 +399,10 @@ def _tops(E, rc: RadialCoefficients, grid: _Grid) -> np.ndarray:
     the bits of a renormalized tree of _level over each direction's own steps:
     one tree over the whole grid, in one workspace.
 
-    The transfer matrices fill one half of the workspace and their U the
-    other, and each level goes to the half its input is not in.  Once each
-    column is a row's product, the rows are gathered by direction, the
-    shorter direction filled with identities, and the tree is finished over
-    them.  A pass past the float range runs again, renormalizing every
+    The transfer matrices fill one half of the workspace, and each level
+    goes to the half its input is not in.  Once each column is a row's
+    product, the rows are gathered by direction, the shorter direction filled
+    with identities, and the tree is finished over them.  A pass past the float range runs again, renormalizing every
     level, in the caller's error state."""
     k, steps = len(E), len(grid.h)
     halves = np.split(np.empty(8 * k * steps), 2)
@@ -413,7 +410,7 @@ def _tops(E, rc: RadialCoefficients, grid: _Grid) -> np.ndarray:
     for every, ignored in ((_RENORM_EVERY, "ignore"), (1, None)):
         try:
             with np.errstate(over=ignored, invalid=ignored):
-                _transfer_entries(rc, E, grid, T, halves[1])
+                _transfer_entries(rc, E, grid, T)
                 M, side = _reduce(T, halves, 0, sum(grid.rows), every)
                 side = 1 - side
                 G, = _views(halves[side], (2, 2, k, 2, max(grid.rows)))
@@ -641,12 +638,12 @@ _Solve = namedtuple("_Solve", "key rc grid outward")
 
 
 def _inward_half(grid: _Grid) -> _Grid:
-    """The grid with no outward steps (rows[0] = 0), both directions' nodes
-    kept: what shoot_eigenfunction reads of a solve.  Its arrays are copies,
-    so the whole grid's are freed with it."""
+    """The grid with no outward steps (rows[0] = 0) and no shape, both
+    directions' nodes kept: what shoot_eigenfunction reads of a solve.  Its
+    arrays are copies, so the whole grid's are freed with it."""
     inward = _direction(grid, 1)
-    return _Grid(grid.r, inward.h.copy(), inward.f.copy(), inward.q.copy(),
-                 (0, grid.rows[1]))
+    return inward._replace(r=grid.r, h=inward.h.copy(), D=inward.D.copy(),
+                           rows=(0, grid.rows[1]))
 
 
 class ShootingState(float):
@@ -788,5 +785,7 @@ def shoot_eigenfunction(E: float, cfg: ShootingConfig, p: PhysicalParams,
     inw = inw * (out[-1] / inw[0])
     F = np.concatenate([out, inw[1:]])
     r = np.concatenate([grid.r[0], grid.r[1][-2::-1]])
+    # scaled exactly to a max-abs entry in [1/2, 1), so F^2 cannot overflow
+    F = np.ldexp(F, -np.frexp(np.abs(F).max())[1])
     norm = math.sqrt(np.trapezoid(F * F, r))
     return r, F / norm
