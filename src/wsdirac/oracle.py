@@ -56,13 +56,17 @@ class ShootingConfig:
     energy_bracket: tuple[float, float]
     step_count: int
 
+    # stored as floats and an int: a numpy uint16 step count wraps in _sweeps,
+    # and an array bracket breaks the comparison of solve keys
     def __post_init__(self):
         lo, hi = self.energy_bracket
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"energy_bracket must be finite, got ({lo}, {hi})")
         if not lo < hi:
             raise ValueError(f"invalid energy bracket ({lo}, {hi})")
-        require_integer("step_count", self.step_count, DEFAULT_STEP_COUNT)
+        object.__setattr__(self, "energy_bracket", (float(lo), float(hi)))
+        object.__setattr__(self, "step_count", require_integer(
+            "step_count", self.step_count, DEFAULT_STEP_COUNT))
 
 
 def _truncation(p: PhysicalParams) -> tuple[float, float, float]:
@@ -96,11 +100,12 @@ def default_config(p: PhysicalParams, energy_bracket: tuple[float, float],
 
 # Grid points per kernel pass of find_eigenvalues' scan.  A pass has a fixed
 # cost per tree level, which a block shares, and a cost per matrix, which it
-# does not once its arrays outgrow the cache; a pass builds len(grid.h)
-# matrices per energy, both directions and their pads (1408 on the attractive
-# well at 6000 steps).  One energy's share of a pass near the ground state of
-# the attractive well (V0 = 10, alpha' = 0.0015, ell = 20, D = 3), in ms (best
-# of 9 runs of 9 rounds of 64 energies, 6 of 3 at 80000 steps; 2-core Xeon):
+# does not once its arrays outgrow the cache; a pass builds a matrix per
+# energy for each of the grid's steps, both directions' and their pads' (1408
+# on the attractive well at 6000 steps).  One energy's share of a pass near
+# the ground state of the attractive well (V0 = 10, alpha' = 0.0015, ell =
+# 20, D = 3), in ms (best of 9 runs of 9 rounds of 64 energies, 6 of 3 at
+# 80000 steps; 2-core Xeon):
 #   steps    k = 1    4      8      16     32     64
 #    6000     0.190  0.084  0.054  0.039  0.031  0.031
 #   10000     0.227  0.105  0.073  0.057  0.050  0.051
@@ -114,11 +119,11 @@ _SCAN_BLOCK = 16
 
 
 # A solve's grid: each direction's nodes r (outward ones ascending, inward
-# ones descending), both directions' steps h = r[j+1] - r[j] end to end,
-# outward first, each padded with steps of h = 0 to whole rows of _ROW steps
-# (rows[d] of them), the shape f at the steps' nodes and midpoints (None in
-# a direction's grid), and the coefficients D at E_ref of _coefficients
-_Grid = namedtuple("_Grid", "r h f D E_ref rows")
+# ones descending), the coefficients D at E_ref of _coefficients of both
+# directions' steps end to end, outward first, each padded with steps of h = 0
+# to whole rows of _ROW steps (rows[d] of them), and f_ends, the shape at
+# r_min and at the match node
+_Grid = namedtuple("_Grid", "r D E_ref rows f_ends")
 
 # Steps per row of the grid, a power of two.  A step of h = 0 is the
 # identity to the bit where U is finite, and a product with it leaves the
@@ -153,7 +158,8 @@ def _grid(rc: RadialCoefficients, out: np.ndarray, inw: np.ndarray,
         nodes[start:start + len(r)] = r
     x[1::2] = nodes[:-1] + h / 2.0
     f = shape_factor(x, rc.p.R, rc.p.a)
-    return _Grid((out, inw), h, f, _coefficients(rc, f, h, E_ref), E_ref, rows)
+    return _Grid((out, inw), _coefficients(rc, f, h, E_ref), E_ref, rows,
+                 (f[0], f[2 * (len(out) - 1)]))
 
 
 def _coefficients(rc: RadialCoefficients, f: np.ndarray, h: np.ndarray,
@@ -184,13 +190,6 @@ def _coefficients(rc: RadialCoefficients, f: np.ndarray, h: np.ndarray,
                k3 * (b2 * sb - 2.0 * a2 - sa) - h, -k3 * (sb + 2.0 * b2),
                2.0 * k3)
     return D
-
-
-def _direction(grid: _Grid, d: int) -> _Grid:
-    """Direction d of the grid (0 outward, 1 inward), a grid without f."""
-    start, end = (_ROW * sum(grid.rows[:i]) for i in (d, d + 1))
-    return _Grid(grid.r[d:d + 1], grid.h[start:end], None,
-                 grid.D[..., start:end], grid.E_ref, grid.rows[d:d + 1])
 
 
 # The grading of both sweeps away from the match node.  The shape is
@@ -312,7 +311,7 @@ def _slopes(rc: RadialCoefficients, E: float, grid: _Grid) -> tuple[float, float
     """Start slopes F'/F at E, growing at r_min and decaying at r_max; raises
     NotBoundRegime where c0(E) <= 0 (oscillatory tail)."""
     inward = _inward_slope(rc, E)
-    u_min = rc.u(grid.f[0], E)
+    u_min = rc.u(grid.f_ends[0], E)
     return math.sqrt(max(float(u_min), 0.0)), inward
 
 
@@ -326,20 +325,20 @@ def _views(buf: np.ndarray, *shapes):
     return views
 
 
-def _transfer_entries(rc: RadialCoefficients, E, grid: _Grid, T=None):
+def _transfer_entries(E, D: np.ndarray, E_ref: float, T=None):
     """RK4 transfer matrices for y = (F, F'), shape (2, 2, steps) at a scalar E
     and (2, 2, k, steps) at the k energies of a 1-d E, written to T if given:
-    [..., j] maps y across step j, the polynomial of grid.D[:, :, j] (which
-    holds rc's U) in eps = E - grid.E_ref.  One einsum contracts the powers of
+    [..., j] maps y across step j, the polynomial of D[:, :, j] (see
+    _coefficients) in eps = E - E_ref.  One einsum contracts the powers of
     eps with D: it keeps each energy's bits in a block of any size, where
     matmul's one-energy call would not."""
     E = np.asarray(E, dtype=float)
     powers = np.ones((E.size, 5))  # 1, eps, eps^2, eps^3, eps^4
-    powers[:, 1:] = E.reshape(-1, 1) - grid.E_ref
+    powers[:, 1:] = E.reshape(-1, 1) - E_ref
     np.cumprod(powers, axis=1, out=powers)
     if T is None:
-        T = np.empty((2, 2) + E.shape + grid.h.shape)
-    np.einsum("kp,pen->ekn", powers, grid.D, out=T.reshape(4, E.size, -1))
+        T = np.empty((2, 2) + E.shape + D.shape[-1:])
+    np.einsum("kp,pen->ekn", powers, D, out=T.reshape(4, E.size, -1))
     return T
 
 
@@ -393,7 +392,7 @@ def _reduce(M: np.ndarray, halves, side: int, width: int, every: int):
     return M, side
 
 
-def _tops(E, rc: RadialCoefficients, grid: _Grid) -> np.ndarray:
+def _tops(E, grid: _Grid) -> np.ndarray:
     """The tops of both directions' trees at the energies E, shape (2, 2,
     len(E), 2), direction last, each matrix's max-abs entry in [1/2, 1), with
     the bits of a renormalized tree of _level over each direction's own steps:
@@ -404,13 +403,13 @@ def _tops(E, rc: RadialCoefficients, grid: _Grid) -> np.ndarray:
     product, the rows are gathered by direction, the shorter direction filled
     with identities, and the tree is finished over them.  A pass past the float range runs again, renormalizing every
     level, in the caller's error state."""
-    k, steps = len(E), len(grid.h)
+    k, steps = len(E), grid.D.shape[-1]
     halves = np.split(np.empty(8 * k * steps), 2)
     T = halves[0].reshape(2, 2, k, steps)
     for every, ignored in ((_RENORM_EVERY, "ignore"), (1, None)):
         try:
             with np.errstate(over=ignored, invalid=ignored):
-                _transfer_entries(rc, E, grid, T)
+                _transfer_entries(E, grid.D, grid.E_ref, T)
                 M, side = _reduce(T, halves, 0, sum(grid.rows), every)
                 side = 1 - side
                 G, = _views(halves[side], (2, 2, k, 2, max(grid.rows)))
@@ -438,7 +437,7 @@ def _mismatches(Es, rc: RadialCoefficients, grid: _Grid) -> np.ndarray:
             bound.append(i)
     if not bound:
         return out
-    tops, states = _tops([Es[i] for i in bound], rc, grid), []
+    tops, states = _tops([Es[i] for i in bound], grid), []
     for d, slope0 in enumerate(np.array(slopes).T):
         t = tops[..., d]
         y0, y1 = t[0, 0] + t[0, 1] * slope0, t[1, 0] + t[1, 1] * slope0
@@ -459,10 +458,13 @@ def shoot_mismatch(E: float, cfg: ShootingConfig, p: PhysicalParams,
     unit length, the mismatch is u_0 w_1 - u_1 w_0: it lies in [-1, 1] and
     changes sign only where the two sweeps meet as one solution.
     Raises NotBoundRegime when the asymptotic coefficient is non-positive
-    (oscillatory tail, no bound state possible at this E).  The grid is
-    graded for the energies of cfg's bracket widened to hold E (see
-    _sweeps), so an E inside the bracket gets the bracket's own grid.
+    (oscillatory tail, no bound state possible at this E), and ValueError
+    where E is NaN.  The grid is graded for the energies of cfg's bracket
+    widened to hold E (see _sweeps), so an E inside the bracket gets the
+    bracket's own grid.
     """
+    if math.isnan(E):
+        raise ValueError(f"E must be a number, got {E}")
     rc = radial_coefficients(p, state)
     if math.isfinite(E):
         lo, hi = cfg.energy_bracket
@@ -482,30 +484,29 @@ _LN2 = math.log(2.0)
 # Steps per block of _trajectory, a divisor of _ROW, so that a direction's
 # rows are whole blocks.  Its outward and inward trajectories at the ground
 # state of the attractive well (V0 = 10, alpha' = 0.0015, ell = 20, D = 3)
-# at 6000 steps, 1544 and 584 steps long when the outward sweep was uniform
-# (763 and 584 now), took in ms (best of 3 runs of best of 7 x 30 calls; a
-# 2-core Xeon), against 0.60 ms at one step per block:
-#   steps per block   4     8     16    32
-#   ms               0.40  0.36  0.42  0.53
+# at 6000 steps, 763 and 584 steps long, took in ms (best of 3 runs of best
+# of 7 x 30 calls; a 2-core Xeon), against 0.515 ms at one step per block:
+#   steps per block   4      8      16     32
+#   ms               0.234  0.225  0.271  0.400
 _TRAJECTORY_BLOCK = 8
 
 
-def _trajectory(rc: RadialCoefficients, E: float, grid: _Grid, d: int,
-                slope0: float):
-    """Amplitudes F of the grid's direction d (0 outward, 1 inward) from
-    (1, slope0) as (values, log_scales): F at grid.r[d][j] is values[j] *
-    exp(log_scales[j]).  The transfer matrices of the direction's rows, whole
-    blocks of _TRAJECTORY_BLOCK steps, give every block's prefix products P
-    at once, blocks on the last axis; y <- P @ y steps the state by each
-    block's product on Python floats, and row 0 of the block's P applied to
-    its start state gives F inside it, up to the direction's last node.  A
-    pass whose prefixes leave the float range (on deep wells, at depth 1e13
-    and past) runs again, in the caller's error state, scaling each prefix
-    by the power of two of _renormalize, whose exponents the log scales
-    carry; its state is rescaled at every block's start.  Raises
-    IntegrationBlowup where a matrix or state is not finite."""
+def _trajectory(E: float, D: np.ndarray, E_ref: float, n: int, slope0: float):
+    """Amplitudes F at the n nodes of a direction from (1, slope0), D the
+    coefficients at E_ref of its steps from its first, as (values,
+    log_scales): F at node j is values[j] * exp(log_scales[j]).  The transfer
+    matrices of the whole blocks of _TRAJECTORY_BLOCK steps that hold its
+    n - 1 steps give every block's prefix products P at once, blocks on the
+    last axis; y <- P @ y steps the state by each block's product on Python
+    floats, and row 0 of the block's P applied to its start state gives F
+    inside it, up to the direction's last node.  A pass whose prefixes leave
+    the float range (on deep wells, at depth 1e13 and past) runs again, in
+    the caller's error state, scaling each prefix by the power of two of
+    _renormalize, whose exponents the log scales carry; its state is
+    rescaled at every block's start.  Raises IntegrationBlowup where a
+    matrix or state is not finite."""
     width = _TRAJECTORY_BLOCK
-    T = _transfer_entries(rc, E, _direction(grid, d))
+    T = _transfer_entries(E, D[..., :-(-(n - 1) // width) * width], E_ref)
     T = T.reshape(2, 2, -1, width).transpose(0, 1, 3, 2)
     P, tmp = np.empty(T.shape), np.empty(T[:, :, 0].shape)
     P[:, :, 0] = T[:, :, 0]
@@ -542,7 +543,6 @@ def _trajectory(rc: RadialCoefficients, E: float, grid: _Grid, d: int,
         before = np.cumsum(exponents[-1]) - exponents[-1]
         logs = (logs + _LN2 * (before + exponents)).T.ravel()
     logs = np.concatenate(([0.0], logs))
-    n = len(grid.r[d])
     return values[:n], logs[:n]
 
 
@@ -632,18 +632,10 @@ def _refine(cells, tol: float, rc: RadialCoefficients, grid: _Grid) -> list[floa
 
 
 # What a ShootingState carries of its solve: key = (cfg, p, state), their
-# coefficients rc, the grid's inward half (_inward_half), which the states of
-# one solve share, and the outward (values, log_scales) at its energy
-_Solve = namedtuple("_Solve", "key rc grid outward")
-
-
-def _inward_half(grid: _Grid) -> _Grid:
-    """The grid with no outward steps (rows[0] = 0) and no shape, both
-    directions' nodes kept: what shoot_eigenfunction reads of a solve.  Its
-    arrays are copies, so the whole grid's are freed with it."""
-    inward = _direction(grid, 1)
-    return inward._replace(r=grid.r, h=inward.h.copy(), D=inward.D.copy(),
-                           rows=(0, grid.rows[1]))
+# coefficients rc, what shoot_eigenfunction reads of the grid, inward = (both
+# directions' nodes, the inward steps' coefficients, E_ref), which the states
+# of one solve share, and the outward (values, log_scales) at its energy
+_Solve = namedtuple("_Solve", "key rc inward outward")
 
 
 class ShootingState(float):
@@ -651,8 +643,8 @@ class ShootingState(float):
 
     nodes is the outward sweep's node count at it, by which find_eigenvalues
     ranks its states.  The state also carries its solve: the (cfg, p, state)
-    it was found for, their coefficients, the inward half of their grid with
-    both directions' nodes, and the outward amplitudes at the energy, which
+    it was found for, their coefficients, their grid's nodes and inward
+    coefficients, and the outward amplitudes at the energy, which
     shoot_eigenfunction reuses when handed the state with equal (cfg, p,
     state).  It hashes, orders, prints and serializes as its float; a pickle
     or copy keeps the energy and nodes, not the solve.
@@ -670,13 +662,15 @@ class ShootingState(float):
 
 
 def _shooting_state(E: float, key, rc: RadialCoefficients, grid: _Grid,
-                    half: _Grid) -> ShootingState:
-    """The state at E of the solve key on rc and grid, whose inward half the
-    states of one solve share: one outward sweep, whose amplitudes give its
-    nodes.  Raises NotBoundRegime where c0(E) <= 0 (oscillatory tail)."""
-    outward = _trajectory(rc, E, grid, 0, _slopes(rc, E, grid)[0])
+                    inward) -> ShootingState:
+    """The state at E of the solve key on rc and grid, carrying `inward`,
+    which the states of one solve share (see _Solve): one outward sweep,
+    whose amplitudes give its nodes.  Raises NotBoundRegime where c0(E) <= 0
+    (oscillatory tail)."""
+    outward = _trajectory(E, grid.D, grid.E_ref, len(grid.r[0]),
+                          _slopes(rc, E, grid)[0])
     return ShootingState(E, _count_nodes(outward[0]),
-                         _Solve(key, rc, half, outward))
+                         _Solve(key, rc, inward, outward))
 
 
 def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
@@ -718,11 +712,10 @@ def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     rc = radial_coefficients(p, state)
     grid = _sweeps(rc, cfg)
-    half = None  # what the states keep of the grid, made with the first
+    inward = None  # what the states keep of the grid, made with the first
     lo, hi = cfg.energy_bracket
     # w > 0 at both ends of the outward sweep: node counts rise with E
-    f_match = grid.f[2 * (len(grid.r[0]) - 1)]  # at its last node
-    rising = min(2.0 * lo + p.V0 * f for f in (grid.f[0], f_match)) > 0.0
+    rising = min(2.0 * lo + p.V0 * f for f in grid.f_ends) > 0.0
     Es = np.linspace(lo, hi, scan_points).tolist()
     values, cells, found = [], [], []  # values: NaN where the tail oscillates
     for start in range(0, scan_points, _SCAN_BLOCK):
@@ -734,10 +727,11 @@ def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
                          or len(values) == scan_points):
             take = count - len(found) if rising else len(cells)
             for e_star in _refine(cells[:take], tol, rc, grid):
-                if half is None:
-                    half = _inward_half(grid)
+                if inward is None:  # a copy, so the whole grid is freed
+                    inward = (grid.r, grid.D[..., _ROW * grid.rows[0]:].copy(),
+                              grid.E_ref)
                 found.append(_shooting_state(e_star, (cfg, p, state), rc,
-                                             grid, half))
+                                             grid, inward))
                 found.sort(key=lambda s: (s.nodes, s))
                 rising = rising and all(a < b for a, b in zip(found, found[1:]))
                 floor = found[-1].nodes if rising else 0
@@ -765,18 +759,22 @@ def shoot_eigenfunction(E: float, cfg: ShootingConfig, p: PhysicalParams,
     eigenvalue.
 
     A ShootingState of find_eigenvalues on equal (cfg, p, state) brings its
-    grid's inward half and outward amplitudes, so only the inward sweep is
-    integrated; any other E (a float, or a state of another solve) builds
-    both, with the same result to the bit.
+    grid's nodes and inward coefficients and its outward amplitudes, so only
+    the inward sweep is integrated; any other E (a float, or a state of
+    another solve) builds both, with the same result to the bit.  Raises
+    ValueError where E is NaN.
     """
+    if math.isnan(E):
+        raise ValueError(f"E must be a number, got {E}")
     key = (cfg, p, state)
     solve = getattr(E, "_solve", None)
     if solve is None or solve.key != key:
         rc = radial_coefficients(p, state)
         grid = _sweeps(rc, cfg)
-        solve = _shooting_state(E, key, rc, grid, _inward_half(grid))._solve
-    _, rc, grid, (val_o, log_o) = solve
-    val_i, log_i = _trajectory(rc, E, grid, 1, _inward_slope(rc, E))
+        inward = grid.r, grid.D[..., _ROW * grid.rows[0]:], grid.E_ref
+        solve = _shooting_state(E, key, rc, grid, inward)._solve
+    _, rc, (nodes, D, E_ref), (val_o, log_o) = solve
+    val_i, log_i = _trajectory(E, D, E_ref, len(nodes[1]), _inward_slope(rc, E))
     # restore true relative magnitudes within each branch
     out = val_o * np.exp(log_o - log_o[-1])
     inw = (val_i * np.exp(log_i - log_i[-1]))[::-1]
@@ -784,7 +782,7 @@ def shoot_eigenfunction(E: float, cfg: ShootingConfig, p: PhysicalParams,
         raise IntegrationBlowup("inward solution vanished at the match radius")
     inw = inw * (out[-1] / inw[0])
     F = np.concatenate([out, inw[1:]])
-    r = np.concatenate([grid.r[0], grid.r[1][-2::-1]])
+    r = np.concatenate([nodes[0], nodes[1][-2::-1]])
     # scaled exactly to a max-abs entry in [1/2, 1), so F^2 cannot overflow
     F = np.ldexp(F, -np.frexp(np.abs(F).max())[1])
     norm = math.sqrt(np.trapezoid(F * F, r))

@@ -10,7 +10,6 @@ import math
 import pickle
 import sys
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -90,11 +89,25 @@ def stepwise_trajectory(rc, E, grid, d, slope0):
     return np.array(values), np.array(logs)
 
 
+def direction_D(grid, d):
+    """The coefficients of the grid's direction d (0 outward, 1 inward), its
+    rows' steps."""
+    start, end = (oracle._ROW * sum(grid.rows[:i]) for i in (d, d + 1))
+    return grid.D[..., start:end]
+
+
+def trajectory(rc, E, grid, d, slope0):
+    """oracle._trajectory of the grid's direction d (0 outward, 1 inward),
+    from (1, slope0), called as stepwise_trajectory is."""
+    return oracle._trajectory(E, direction_D(grid, d), grid.E_ref,
+                              len(grid.r[d]), slope0)
+
+
 def assert_matches_stepwise(args) -> int:
-    """_trajectory(*args) against stepwise_trajectory(*args): the same node
+    """trajectory(*args) against stepwise_trajectory(*args): the same node
     count, returned, and amplitudes within 1e-12 once each is scaled to 1 at
     the stepwise sweep's peak."""
-    (v_scan, l_scan), (v_step, l_step) = (oracle._trajectory(*args),
+    (v_scan, l_scan), (v_step, l_step) = (trajectory(*args),
                                           stepwise_trajectory(*args))
     F_scan = v_scan * np.exp(l_scan - l_scan[-1])
     F_step = v_step * np.exp(l_step - l_step[-1])
@@ -155,6 +168,30 @@ class TestShootingConfig:
                              step_count=np.int64(7000))
         assert cfg.step_count == 7000
 
+    @pytest.mark.parametrize("step_count", [np.uint16(65535), np.int16(32767)])
+    def test_stores_the_step_count_as_int(self, bound_root, step_count):
+        # a numpy step count kept as given wraps in step_count + 1: to 0
+        # nodes at uint16, to -32768 at int16, so no solve could run
+        cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05),
+                             step_count=step_count)
+        assert type(cfg.step_count) is int and cfg.step_count == step_count
+        out, inw = oracle._sweeps(radial_coefficients(BOUND, BOUND_STATE),
+                                  cfg).r
+        r_min, r_max, _ = oracle._truncation(BOUND)
+        assert out[0] == r_min and inw[0] == r_max
+
+    def test_stores_the_bracket_as_floats(self, bound_root):
+        # a numpy-array bracket is stored as a tuple of floats, so the solve
+        # keys of equal configs compare as equal
+        bracket = np.array([bound_root - 0.05, bound_root + 0.05])
+        cfg = ShootingConfig(bracket, oracle.DEFAULT_STEP_COUNT)
+        assert cfg.energy_bracket == tuple(bracket.tolist())
+        assert all(type(E) is float for E in cfg.energy_bracket)
+        s, = find_eigenvalues(cfg, BOUND, BOUND_STATE, count=1, scan_points=25)
+        same = ShootingConfig(bracket.copy(), oracle.DEFAULT_STEP_COUNT)
+        assert_same_bytes(shoot_eigenfunction(s, same, BOUND, BOUND_STATE),
+                          shoot_eigenfunction(float(s), cfg, BOUND, BOUND_STATE))
+
     @pytest.mark.parametrize("a", [1e307, 1e-300])
     def test_rejects_unrepresentable_domain(self, a, monkeypatch):
         # R + 40 a overflows to inf, or rounds to R itself: default_config
@@ -188,6 +225,23 @@ class TestMismatch:
         below = shoot_mismatch(bound_root - 0.01, cfg, BOUND, BOUND_STATE)
         above = shoot_mismatch(bound_root + 0.01, cfg, BOUND, BOUND_STATE)
         assert below * above < 0.0
+
+    @pytest.mark.parametrize("solve", [shoot_mismatch, shoot_eigenfunction])
+    def test_rejects_nan_energy(self, bound_root, solve, monkeypatch):
+        # NaN passed the slope check (c0(nan) <= 0 is false) and overflowed
+        # the pass; it is named before any solve.  An infinite E has an
+        # oscillatory tail, or none that decays, either way NotBoundRegime
+        cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
+        for E in (-math.inf, math.inf):
+            with pytest.raises(NotBoundRegime):
+                solve(E, cfg, BOUND, BOUND_STATE)
+
+        def no_solve(*args):
+            raise AssertionError("solved before checking E")
+
+        monkeypatch.setattr(oracle, "radial_coefficients", no_solve)
+        with pytest.raises(ValueError, match="E must be a number, got nan"):
+            solve(math.nan, cfg, BOUND, BOUND_STATE)
 
     def test_oscillatory_tail_rejected(self):
         cfg = default_config(BOUND, (6.0, 8.0))
@@ -250,12 +304,13 @@ class TestMismatches:
         # the scalar call's array to the bit
         cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
         rc = radial_coefficients(BOUND, BOUND_STATE)
-        sweep = oracle._direction(oracle._sweeps(rc, cfg), 0 if outward else 1)
+        grid = oracle._sweeps(rc, cfg)
+        D = direction_D(grid, 0 if outward else 1)
         Es = [bound_root - 0.05, bound_root, bound_root + 0.3]
-        T = oracle._transfer_entries(rc, np.array(Es), sweep)
-        assert T.shape == (2, 2, len(Es), len(sweep.h))
+        T = oracle._transfer_entries(np.array(Es), D, grid.E_ref)
+        assert T.shape == (2, 2, len(Es), D.shape[-1])
         for i, E in enumerate(Es):
-            single = oracle._transfer_entries(rc, E, sweep)
+            single = oracle._transfer_entries(E, D, grid.E_ref)
             assert T[:, :, i].tobytes() == single.tobytes()
 
 
@@ -266,15 +321,14 @@ def e_ref(cfg):
 
 
 def unpadded(rc, r, E_ref):
-    """The steps between the nodes r alone, with their coefficients at E_ref
-    from the shape at their nodes and midpoints, as
-    oracle._transfer_entries reads them."""
+    """The coefficients at E_ref of the steps between the nodes r alone, from
+    the shape at their nodes and midpoints, as oracle._transfer_entries
+    reads them."""
     h = np.diff(r)
     x = np.empty(2 * len(h) + 1)
     x[0::2], x[1::2] = r, r[:-1] + h / 2.0
     f = shape_factor(x, rc.p.R, rc.p.a)
-    return SimpleNamespace(h=h, D=oracle._coefficients(rc, f, h, E_ref),
-                           E_ref=E_ref)
+    return oracle._coefficients(rc, f, h, E_ref)
 
 
 def direction_tops(rc, Es, grid):
@@ -284,7 +338,8 @@ def direction_tops(rc, Es, grid):
     len(Es), 2)."""
     tops = []
     for r in grid.r:
-        M = oracle._transfer_entries(rc, Es, unpadded(rc, r, grid.E_ref))
+        M = oracle._transfer_entries(Es, unpadded(rc, r, grid.E_ref),
+                                     grid.E_ref)
         for _ in range(max(1, (M.shape[-1] - 1).bit_length())):
             out = np.empty(M.shape[:-1] + ((M.shape[-1] + 1) // 2,))
             oracle._level(M, out, tmp := np.empty_like(out))
@@ -299,14 +354,14 @@ ROW = oracle._ROW
 
 class TestFusedPass:
     def assert_tops_match(self, rc, Es, grid):
-        fused = oracle._tops(Es, rc, grid)
+        fused = oracle._tops(Es, grid)
         assert fused.shape == (2, 2, len(Es), 2)
         assert fused.tobytes() == direction_tops(rc, Es, grid).tobytes()
         # the factors are powers of two, so renormalizing every level
         # changes no bit, and each top's max-abs entry lies in [1/2, 1)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "_RENORM_EVERY", 1)
-            assert oracle._tops(Es, rc, grid).tobytes() == fused.tobytes()
+            assert oracle._tops(Es, grid).tobytes() == fused.tobytes()
         big = np.abs(fused).max(axis=(0, 1))
         assert np.all((0.5 <= big) & (big < 1.0))
 
@@ -318,7 +373,7 @@ class TestFusedPass:
         rc = radial_coefficients(BOUND, BOUND_STATE)
         e_edge = math.sqrt(BOUND.M**2 + rc.c0_const)  # c0(e_edge) = 0
         grid = oracle._sweeps(rc, cfg)
-        assert len(grid.h) == 1408 and grid.rows == (6, 5)
+        assert grid.D.shape[-1] == 1408 and grid.rows == (6, 5)
         Es = [bound_root - 0.05, e_edge + 1.0, bound_root, e_edge + 1e-6]
         self.assert_tops_match(rc, Es, grid)
         assert np.isnan(oracle._mismatches(Es, rc, grid)[[1, 3]]).all()
@@ -354,7 +409,7 @@ class TestFusedPass:
         grid = oracle._sweeps(rc, default_config(p, (E - 0.05, E + 0.05)))
         with monkeypatch.context() as mp:
             mp.setattr(oracle, "_RENORM_EVERY", 1)
-            every_level = oracle._tops([E], rc, grid)
+            every_level = oracle._tops([E], grid)
         reduce, intervals = oracle._reduce, []
 
         def traced(M, halves, side, width, every):
@@ -363,7 +418,7 @@ class TestFusedPass:
 
         monkeypatch.setattr(oracle, "_reduce", traced)
         with np.errstate(all="raise"):
-            tops = oracle._tops([E], rc, grid)
+            tops = oracle._tops([E], grid)
         assert intervals == [oracle._RENORM_EVERY, 1, 1]
         assert tops.tobytes() == every_level.tobytes()
 
@@ -383,23 +438,21 @@ class TestFusedPass:
                             bound_root + 0.15)
         rows = grid.rows
         assert rows == (n_out // ROW + 1, -(-n_in // ROW))
-        assert len(grid.h) == ROW * sum(rows)
-        # each direction's rows hold its steps, then pads of h = 0 whose
-        # nodes and midpoints take the shape at the direction's last node,
-        # and whose coefficients are (I, 0, 0, 0, 0)
+        assert grid.D.shape[-1] == ROW * sum(rows)
+        # each direction's rows hold its steps' coefficients, then pads of
+        # h = 0, whose coefficients are (I, 0, 0, 0, 0); the grid keeps the
+        # shape at r_min and at the match node
         pad = np.zeros((5, 4, 1))
         pad[0, [0, 3]] = 1.0
         for d, r in enumerate(grid.r):
-            sweep, n = oracle._direction(grid, d), len(r) - 1
-            start = 2 * ROW * sum(rows[:d])
-            f = grid.f[start:start + 2 * len(sweep.h) + 1]
-            assert len(sweep.h) == ROW * rows[d]
-            assert np.array_equal(sweep.h[:n], np.diff(r))
-            assert not sweep.h[n:].any()
-            assert np.all(f[2 * n:2 * len(sweep.h)] == f[2 * n])
-            assert f[2 * n] == shape_factor(r[-1], rc.p.R, rc.p.a)
-            assert np.array_equal(sweep.D[..., n:],
-                                  np.broadcast_to(pad, sweep.D[..., n:].shape))
+            D, n = direction_D(grid, d), len(r) - 1
+            assert D.shape[-1] == ROW * rows[d]
+            assert np.array_equal(D[..., :n], unpadded(rc, r, grid.E_ref))
+            assert np.array_equal(D[..., n:],
+                                  np.broadcast_to(pad, D[..., n:].shape))
+        out = grid.r[0]
+        assert grid.f_ends == (shape_factor(out[0], rc.p.R, rc.p.a),
+                               shape_factor(out[-1], rc.p.R, rc.p.a))
         self.assert_tops_match(rc, [bound_root, bound_root + 0.3], grid)
 
 
@@ -415,12 +468,13 @@ class TestIntegrationBlowup:
         cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
         grid = oracle._sweeps(rc, cfg)
         out, inw = grid.r
-        u = rc.u(grid.f[:2 * len(out):2], bound_root)  # at the outward nodes
+        u = rc.u(shape_factor(out, rc.p.R, rc.p.a), bound_root)
         start = out[np.argmin(u)] if request.param == "nan" else inw[0]
         bad = start + np.array([0.0, 1e200, 2e200])
         with np.errstate(over="ignore", invalid="ignore"):
-            T = oracle._transfer_entries(rc, bound_root,
-                                         unpadded(rc, bad, grid.E_ref))
+            T = oracle._transfer_entries(bound_root,
+                                         unpadded(rc, bad, grid.E_ref),
+                                         grid.E_ref)
         assert not np.isfinite(T).any()
         return rc, bound_root, bad, grid.r, grid.E_ref
 
@@ -428,8 +482,7 @@ class TestIntegrationBlowup:
         rc, E, bad, (_, inw), E_ref = blowup
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationBlowup, match="overflowed"):
-                oracle._trajectory(rc, E, oracle._grid(rc, bad, inw, E_ref), 0,
-                                   -1.0)
+                trajectory(rc, E, oracle._grid(rc, bad, inw, E_ref), 0, -1.0)
 
     # the step inside a longer sweep, after steps of 1e-3 and before steps of
     # h = 0: as the 4th step of the second block of 8 (16 steps), and as the
@@ -445,7 +498,7 @@ class TestIntegrationBlowup:
         with np.errstate(over="ignore", invalid="ignore"):
             long = oracle._grid(rc, nodes, inw, E_ref)
             with pytest.raises(IntegrationBlowup, match="overflowed"):
-                oracle._trajectory(rc, E, long, 0, -1.0)
+                trajectory(rc, E, long, 0, -1.0)
 
     @pytest.mark.parametrize("direction", [0, 1])
     def test_fused_pass_raises(self, blowup, direction):
@@ -454,7 +507,7 @@ class TestIntegrationBlowup:
         pair[direction] = bad
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationBlowup, match="overflowed"):
-                oracle._tops([E], rc, oracle._grid(rc, *pair, E_ref))
+                oracle._tops([E], oracle._grid(rc, *pair, E_ref))
 
     @pytest.mark.parametrize("direction", [0, 1])
     def test_fused_pass_keeps_the_callers_error_state(self, blowup, direction):
@@ -466,10 +519,11 @@ class TestIntegrationBlowup:
         pair = list(nodes)
         pair[direction] = bad[0] + np.array([0.0, 1e50, 2e50])
         grid = oracle._grid(rc, *pair, E_ref)
-        assert np.isfinite(oracle._transfer_entries(rc, E, grid)).all()
+        assert np.isfinite(oracle._transfer_entries(E, grid.D,
+                                                    grid.E_ref)).all()
         with np.errstate(over="raise", invalid="raise"):
             with pytest.raises(FloatingPointError, match="overflow"):
-                oracle._tops([E], rc, grid)
+                oracle._tops([E], grid)
 
 
 @pytest.mark.parametrize("size", [1e200, 1e-200])
@@ -700,8 +754,7 @@ class TestSturmStop:
         e0 = solve_energy(p, BOUND_STATE).e_upper
         cfg = default_config(p, tuple(e0 + d for d in offsets))
         grid = oracle._sweeps(radial_coefficients(p, BOUND_STATE), cfg)
-        f_match = grid.f[2 * (len(grid.r[0]) - 1)]
-        assert 2.0 * cfg.energy_bracket[0] + p.V0 * f_match < 0.0
+        assert 2.0 * cfg.energy_bracket[0] + p.V0 * grid.f_ends[1] < 0.0
         passes = []
         counting(monkeypatch, lambda Es: passes.append(len(Es)))
         with (pytest.raises(NoEigenvalueInBracket) if well == "reference"
@@ -840,7 +893,7 @@ class TestTransferEntries:
         grid, d = oracle._sweeps(rc, cfg), 0 if outward else 1
         steps = len(grid.r[d]) - 1
         T = rk4_stage_matrices(rc, E, grid.r[d])
-        entries = oracle._transfer_entries(rc, E, oracle._direction(grid, d))
+        entries = oracle._transfer_entries(E, direction_D(grid, d), grid.E_ref)
         assert entries.shape == (2, 2, oracle._ROW * grid.rows[d])
         scale = np.abs(T).max(axis=(1, 2))
         err = np.abs(np.moveaxis(entries[..., :steps], -1, 0) - T)
@@ -943,17 +996,15 @@ class TestShootingState:
         assert not all(np.array_equal(a, b) for a, b in zip(got, own))
 
     def test_keeps_the_inward_half(self, ground):
-        # of its solve's grid a state keeps the inward steps and both
-        # directions' nodes, the inward arrays its own, not views that would
-        # keep the whole grid alive
+        # of its solve's grid a state keeps the inward steps' coefficients
+        # and both directions' nodes, the inward array its own, not a view
+        # that would keep the whole grid alive
         cfg, s = ground
         full = oracle._sweeps(radial_coefficients(BOUND, BOUND_STATE), cfg)
-        grid, inward = s._solve.grid, oracle._direction(full, 1)
-        assert grid.rows == (0, full.rows[1]) and grid.f is None
-        assert grid.E_ref == full.E_ref
-        for kept, field in ((grid.h, inward.h), (grid.D, inward.D)):
-            assert kept.base is None and np.array_equal(kept, field)
-        assert all(np.array_equal(a, b) for a, b in zip(grid.r, full.r, strict=True))
+        r, D, E_ref = s._solve.inward
+        assert E_ref == full.E_ref
+        assert D.base is None and np.array_equal(D, direction_D(full, 1))
+        assert all(np.array_equal(a, b) for a, b in zip(r, full.r, strict=True))
 
     def test_serializes_as_its_float(self, ground):
         # a pickle keeps the energy and nodes, not the solve, whose
@@ -987,13 +1038,18 @@ class TestScanTrajectory:
         grid = oracle._sweeps(rc, cfg)
         for e in eigs:
             args = (rc, e, grid, 0, oracle._slopes(rc, e, grid)[0])
-            nodes_scan.append(oracle._count_nodes(oracle._trajectory(*args)[0]))
+            nodes_scan.append(oracle._count_nodes(trajectory(*args)[0]))
             nodes_step.append(oracle._count_nodes(stepwise_trajectory(*args)[0]))
         assert nodes_scan == nodes_step == [0, 1, 2, 3]
 
         _, F_scan = zip(*(shoot_eigenfunction(e, cfg, BOUND, BOUND_STATE)
                           for e in eigs))
-        monkeypatch.setattr(oracle, "_trajectory", stepwise_trajectory)
+        def stepwise(E, D, E_ref, n, slope0):
+            # the outward sweep is handed the whole grid's coefficients
+            d = 0 if D.shape[-1] == grid.D.shape[-1] else 1
+            return stepwise_trajectory(rc, E, grid, d, slope0)
+
+        monkeypatch.setattr(oracle, "_trajectory", stepwise)
         _, F_step = zip(*(shoot_eigenfunction(e, cfg, BOUND, BOUND_STATE)
                           for e in eigs))
         for a, b in zip(F_scan, F_step):
@@ -1010,9 +1066,9 @@ class TestScanTrajectory:
                 shoot_eigenfunction(float(s), cfg, BOUND, BOUND_STATE))
 
     def test_states_share_the_inward_half(self, lowest_states):
-        # the states of one solve keep one copy of its grid's inward half
+        # the states of one solve keep one copy of what they read of its grid
         _, eigs = lowest_states
-        assert len({id(s._solve.grid) for s in eigs}) == 1
+        assert len({id(s._solve.inward) for s in eigs}) == 1
 
     @pytest.mark.parametrize("steps", [1, 2, 3, 5, 7, 8, 9, 16, 17, 1023, 1025])
     @pytest.mark.parametrize("outward", [True, False])
@@ -1040,7 +1096,7 @@ class TestScanTrajectory:
         rc = radial_coefficients(p, BOUND_STATE)
         grid = oracle._sweeps(rc, cfg)
         args = (rc, eigs[0], grid, 0, oracle._slopes(rc, eigs[0], grid)[0])
-        values, logs = oracle._trajectory(*args)
+        values, logs = trajectory(*args)
         assert np.max(np.abs(values)) <= 2.0 ** 500 and logs[-1] > 5000.0
         assert assert_matches_stepwise(args) == 0
 
@@ -1079,10 +1135,10 @@ class TestScanTrajectory:
         rescaled = []
         for e in eigs:
             args = (rc, e, grid, d, oracle._slopes(rc, e, grid)[d])
-            v_def, l_def = oracle._trajectory(*args)
+            v_def, l_def = trajectory(*args)
             with monkeypatch.context() as m:
                 m.setattr(oracle, "_RESCALE", 16.0)
-                v_low, l_low = oracle._trajectory(*args)
+                v_low, l_low = trajectory(*args)
             assert not l_def.any()
             assert np.all(np.diff(l_low) >= 0.0)
             assert oracle._count_nodes(v_low) == oracle._count_nodes(v_def)
@@ -1180,7 +1236,7 @@ class TestGradedTail:
             grid, ref = oracle._sweeps(rc, cfg), uniform_sweeps(rc, cfg)
             for r, r_ref in zip(grid.r, ref.r):
                 assert np.array_equal(r, r_ref)
-            assert np.array_equal(grid.h, ref.h)
+            assert np.array_equal(grid.D, ref.D)
 
     def test_tail_is_graded(self, bound_root):
         # BOUND's default inward sweep takes at most a third of the uniform
@@ -1315,6 +1371,54 @@ def test_shooting_digest_at_default(bound_root):
     assert digest == _SHOOTING_DIGEST_DEFAULT, outcomes
 
 
+# sha256 over the bytes of shoot_eigenfunction's r and F, at each state and at
+# its float, of _eigenfunction_cells, recorded when the grid held each step's
+# h and the shape at every node and midpoint
+_EIGENFUNCTION_DIGEST = (
+    "50bd6e1bfc6b06c61fc5f204774a863b63d69099417d4682a2f29e1558b91c59")
+
+
+def test_eigenfunction_digest():
+    # every node and amplitude, locked to the bit: BOUND's 0- and 1-node
+    # states, RICHARDSON's ground state, and BOUND's geometry at depth 1e3,
+    # whose outward amplitudes are rescaled, and at 1e13, whose trajectories'
+    # prefixes are scaled
+    cells = [(BOUND, (-0.05, 0.05)), (BOUND, (0.1, 0.4)),
+             (RICHARDSON, (-0.05, 0.05)), (replace(BOUND, V0=1e3), (-0.5, 0.5)),
+             (replace(BOUND, V0=1e13), (-0.5, 0.5))]
+    digest = hashlib.sha256()
+    for p, offsets in cells:
+        e0 = solve_energy(p, BOUND_STATE).e_upper
+        cfg = default_config(p, tuple(e0 + d for d in offsets))
+        s, = find_eigenvalues(cfg, p, BOUND_STATE, count=1, scan_points=25,
+                              tol=1e-11)
+        for E in (s, float(s)):
+            for x in shoot_eigenfunction(E, cfg, p, BOUND_STATE):
+                digest.update(x.tobytes())
+    assert digest.hexdigest() == _EIGENFUNCTION_DIGEST
+
+
+def test_trajectory_steps_only_its_blocks(bound_root, monkeypatch):
+    # BOUND's inward sweep at the default step count has 584 steps, 73 whole
+    # blocks of _TRAJECTORY_BLOCK = 8: its trajectory builds their matrices,
+    # not its 5 rows' 640 steps, whose pad blocks it would drop
+    cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
+    s, = find_eigenvalues(cfg, BOUND, BOUND_STATE, count=1, scan_points=25,
+                          tol=1e-11)
+    rc = radial_coefficients(BOUND, BOUND_STATE)
+    assert len(oracle._sweeps(rc, cfg).r[1]) - 1 == 584
+    built, entries = [], oracle._transfer_entries
+
+    def traced(*args):
+        T = entries(*args)
+        built.append(T.shape[-1])
+        return T
+
+    monkeypatch.setattr(oracle, "_transfer_entries", traced)
+    shoot_eigenfunction(s, cfg, BOUND, BOUND_STATE)  # the inward sweep alone
+    assert built == [584]
+
+
 def test_shape_evaluated_once_per_solve(bound_root, monkeypatch):
     # the shape factor does not depend on E: a solve evaluates it once, on
     # its grid, however many energies the scan and refinement try; the
@@ -1322,15 +1426,19 @@ def test_shape_evaluated_once_per_solve(bound_root, monkeypatch):
     # the root, and integrates only the inward one.  A bare float builds both
     cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
     calls, sweeps = [], []
-    trajectory = oracle._trajectory
+    traject = oracle._trajectory
+    # the sweeps by their node counts, which differ
+    directions = {len(r): d for d, r in enumerate(
+        oracle._sweeps(radial_coefficients(BOUND, BOUND_STATE), cfg).r)}
+    assert len(directions) == 2
 
     def counted(r, R, a):
         calls.append(np.size(r))
         return shape_factor(r, R, a)
 
-    def traced(rc, E, grid, d, slope0):
-        sweeps.append(d)
-        return trajectory(rc, E, grid, d, slope0)
+    def traced(E, D, E_ref, n, slope0):
+        sweeps.append(directions[n])
+        return traject(E, D, E_ref, n, slope0)
 
     monkeypatch.setattr(oracle, "shape_factor", counted)
     monkeypatch.setattr(oracle, "_trajectory", traced)
