@@ -11,7 +11,8 @@ and its three values of U, which is quadratic in E: each entry is a quartic
 in E - E_ref, E_ref the bracket's midpoint, whose coefficients the grid holds
 (_transfer_entries).  A sweep's end state is the matrices' ordered product,
 the root of a pairwise tree renormalized by powers of two: exact, so its
-direction keeps every bit, sign included, and needed only one level in three.
+direction keeps every bit, sign included, and needed only as often as a bound
+on the grid's matrices over the bracket says the float range requires.
 The mismatch is bounded, has no poles and changes sign only at eigenvalues.
 One kernel, _mismatches, takes a block of energies through one pass of the
 tree over both directions (_tops), so its fixed cost per level is paid once
@@ -26,7 +27,6 @@ solve (ShootingState).
 """
 from __future__ import annotations
 
-import contextlib
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -49,6 +49,15 @@ from .pekeris import shape_factor
 DEFAULT_STEP_COUNT = 6_000
 
 
+def _as_float(name: str, value) -> float:
+    """value as the float that math's functions read, or a ValueError naming
+    it where that conversion overflows (an int such as 10**400)."""
+    try:
+        return math.ldexp(value, 0)  # the conversion alone: x * 2^0 is x
+    except OverflowError:
+        raise ValueError(f"{name} must lie in the float range") from None
+
+
 @dataclass(frozen=True)
 class ShootingConfig:
     """Search bracket and RK4 step count of a solve; the well sets its domain."""
@@ -59,12 +68,12 @@ class ShootingConfig:
     # stored as floats and an int: a numpy uint16 step count wraps in _sweeps,
     # and an array bracket breaks the comparison of solve keys
     def __post_init__(self):
-        lo, hi = self.energy_bracket
+        lo, hi = (_as_float("energy_bracket", x) for x in self.energy_bracket)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"energy_bracket must be finite, got ({lo}, {hi})")
         if not lo < hi:
             raise ValueError(f"invalid energy bracket ({lo}, {hi})")
-        object.__setattr__(self, "energy_bracket", (float(lo), float(hi)))
+        object.__setattr__(self, "energy_bracket", (lo, hi))
         object.__setattr__(self, "step_count", require_integer(
             "step_count", self.step_count, DEFAULT_STEP_COUNT))
 
@@ -104,26 +113,27 @@ def default_config(p: PhysicalParams, energy_bracket: tuple[float, float],
 # energy for each of the grid's steps, both directions' and their pads' (1408
 # on the attractive well at 6000 steps).  One energy's share of a pass near
 # the ground state of the attractive well (V0 = 10, alpha' = 0.0015, ell =
-# 20, D = 3), in ms (best of 9 runs of 9 rounds of 64 energies, 6 of 3 at
-# 80000 steps; 2-core Xeon):
+# 20, D = 3), in ms (best of 3 tables, each best of 9 runs of 9 rounds of 64
+# energies, 6 of 3 at 80000 steps; 2-core Xeon):
 #   steps    k = 1    4      8      16     32     64
-#    6000     0.190  0.084  0.054  0.039  0.031  0.031
-#   10000     0.227  0.105  0.073  0.057  0.050  0.051
-#   20000     0.287  0.124  0.108  0.100  0.103  0.124
-#   80000     0.572  0.413  0.400  0.432  0.600  0.648
-# 32 is 12-20% cheaper per energy at 6000 and 10000 steps, but a block bounds
+#    6000     0.140  0.049  0.034  0.028  0.026  0.027
+#   10000     0.149  0.062  0.050  0.045  0.044  0.047
+#   20000     0.209  0.109  0.092  0.090  0.096  0.102
+#   80000     0.466  0.383  0.397  0.399  0.492  0.634
+# 32 is 2-7% cheaper per energy at 6000 and 10000 steps, but a block bounds
 # the points a pass scans past the stop: at 32 the bench scans, which stop
 # after 48 of 60 points (oracle-ladder) and 16 of 25 (oracle-ground), scan
-# them all, and their requests took 16% and 15% longer.
+# them all, and their requests took 17% and 12% longer (medians of 3
+# alternated pairs).  16 is the best at 20000 steps and 4% above it at 80000.
 _SCAN_BLOCK = 16
 
 
 # A solve's grid: each direction's nodes r (outward ones ascending, inward
 # ones descending), the coefficients D at E_ref of _coefficients of both
 # directions' steps end to end, outward first, each padded with steps of h = 0
-# to whole rows of _ROW steps (rows[d] of them), and f_ends, the shape at
-# r_min and at the match node
-_Grid = namedtuple("_Grid", "r D E_ref rows f_ends")
+# to whole rows of _ROW steps (rows[d] of them), f_ends, the shape at r_min
+# and at the match node, and every, a pass's levels per renormalization
+_Grid = namedtuple("_Grid", "r D E_ref rows f_ends every")
 
 # Steps per row of the grid, a power of two.  A step of h = 0 is the
 # identity to the bit where U is finite, and a product with it leaves the
@@ -132,20 +142,19 @@ _Grid = namedtuple("_Grid", "r D E_ref rows f_ends")
 # pass takes both through the tree's first log2(_ROW) levels at once
 _ROW = 128
 
-# Tree levels per renormalization in a pass of _tops.  A 2x2 product's max-abs
-# entry is at most twice its factors', so three levels over leaves of max-abs
-# L >= 1 (8 on BOUND, 2.6e4 at V0 = 1000, 2.2e8 at V0 = 1e4) or over a
-# renormalized level stay below 2^7 L^8, in the float range while L < 1e38
-_RENORM_EVERY = 3
-
 
 def _grid(rc: RadialCoefficients, out: np.ndarray, inw: np.ndarray,
-          E_ref: float) -> _Grid:
-    """The grid of the outward nodes out and the inward nodes inw, its
-    coefficients taken at E_ref.  A pad's node and midpoint sit at its
-    direction's last node, so U is finite there; the outward direction gets
-    at least one pad, whose last step joins the outward end to the inward
-    start."""
+          bracket) -> _Grid:
+    """The grid of the outward nodes out and the inward nodes inw for the
+    energies of bracket, its coefficients taken at its midpoint E_ref.  A
+    pad's node and midpoint sit at its direction's last node, so U is finite
+    there; the outward direction gets at least one pad, whose last step joins
+    the outward end to the inward start.  A 2x2 product's max-abs entry is
+    at most twice its factors', so j tree levels over entries of at most L >=
+    1, or over a renormalized level, stay below 2^(2^j - 1) L^(2^j): `every`
+    is the largest j <= log2(_ROW) that keeps this below 2^1023, L = max
+    sum_p |D[p]| r^p, r the bracket's largest |E - E_ref| (L = 8.7 on BOUND,
+    every = 7; every = 2 at V0 = 1e20), or 1 where L is not finite."""
     rows = ((len(out) - 1) // _ROW + 1, -(-(len(inw) - 1) // _ROW))
     bounds = (0, _ROW * rows[0], _ROW * sum(rows))  # each direction's steps
     h = np.zeros(bounds[-1])
@@ -158,8 +167,15 @@ def _grid(rc: RadialCoefficients, out: np.ndarray, inw: np.ndarray,
         nodes[start:start + len(r)] = r
     x[1::2] = nodes[:-1] + h / 2.0
     f = shape_factor(x, rc.p.R, rc.p.a)
-    return _Grid((out, inw), _coefficients(rc, f, h, E_ref), E_ref, rows,
-                 (f[0], f[2 * (len(out) - 1)]))
+    lo, hi = bracket
+    E_ref = 0.5 * (lo + hi)
+    D = _coefficients(rc, f, h, E_ref)
+    with np.errstate(over="ignore", invalid="ignore"):  # a bound past range: 1
+        powers = max(E_ref - lo, hi - E_ref) ** np.arange(5.0)
+        bits = 1.0 + math.log2((powers @ np.abs(D).reshape(5, -1)).max())
+    every = max((j for j in range(1, _ROW.bit_length()) if 2 ** j * bits < 1024),
+                default=1)
+    return _Grid((out, inw), D, E_ref, rows, (f[0], f[2 * (len(out) - 1)]), every)
 
 
 def _coefficients(rc: RadialCoefficients, f: np.ndarray, h: np.ndarray,
@@ -293,7 +309,7 @@ def _sweeps(rc: RadialCoefficients, cfg: ShootingConfig) -> _Grid:
                          (uniform[i_match:], r_max)):
         graded = _graded_tail(rc, cfg.energy_bracket, nodes[0], r_end, h)
         sweeps.append((nodes if graded is None else graded)[::-1])
-    return _grid(rc, *sweeps, 0.5 * sum(cfg.energy_bracket))
+    return _grid(rc, *sweeps, cfg.energy_bracket)
 
 
 def _inward_slope(rc: RadialCoefficients, E: float) -> float:
@@ -313,16 +329,6 @@ def _slopes(rc: RadialCoefficients, E: float, grid: _Grid) -> tuple[float, float
     inward = _inward_slope(rc, E)
     u_min = rc.u(grid.f_ends[0], E)
     return math.sqrt(max(float(u_min), 0.0)), inward
-
-
-def _views(buf: np.ndarray, *shapes):
-    """Consecutive views of the flat array buf, one of each shape."""
-    views, start = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(buf[start:start + size].reshape(shape))
-        start += size
-    return views
 
 
 def _transfer_entries(E, D: np.ndarray, E_ref: float, T=None):
@@ -364,30 +370,20 @@ def _renormalize(M: np.ndarray, tmp: np.ndarray, scale: np.ndarray) -> np.ndarra
     return exponents
 
 
-def _level(M: np.ndarray, out: np.ndarray, tmp: np.ndarray):
-    """The next level of the pairwise tree along M's last axis, in out (tmp,
-    its scratch): the products M[..., 2i+1] @ M[..., 2i], an odd last alone."""
-    half = M.shape[-1] // 2
-    _compose(M[..., 1:2 * half:2], M[..., 0:2 * half:2], out[..., :half],
-             tmp[..., :half])
-    out[..., half:] = M[..., 2 * half:]
-
-
-def _reduce(M: np.ndarray, halves, side: int, width: int, every: int):
-    """Tree levels over M, which lies in halves[side], until its last axis
-    is width long, each to the other half with its scratch; every `every`-th
-    level and the last are renormalized, their max-abs entries over the dead
-    level before.  Returns the last level and the half it lies in."""
-    level = 0
-    while M.shape[-1] > width:
-        level += 1
-        shape = M.shape[:-1] + ((M.shape[-1] + 1) // 2,)
-        scale, = _views(halves[side], shape[2:])
-        side = 1 - side
-        out, tmp = _views(halves[side], shape, shape)
-        _level(M, out, tmp)
-        if level % every == 0 or shape[-1] <= width:
-            _renormalize(out, tmp, scale)
+def _halve(M: np.ndarray, halves: np.ndarray, side: int, every: int):
+    """The root of the pairwise tree along the last axis of M, shape (2, 2,
+    m, a power of two), M in halves[side]: level by level, the products
+    M[..., 2i+1] @ M[..., 2i], each level to the other half with its scratch;
+    every `every`-th level and the last are renormalized, their max-abs
+    entries over the dead level before.  Returns the root, shape (2, 2, m,
+    1), and the half it lies in."""
+    level, m, n = 0, M.shape[2], M.shape[3]
+    while n > 1:
+        level, n, side = level + 1, n // 2, 1 - side
+        out, tmp = halves[side][:8 * m * n].reshape(2, 2, 2, m, n)
+        _compose(M[..., 1::2], M[..., ::2], out, tmp)
+        if level % every == 0 or n == 1:
+            _renormalize(out, tmp, halves[1 - side][:m * n].reshape(m, n))
         M = out
     return M, side
 
@@ -395,32 +391,34 @@ def _reduce(M: np.ndarray, halves, side: int, width: int, every: int):
 def _tops(E, grid: _Grid) -> np.ndarray:
     """The tops of both directions' trees at the energies E, shape (2, 2,
     len(E), 2), direction last, each matrix's max-abs entry in [1/2, 1), with
-    the bits of a renormalized tree of _level over each direction's own steps:
-    one tree over the whole grid, in one workspace.
-
-    The transfer matrices fill one half of the workspace, and each level
-    goes to the half its input is not in.  Once each column is a row's
-    product, the rows are gathered by direction, the shorter direction filled
-    with identities, and the tree is finished over them.  A pass past the float range runs again, renormalizing every
-    level, in the caller's error state."""
-    k, steps = len(E), grid.D.shape[-1]
-    halves = np.split(np.empty(8 * k * steps), 2)
-    T = halves[0].reshape(2, 2, k, steps)
-    for every, ignored in ((_RENORM_EVERY, "ignore"), (1, None)):
+    the bits of a tree over each direction's own steps renormalized at every
+    level: one tree over the whole grid, in one workspace.  The transfer
+    matrices fill one half of it, and each level goes to the half its input
+    is not in.  The tree takes every row to its product, gathers the rows by
+    direction, each filled with identities to a power of two (an identity
+    after the odd last of a level leaves it as carried alone), and is
+    finished over them, renormalizing every grid.every levels and at the end
+    of each part.  A pass past the float range (at energies far outside the
+    grid's bracket) runs again, renormalizing every level, in the caller's
+    error state."""
+    k, (rows_out, rows_in) = len(E), grid.rows
+    wide = 1 << (max(grid.rows) - 1).bit_length()
+    halves = np.empty((2, 4 * k * grid.D.shape[-1]))
+    T = halves[0].reshape(2, 2, -1, _ROW)  # energies and rows on one axis
+    for every, ignored in ((grid.every, "ignore"), (1, None)):
         try:
             with np.errstate(over=ignored, invalid=ignored):
                 _transfer_entries(E, grid.D, grid.E_ref, T)
-                M, side = _reduce(T, halves, 0, sum(grid.rows), every)
-                side = 1 - side
-                G, = _views(halves[side], (2, 2, k, 2, max(grid.rows)))
-                start = 0
-                for d, rows in enumerate(grid.rows):
-                    G[..., d, :rows] = M[..., start:start + rows]
-                    G[..., d, rows:] = np.eye(2).reshape(2, 2, 1, 1)
-                    start += rows
-                return _reduce(G, halves, side, 1, every)[0][..., 0]
+                M, side = _halve(T, halves, 0, every)
+                M = M.reshape(2, 2, k, -1)
+                G = halves[1 - side][:8 * k * wide].reshape(2, 2, k, 2, wide)
+                G[...] = np.eye(2).reshape(2, 2, 1, 1, 1)
+                G[..., 0, :rows_out] = M[..., :rows_out]
+                G[..., 1, :rows_in] = M[..., rows_out:]
+                G = G.reshape(2, 2, 2 * k, wide)
+                return _halve(G, halves, 1 - side, every)[0].reshape(2, 2, k, 2)
         except IntegrationBlowup:
-            if every == 1:
+            if ignored is None:
                 raise
 
 
@@ -432,18 +430,17 @@ def _mismatches(Es, rc: RadialCoefficients, grid: _Grid) -> np.ndarray:
     out = np.full(len(Es), np.nan)
     bound, slopes = [], []
     for i, E in enumerate(Es):
-        with contextlib.suppress(NotBoundRegime):
+        try:
             slopes.append(_slopes(rc, E, grid))
-            bound.append(i)
+        except NotBoundRegime:
+            continue
+        bound.append(i)
     if not bound:
         return out
-    tops, states = _tops([Es[i] for i in bound], grid), []
-    for d, slope0 in enumerate(np.array(slopes).T):
-        t = tops[..., d]
-        y0, y1 = t[0, 0] + t[0, 1] * slope0, t[1, 0] + t[1, 1] * slope0
-        norm = [math.hypot(a, b) for a, b in zip(y0.tolist(), y1.tolist())]
-        states.append((y0 / norm, y1 / norm))
-    (u0, u1), (w0, w1) = states
+    tops = _tops([Es[i] for i in bound], grid)
+    y = tops[:, 0] + tops[:, 1] * np.array(slopes)  # (F, F'), energy, direction
+    y /= np.array(list(map(math.hypot, *y.reshape(2, -1).tolist()))).reshape(-1, 2)
+    (u0, w0), (u1, w1) = y.transpose(0, 2, 1)
     out[bound] = u0 * w1 - u1 * w0
     return out
 
@@ -459,11 +456,11 @@ def shoot_mismatch(E: float, cfg: ShootingConfig, p: PhysicalParams,
     changes sign only where the two sweeps meet as one solution.
     Raises NotBoundRegime when the asymptotic coefficient is non-positive
     (oscillatory tail, no bound state possible at this E), and ValueError
-    where E is NaN.  The grid is graded for the energies of cfg's bracket
-    widened to hold E (see _sweeps), so an E inside the bracket gets the
-    bracket's own grid.
+    where E is NaN or past the float range.  The grid is graded for the
+    energies of cfg's bracket widened to hold E (see _sweeps), so an E
+    inside the bracket gets the bracket's own grid.
     """
-    if math.isnan(E):
+    if math.isnan(_as_float("E", E)):
         raise ValueError(f"E must be a number, got {E}")
     rc = radial_coefficients(p, state)
     if math.isfinite(E):
@@ -708,7 +705,7 @@ def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
     """
     require_integer("count", count, 1)
     require_integer("scan_points", scan_points, 2)
-    if not (math.isfinite(tol) and tol > 0.0):
+    if not (math.isfinite(_as_float("tol", tol)) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     rc = radial_coefficients(p, state)
     grid = _sweeps(rc, cfg)
@@ -762,9 +759,9 @@ def shoot_eigenfunction(E: float, cfg: ShootingConfig, p: PhysicalParams,
     grid's nodes and inward coefficients and its outward amplitudes, so only
     the inward sweep is integrated; any other E (a float, or a state of
     another solve) builds both, with the same result to the bit.  Raises
-    ValueError where E is NaN.
+    ValueError where E is NaN or past the float range.
     """
-    if math.isnan(E):
+    if math.isnan(_as_float("E", E)):
         raise ValueError(f"E must be a number, got {E}")
     key = (cfg, p, state)
     solve = getattr(E, "_solve", None)

@@ -163,6 +163,12 @@ class TestShootingConfig:
             assert f"step_count must be >= {floor}," in str(exc.value)
             ShootingConfig(**{**kwargs, "step_count": floor})
 
+    def test_rejects_int_past_float_range(self):
+        # math.isfinite raised a bare OverflowError on such an int
+        with pytest.raises(ValueError, match="^energy_bracket must lie in "
+                                             "the float range$"):
+            ShootingConfig((7.0, 10**400), 6000)
+
     def test_accepts_numpy_integer_step_count(self):
         cfg = ShootingConfig(energy_bracket=(6.0, 8.0),
                              step_count=np.int64(7000))
@@ -243,6 +249,19 @@ class TestMismatch:
         with pytest.raises(ValueError, match="E must be a number, got nan"):
             solve(math.nan, cfg, BOUND, BOUND_STATE)
 
+    @pytest.mark.parametrize("solve", [shoot_mismatch, shoot_eigenfunction])
+    def test_rejects_int_past_float_range(self, bound_root, solve, monkeypatch):
+        # math.isnan raised a bare OverflowError on such an int; it is named
+        # before any solve
+        cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
+
+        def no_solve(*args):
+            raise AssertionError("solved before checking E")
+
+        monkeypatch.setattr(oracle, "radial_coefficients", no_solve)
+        with pytest.raises(ValueError, match="^E must lie in the float range$"):
+            solve(10**400, cfg, BOUND, BOUND_STATE)
+
     def test_oscillatory_tail_rejected(self):
         cfg = default_config(BOUND, (6.0, 8.0))
         # far above the well the asymptotic coefficient goes negative
@@ -314,12 +333,6 @@ class TestMismatches:
             assert T[:, :, i].tobytes() == single.tobytes()
 
 
-def e_ref(cfg):
-    """The energy at which the grids of cfg take their coefficients: the
-    bracket's midpoint."""
-    return 0.5 * sum(cfg.energy_bracket)
-
-
 def unpadded(rc, r, E_ref):
     """The coefficients at E_ref of the steps between the nodes r alone, from
     the shape at their nodes and midpoints, as oracle._transfer_entries
@@ -332,18 +345,21 @@ def unpadded(rc, r, E_ref):
 
 
 def direction_tops(rc, Es, grid):
-    """Each direction's top through its own pairwise tree of oracle._level
-    over its own steps, without pads, at least one level, each renormalized,
-    as in the pass over the grid: the reference for that pass, shape (2, 2,
+    """Each direction's top through its own pairwise tree over its own
+    steps, without pads, at least one level, each renormalized: a level's
+    products M[..., 2i+1] @ M[..., 2i] by oracle._compose, an odd last
+    carried alone.  The reference for the pass over the grid, shape (2, 2,
     len(Es), 2)."""
     tops = []
     for r in grid.r:
         M = oracle._transfer_entries(Es, unpadded(rc, r, grid.E_ref),
                                      grid.E_ref)
         for _ in range(max(1, (M.shape[-1] - 1).bit_length())):
-            out = np.empty(M.shape[:-1] + ((M.shape[-1] + 1) // 2,))
-            oracle._level(M, out, tmp := np.empty_like(out))
-            oracle._renormalize(out, tmp, np.empty(out.shape[2:]))
+            half = M.shape[-1] // 2
+            out = M[..., ::2].copy()  # its last column the odd last, if any
+            oracle._compose(M[..., 1::2], M[..., :2 * half:2], out[..., :half],
+                            np.empty_like(out[..., :half]))
+            oracle._renormalize(out, np.empty_like(out), np.empty(out.shape[2:]))
             M = out
         tops.append(M[..., 0])
     return np.stack(tops, axis=-1)
@@ -359,9 +375,8 @@ class TestFusedPass:
         assert fused.tobytes() == direction_tops(rc, Es, grid).tobytes()
         # the factors are powers of two, so renormalizing every level
         # changes no bit, and each top's max-abs entry lies in [1/2, 1)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "_RENORM_EVERY", 1)
-            assert oracle._tops(Es, grid).tobytes() == fused.tobytes()
+        every_level = oracle._tops(Es, grid._replace(every=1))
+        assert every_level.tobytes() == fused.tobytes()
         big = np.abs(fused).max(axis=(0, 1))
         assert np.all((0.5 <= big) & (big < 1.0))
 
@@ -398,33 +413,68 @@ class TestFusedPass:
         self.assert_tops_match(rc, np.linspace(*cfg.energy_bracket, 16).tolist(),
                                grid)
 
-    def test_overflowing_pass_runs_again(self, monkeypatch):
-        # at V0 = 1e20 the transfer matrices' entries reach about 2e72, and
-        # three levels without renormalization leave the float range: the
-        # pass breaks off in its first reduction and runs again renormalizing
-        # every level, which stays in range, raising nothing on the way
+    @staticmethod
+    def counted_pass(monkeypatch, Es, grid):
+        """_tops(Es, grid), the attempts it made (its calls of
+        _transfer_entries) and its calls of _renormalize."""
+        calls = []
+        for name in ("_transfer_entries", "_renormalize"):
+            monkeypatch.setattr(oracle, name, lambda *args, fn=getattr(oracle, name),
+                                name=name: calls.append(name) or fn(*args))
+        tops = oracle._tops(Es, grid)
+        monkeypatch.undo()
+        return tops, calls.count("_transfer_entries"), calls.count("_renormalize")
+
+    @pytest.mark.parametrize("k", [1, 16])
+    def test_shallow_pass_renormalizes_twice(self, bound_root, monkeypatch, k):
+        # BOUND's leaves stay below L = 8.7 over the bracket, so 7 levels stay
+        # in range: a pass renormalizes at the rows' products and at the top
+        # alone, in one attempt
+        cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
+        rc = radial_coefficients(BOUND, BOUND_STATE)
+        grid = oracle._sweeps(rc, cfg)
+        assert grid.every == 7
+        Es = np.linspace(*cfg.energy_bracket, k).tolist()
+        with np.errstate(all="raise"):
+            tops, attempts, renormalized = self.counted_pass(monkeypatch, Es, grid)
+        assert (attempts, renormalized) == (1, 2)
+        assert tops.tobytes() == direction_tops(rc, Es, grid).tobytes()
+
+    def test_deep_pass_finishes_in_one_attempt(self, monkeypatch):
+        # at V0 = 1e20 the transfer matrices' entries reach about 2e72, so
+        # the pass renormalizes every 2 levels: it stays in range, raising
+        # nothing, in one attempt, with the bits of a pass renormalizing
+        # every level
         p = replace(BOUND, V0=1e20)
         E = solve_energy(p, BOUND_STATE).e_upper
         rc = radial_coefficients(p, BOUND_STATE)
         grid = oracle._sweeps(rc, default_config(p, (E - 0.05, E + 0.05)))
-        with monkeypatch.context() as mp:
-            mp.setattr(oracle, "_RENORM_EVERY", 1)
-            every_level = oracle._tops([E], grid)
-        reduce, intervals = oracle._reduce, []
-
-        def traced(M, halves, side, width, every):
-            intervals.append(every)
-            return reduce(M, halves, side, width, every)
-
-        monkeypatch.setattr(oracle, "_reduce", traced)
+        assert grid.every == 2
         with np.errstate(all="raise"):
-            tops = oracle._tops([E], grid)
-        assert intervals == [oracle._RENORM_EVERY, 1, 1]
+            tops, attempts, _ = self.counted_pass(monkeypatch, [E], grid)
+            every_level = oracle._tops([E], grid._replace(every=1))
+        assert attempts == 1
         assert tops.tobytes() == every_level.tobytes()
+        assert tops.tobytes() == direction_tops(rc, [E], grid).tobytes()
+
+    def test_overflowing_pass_runs_again(self, bound_root, monkeypatch):
+        # 1000 above BOUND's ground bracket, far outside it, the leaves reach
+        # about 1e7, and 7 levels without renormalization leave the float
+        # range: the pass breaks off and runs again renormalizing every
+        # level, which stays in range, raising no overflow on the way
+        cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
+        rc = radial_coefficients(BOUND, BOUND_STATE)
+        grid = oracle._sweeps(rc, cfg)
+        Es = [bound_root + 1000.0]
+        with np.errstate(over="raise", invalid="raise"):
+            tops, attempts, _ = self.counted_pass(monkeypatch, Es, grid)
+        assert attempts == 2
+        assert tops.tobytes() == oracle._tops(Es, grid._replace(every=1)).tobytes()
+        assert tops.tobytes() == direction_tops(rc, Es, grid).tobytes()
 
     # a direction of row - 1, row or row + 1 steps ends just inside or on a
-    # row's end; at 2 row + 1 and 1025 = 8 row + 1 the odd row is carried
-    # up the gathered tree
+    # row's end; at 2 row + 1 and 1025 = 8 row + 1 the odd row meets an
+    # identity up the gathered tree, as if carried alone
     @pytest.mark.parametrize("n_in", [1, 2, ROW - 1, ROW, ROW + 1, 2 * ROW + 1,
                                       1025])
     @pytest.mark.parametrize("n_out", [1, 2, ROW - 1, ROW, ROW + 1,
@@ -435,7 +485,7 @@ class TestFusedPass:
         r_min, r_max, r_match = oracle._truncation(BOUND)
         grid = oracle._grid(rc, np.linspace(r_min, r_match, n_out + 1),
                             np.linspace(r_max, r_match, n_in + 1),
-                            bound_root + 0.15)
+                            (bound_root, bound_root + 0.3))
         rows = grid.rows
         assert rows == (n_out // ROW + 1, -(-n_in // ROW))
         assert grid.D.shape[-1] == ROW * sum(rows)
@@ -476,13 +526,13 @@ class TestIntegrationBlowup:
                                          unpadded(rc, bad, grid.E_ref),
                                          grid.E_ref)
         assert not np.isfinite(T).any()
-        return rc, bound_root, bad, grid.r, grid.E_ref
+        return rc, bound_root, bad, grid.r, cfg.energy_bracket
 
     def test_trajectory_raises(self, blowup):
-        rc, E, bad, (_, inw), E_ref = blowup
+        rc, E, bad, (_, inw), bracket = blowup
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationBlowup, match="overflowed"):
-                trajectory(rc, E, oracle._grid(rc, bad, inw, E_ref), 0, -1.0)
+                trajectory(rc, E, oracle._grid(rc, bad, inw, bracket), 0, -1.0)
 
     # the step inside a longer sweep, after steps of 1e-3 and before steps of
     # h = 0: as the 4th step of the second block of 8 (16 steps), and as the
@@ -490,24 +540,24 @@ class TestIntegrationBlowup:
     @pytest.mark.parametrize("before, after", [(11, 4), (12, 0)],
                              ids=["mid-block", "partial-block-end"])
     def test_trajectory_raises_inside_sweep(self, blowup, before, after):
-        rc, E, bad, (_, inw), E_ref = blowup
+        rc, E, bad, (_, inw), bracket = blowup
         start = bad[0]
         nodes = np.concatenate([start - 1e-3 * np.arange(before, 0, -1), [start],
                                 np.full(after + 1, start + 1e200)])
         assert len(nodes) - 1 == before + 1 + after
         with np.errstate(over="ignore", invalid="ignore"):
-            long = oracle._grid(rc, nodes, inw, E_ref)
+            long = oracle._grid(rc, nodes, inw, bracket)
             with pytest.raises(IntegrationBlowup, match="overflowed"):
                 trajectory(rc, E, long, 0, -1.0)
 
     @pytest.mark.parametrize("direction", [0, 1])
     def test_fused_pass_raises(self, blowup, direction):
-        rc, E, bad, nodes, E_ref = blowup
+        rc, E, bad, nodes, bracket = blowup
         pair = list(nodes)
         pair[direction] = bad
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationBlowup, match="overflowed"):
-                oracle._tops([E], oracle._grid(rc, *pair, E_ref))
+                oracle._tops([E], oracle._grid(rc, *pair, bracket))
 
     @pytest.mark.parametrize("direction", [0, 1])
     def test_fused_pass_keeps_the_callers_error_state(self, blowup, direction):
@@ -515,10 +565,10 @@ class TestIntegrationBlowup:
         # entries near 1e200, whose product overflows: the pass that ignores
         # overflow breaks off; the one that follows, renormalizing every
         # level, overflows under the caller's error state
-        rc, E, bad, nodes, E_ref = blowup
+        rc, E, bad, nodes, bracket = blowup
         pair = list(nodes)
         pair[direction] = bad[0] + np.array([0.0, 1e50, 2e50])
-        grid = oracle._grid(rc, *pair, E_ref)
+        grid = oracle._grid(rc, *pair, bracket)
         assert np.isfinite(oracle._transfer_entries(E, grid.D,
                                                     grid.E_ref)).all()
         with np.errstate(over="raise", invalid="raise"):
@@ -678,6 +728,18 @@ class TestFindEigenvalues:
             with pytest.raises(ValueError, match=next(iter(kwargs))):
                 find_eigenvalues(cfg, BOUND, BOUND_STATE,
                                  **{"count": 1, **kwargs})
+
+    def test_rejects_tol_past_float_range(self, bound_root, monkeypatch):
+        # math.isfinite raised a bare OverflowError on such an int; it is
+        # named before any solve
+        cfg = default_config(BOUND, (bound_root - 0.05, bound_root + 0.05))
+
+        def no_solve(*args):
+            raise AssertionError("solved before checking tol")
+
+        monkeypatch.setattr(oracle, "radial_coefficients", no_solve)
+        with pytest.raises(ValueError, match="^tol must lie in the float range$"):
+            find_eigenvalues(cfg, BOUND, BOUND_STATE, count=1, tol=10**400)
 
 
 class TestSturmStop:
@@ -1078,7 +1140,7 @@ class TestScanTrajectory:
         r_min, r_max, _ = oracle._truncation(BOUND)
         nodes = np.linspace(r_min, r_max, steps + 1)  # the whole domain,
         # to see nodes
-        grid = oracle._grid(rc, nodes, nodes[::-1], e_ref(cfg))
+        grid = oracle._grid(rc, nodes, nodes[::-1], cfg.energy_bracket)
         d = 0 if outward else 1
         slopes = oracle._slopes(rc, eigs[3], grid)
         assert_matches_stepwise((rc, eigs[3], grid, d, slopes[d]))
@@ -1183,7 +1245,7 @@ def uniform_sweeps(rc, cfg):
     r_min, r_max, r_match = oracle._truncation(rc.p)
     nodes = np.linspace(r_min, r_max, cfg.step_count + 1)
     i = int(np.argmin(np.abs(nodes - r_match)))
-    return oracle._grid(rc, nodes[:i + 1], nodes[i:][::-1], e_ref(cfg))
+    return oracle._grid(rc, nodes[:i + 1], nodes[i:][::-1], cfg.energy_bracket)
 
 
 class TestGradedTail:
