@@ -47,8 +47,8 @@ class NotBoundRegime(WsdiracError):
 
 
 class IntegrationBlowup(WsdiracError):
-    """The shooting integration left the float range: the kernel's tree with
-    every level renormalized, or a sweep's amplitudes despite their rescaling."""
+    """The shooting integration left the float range: a transfer matrix, a
+    product of the kernel's tree or a sweep's state is not finite."""
 
 
 class NoEigenvalueInBracket(WsdiracError):

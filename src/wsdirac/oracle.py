@@ -12,7 +12,9 @@ in E - E_ref, E_ref the bracket's midpoint, whose coefficients the grid holds
 (_transfer_entries).  A sweep's end state is the matrices' ordered product,
 the root of a pairwise tree renormalized by powers of two: exact, so its
 direction keeps every bit, sign included, and needed only as often as a bound
-on the grid's matrices over the bracket says the float range requires.
+on the grid's matrices over the bracket says the float range requires.  That
+bound is the one range rule: an energy outside a config's bracket gets the
+grid of the bracket widened to hold it (_holding), and each pass runs once.
 The mismatch is bounded, has no poles and changes sign only at eigenvalues.
 One kernel, _mismatches, takes a block of energies through one pass of the
 tree over both directions (_tops), so its fixed cost per level is paid once
@@ -21,9 +23,9 @@ sign changes are refined together by a port of scipy's brentq, run as
 generators in lockstep so that one pass serves every root's next step; the
 oracle imports no scipy.  Where node counts rise with E (Sturm), the scan
 stops at its count-th state.  The amplitudes along a sweep, for node counts
-and the eigenfunction, take no tree but a forward pass over blocks of steps
-(_trajectory).  Each eigenvalue is a float that carries its node count and
-solve (ShootingState).
+and the eigenfunction, take no tree but a forward pass over blocks of steps,
+their scales carried as powers of two (_trajectory).  Each eigenvalue is a
+float that carries its node count and solve (ShootingState).
 """
 from __future__ import annotations
 
@@ -398,28 +400,21 @@ def _tops(E, grid: _Grid) -> np.ndarray:
     direction, each filled with identities to a power of two (an identity
     after the odd last of a level leaves it as carried alone), and is
     finished over them, renormalizing every grid.every levels and at the end
-    of each part.  A pass past the float range (at energies far outside the
-    grid's bracket) runs again, renormalizing every level, in the caller's
-    error state."""
+    of each part, in the caller's error state: at energies inside the grid's
+    bracket, grid.every keeps the pass in range."""
     k, (rows_out, rows_in) = len(E), grid.rows
     wide = 1 << (max(grid.rows) - 1).bit_length()
     halves = np.empty((2, 4 * k * grid.D.shape[-1]))
     T = halves[0].reshape(2, 2, -1, _ROW)  # energies and rows on one axis
-    for every, ignored in ((grid.every, "ignore"), (1, None)):
-        try:
-            with np.errstate(over=ignored, invalid=ignored):
-                _transfer_entries(E, grid.D, grid.E_ref, T)
-                M, side = _halve(T, halves, 0, every)
-                M = M.reshape(2, 2, k, -1)
-                G = halves[1 - side][:8 * k * wide].reshape(2, 2, k, 2, wide)
-                G[...] = np.eye(2).reshape(2, 2, 1, 1, 1)
-                G[..., 0, :rows_out] = M[..., :rows_out]
-                G[..., 1, :rows_in] = M[..., rows_out:]
-                G = G.reshape(2, 2, 2 * k, wide)
-                return _halve(G, halves, 1 - side, every)[0].reshape(2, 2, k, 2)
-        except IntegrationBlowup:
-            if ignored is None:
-                raise
+    _transfer_entries(E, grid.D, grid.E_ref, T)
+    M, side = _halve(T, halves, 0, grid.every)
+    M = M.reshape(2, 2, k, -1)
+    G = halves[1 - side][:8 * k * wide].reshape(2, 2, k, 2, wide)
+    G[...] = np.eye(2).reshape(2, 2, 1, 1, 1)
+    G[..., 0, :rows_out] = M[..., :rows_out]
+    G[..., 1, :rows_in] = M[..., rows_out:]
+    G = G.reshape(2, 2, 2 * k, wide)
+    return _halve(G, halves, 1 - side, grid.every)[0].reshape(2, 2, k, 2)
 
 
 def _mismatches(Es, rc: RadialCoefficients, grid: _Grid) -> np.ndarray:
@@ -445,6 +440,14 @@ def _mismatches(Es, rc: RadialCoefficients, grid: _Grid) -> np.ndarray:
     return out
 
 
+def _holding(cfg: ShootingConfig, E: float) -> ShootingConfig:
+    """cfg, its bracket widened to hold E where E is finite, so that the
+    grid's bound (see _grid) holds at E; an E inside it keeps cfg's grid."""
+    lo, hi = cfg.energy_bracket
+    return (ShootingConfig((min(lo, E), max(hi, E)), cfg.step_count)
+            if math.isfinite(E) else cfg)
+
+
 def shoot_mismatch(E: float, cfg: ShootingConfig, p: PhysicalParams,
                    state: QuantumState) -> float:
     """Matching Wronskian at the match radius; zero iff E is an eigenvalue.
@@ -463,20 +466,17 @@ def shoot_mismatch(E: float, cfg: ShootingConfig, p: PhysicalParams,
     if math.isnan(_as_float("E", E)):
         raise ValueError(f"E must be a number, got {E}")
     rc = radial_coefficients(p, state)
-    if math.isfinite(E):
-        lo, hi = cfg.energy_bracket
-        cfg = ShootingConfig((min(lo, E), max(hi, E)), cfg.step_count)
-    grid = _sweeps(rc, cfg)
+    grid = _sweeps(rc, _holding(cfg, E))
     _slopes(rc, E, grid)  # raises NotBoundRegime where the tail oscillates
     return float(_mismatches([E], rc, grid)[0])
 
 
-# The bound on |F| of _trajectory: a block's start state is divided by its
-# size |F| + |F'|, and the size's log carried, once that size passes 2^500
-# over the block's largest prefix entry, so |F| stays below 2^501 unless one
-# block grows by more (to 1e225 at depth 1e10; node counts read signs alone)
+# The bound on |F| of _trajectory: a block's start state is scaled by the
+# power of two that puts its size |F| + |F'| in [1/2, 1), the exponent
+# carried, once that size passes 2^500 over the block's largest prefix entry,
+# so |F| stays below 2^501 unless one block grows by more (to 1e225 at depth
+# 1e10; node counts read signs alone)
 _RESCALE = 2.0 ** 500
-_LN2 = math.log(2.0)
 
 # Steps per block of _trajectory, a divisor of _ROW, so that a direction's
 # rows are whole blocks.  Its outward and inward trajectories at the ground
@@ -488,59 +488,50 @@ _LN2 = math.log(2.0)
 _TRAJECTORY_BLOCK = 8
 
 
-def _trajectory(E: float, D: np.ndarray, E_ref: float, n: int, slope0: float):
+def _trajectory(E: float, D: np.ndarray, E_ref: float, every: int, n: int,
+                slope0: float):
     """Amplitudes F at the n nodes of a direction from (1, slope0), D the
-    coefficients at E_ref of its steps from its first, as (values,
-    log_scales): F at node j is values[j] * exp(log_scales[j]).  The transfer
+    coefficients at E_ref of its steps from its first, as (mantissas,
+    exponents): F at node j is mantissas[j] * 2^exponents[j].  The transfer
     matrices of the whole blocks of _TRAJECTORY_BLOCK steps that hold its
     n - 1 steps give every block's prefix products P at once, blocks on the
     last axis; y <- P @ y steps the state by each block's product on Python
     floats, and row 0 of the block's P applied to its start state gives F
-    inside it, up to the direction's last node.  A pass whose prefixes leave
-    the float range (on deep wells, at depth 1e13 and past) runs again, in
-    the caller's error state, scaling each prefix by the power of two of
-    _renormalize, whose exponents the log scales carry; its state is
-    rescaled at every block's start.  Raises IntegrationBlowup where a
-    matrix or state is not finite."""
+    inside it, up to the direction's last node.  At energies inside the
+    bracket of the grid whose `every` is given, a block's 8 prefixes stay
+    below 2^7 L^8 (see _grid), in range where every >= 3; elsewhere each
+    matrix is first scaled by the power of two of _renormalize.  Raises
+    IntegrationBlowup where a matrix or state is not finite."""
     width = _TRAJECTORY_BLOCK
     T = _transfer_entries(E, D[..., :-(-(n - 1) // width) * width], E_ref)
+    scaled = every < width.bit_length() - 1
+    # each matrix's power of two, then each prefix's
+    exponents = (_renormalize(T, np.empty(T.shape), np.empty(T.shape[2:]))
+                 if scaled else np.zeros(T.shape[-1], dtype=int))
     T = T.reshape(2, 2, -1, width).transpose(0, 1, 3, 2)
+    exponents = exponents.reshape(-1, width).cumsum(axis=1).T
     P, tmp = np.empty(T.shape), np.empty(T[:, :, 0].shape)
     P[:, :, 0] = T[:, :, 0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, width):
-            _compose(T[:, :, j], P[:, :, j - 1], P[:, :, j], tmp)
-    limits = np.abs(P).max(axis=(0, 1, 2))  # each block's largest entry
-    exponents = None  # of the prefixes' scales, where they are scaled
-    if np.isfinite(limits).all():
-        limits = _RESCALE / limits
-    else:
-        exponents = np.empty(T.shape[2:], dtype=int)
-        exponents[0] = _renormalize(P[:, :, 0], tmp, limits)
-        for j in range(1, width):
-            _compose(T[:, :, j], P[:, :, j - 1], P[:, :, j], tmp)
-            exponents[j] = exponents[j - 1] + _renormalize(P[:, :, j], tmp, limits)
-        limits[:] = 0.0  # every block's start state rescaled
-    f, g, log, starts = 1.0, slope0, 0.0, []
-    for t00, t01, t10, t11, limit in zip(*P[:, :, -1].reshape(4, -1).tolist(),
-                                         limits.tolist()):
+    for j in range(1, width):
+        _compose(T[:, :, j], P[:, :, j - 1], P[:, :, j], tmp)
+    # scaled matrices may shrink the state too: it is rescaled at every block
+    limits = (np.zeros(P.shape[-1]) if scaled
+              else _RESCALE / np.abs(P).max(axis=(0, 1, 2)))
+    f, g, e, starts = 1.0, slope0, 0, []
+    for t00, t01, t10, t11, limit, k in zip(*P[:, :, -1].reshape(4, -1).tolist(),
+                                            limits.tolist(), exponents[-1].tolist()):
         if (size := abs(f) + abs(g)) > limit:
-            f, g, log = f / size, g / size, log + math.log(size)
-        starts += f, g, log
-        f, g = t00 * f + t01 * g, t10 * f + t11 * g
+            shift = math.frexp(size)[1]
+            f, g, e = math.ldexp(f, -shift), math.ldexp(g, -shift), e + shift
+        starts += f, g, e
+        f, g, e = t00 * f + t01 * g, t10 * f + t11 * g, e + k
     # NaN or inf from the first block whose matrices or state are not finite
-    if not math.isfinite(f + g + log):
+    if not math.isfinite(f + g):
         raise IntegrationBlowup("transfer-matrix product overflowed")
-    f0, g0, logs = np.array(starts).reshape(-1, 3).T
-    values = np.concatenate(([1.0], (P[0, 0] * f0 + P[0, 1] * g0).T.ravel()))
-    if exponents is None:
-        logs = np.repeat(logs, width)
-    else:
-        # a block starts at the scaled products of the blocks before it
-        before = np.cumsum(exponents[-1]) - exponents[-1]
-        logs = (logs + _LN2 * (before + exponents)).T.ravel()
-    logs = np.concatenate(([0.0], logs))
-    return values[:n], logs[:n]
+    f0, g0, e0 = np.array(starts).reshape(-1, 3).T
+    mantissas = np.concatenate(([1.0], (P[0, 0] * f0 + P[0, 1] * g0).T.ravel()))
+    exponents = np.concatenate(([0], (exponents + e0.astype(int)).T.ravel()))
+    return mantissas[:n], exponents[:n]
 
 
 def _count_nodes(values: np.ndarray) -> int:
@@ -630,8 +621,9 @@ def _refine(cells, tol: float, rc: RadialCoefficients, grid: _Grid) -> list[floa
 
 # What a ShootingState carries of its solve: key = (cfg, p, state), their
 # coefficients rc, what shoot_eigenfunction reads of the grid, inward = (both
-# directions' nodes, the inward steps' coefficients, E_ref), which the states
-# of one solve share, and the outward (values, log_scales) at its energy
+# directions' nodes, the inward steps' coefficients, E_ref, every), which the
+# states of one solve share, and the outward (mantissas, exponents) at its
+# energy
 _Solve = namedtuple("_Solve", "key rc inward outward")
 
 
@@ -664,7 +656,7 @@ def _shooting_state(E: float, key, rc: RadialCoefficients, grid: _Grid,
     which the states of one solve share (see _Solve): one outward sweep,
     whose amplitudes give its nodes.  Raises NotBoundRegime where c0(E) <= 0
     (oscillatory tail)."""
-    outward = _trajectory(E, grid.D, grid.E_ref, len(grid.r[0]),
+    outward = _trajectory(E, grid.D, grid.E_ref, grid.every, len(grid.r[0]),
                           _slopes(rc, E, grid)[0])
     return ShootingState(E, _count_nodes(outward[0]),
                          _Solve(key, rc, inward, outward))
@@ -726,7 +718,7 @@ def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
             for e_star in _refine(cells[:take], tol, rc, grid):
                 if inward is None:  # a copy, so the whole grid is freed
                     inward = (grid.r, grid.D[..., _ROW * grid.rows[0]:].copy(),
-                              grid.E_ref)
+                              grid.E_ref, grid.every)
                 found.append(_shooting_state(e_star, (cfg, p, state), rc,
                                              grid, inward))
                 found.sort(key=lambda s: (s.nodes, s))
@@ -750,10 +742,10 @@ def shoot_eigenfunction(E: float, cfg: ShootingConfig, p: PhysicalParams,
     strictly from r_min = R/100 to r_max = R + 40 a (see _truncation), in
     steps of the base step h near the match radius R, growing toward each
     end of the domain where U nears its asymptote there at every energy of
-    the bracket (see _sweeps); the inward branch is rescaled for amplitude
-    continuity at the match radius.  Raises NotBoundRegime where c0(E) <= 0
-    (oscillatory tail).  Intended for overlap diagnostics at a converged
-    eigenvalue.
+    cfg's bracket widened to hold E, as in shoot_mismatch (see _sweeps); the
+    inward branch is rescaled for amplitude continuity at the match radius.
+    Raises NotBoundRegime where c0(E) <= 0 (oscillatory tail).  Intended for
+    overlap diagnostics at a converged eigenvalue.
 
     A ShootingState of find_eigenvalues on equal (cfg, p, state) brings its
     grid's nodes and inward coefficients and its outward amplitudes, so only
@@ -767,14 +759,15 @@ def shoot_eigenfunction(E: float, cfg: ShootingConfig, p: PhysicalParams,
     solve = getattr(E, "_solve", None)
     if solve is None or solve.key != key:
         rc = radial_coefficients(p, state)
-        grid = _sweeps(rc, cfg)
-        inward = grid.r, grid.D[..., _ROW * grid.rows[0]:], grid.E_ref
+        grid = _sweeps(rc, _holding(cfg, E))
+        inward = grid.r, grid.D[..., _ROW * grid.rows[0]:], grid.E_ref, grid.every
         solve = _shooting_state(E, key, rc, grid, inward)._solve
-    _, rc, (nodes, D, E_ref), (val_o, log_o) = solve
-    val_i, log_i = _trajectory(E, D, E_ref, len(nodes[1]), _inward_slope(rc, E))
-    # restore true relative magnitudes within each branch
-    out = val_o * np.exp(log_o - log_o[-1])
-    inw = (val_i * np.exp(log_i - log_i[-1]))[::-1]
+    _, rc, (nodes, D, E_ref, every), (val_o, exp_o) = solve
+    val_i, exp_i = _trajectory(E, D, E_ref, every, len(nodes[1]),
+                               _inward_slope(rc, E))
+    # restore true relative magnitudes within each branch, exactly
+    out = np.ldexp(val_o, exp_o - exp_o[-1])
+    inw = np.ldexp(val_i, exp_i - exp_i[-1])[::-1]
     if inw[0] == 0.0:
         raise IntegrationBlowup("inward solution vanished at the match radius")
     inw = inw * (out[-1] / inw[0])
