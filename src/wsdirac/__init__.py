@@ -11,6 +11,7 @@ from .errors import (
     NotBoundRegime,
     NotNormalizable,
     RefinementNotConverged,
+    ResolutionLimit,
     WsdiracError,
 )
 from .oracle import (

@@ -13,7 +13,7 @@ import sys
 from collections import namedtuple
 
 from . import oracle
-from .errors import NoEigenvalueInBracket
+from .errors import NoEigenvalueInBracket, ResolutionLimit
 from .params import derive_coefficients, radial_coefficients
 from .pekeris import pekeris_coefficients, taylor_match_report
 from .spectrum import ground_state_energy, solve_energy_by_bracketing
@@ -75,7 +75,12 @@ def _shooting_gap(p, state, result) -> float:
     # the shooting states within 0.5 of the upper root E, in node order: the
     # lowest-node one at n = 0, the nearest one at n >= 1, inf if none
     E = result.e_upper
-    cfg = oracle.default_config(p, (E - 0.5, E + 0.5))
+    bracket = (E - 0.5, E + 0.5)
+    if not bracket[0] < bracket[1]:
+        raise ResolutionLimit(
+            f"the shooting bracket E +- 0.5 collapses to E = {E!r}: below "
+            f"the float64 resolution there (ulp(E) = {math.ulp(E):.3g})")
+    cfg = oracle.default_config(p, bracket)
     try:
         eigs = oracle.find_eigenvalues(cfg, p, state,
                                        count=sys.maxsize if state.n else 1)

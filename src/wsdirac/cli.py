@@ -2,8 +2,8 @@
 and a self-consistency verification suite.  All outputs machine-readable.
 
 Exit codes: 0 success, 1 verification/table-cell failure, 2 argument or
-validation error (float64 range exceeded too), 3 degenerate superpotential,
-4 no real energy root, 5 non-normalizable wavefunction.
+validation error (float64 range or resolution exceeded too), 3 degenerate
+superpotential, 4 no real energy root, 5 non-normalizable wavefunction.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import checks
 from .errors import (DegenerateSuperpotential, LadderSingular, NoRealRoot,
-                     NotNormalizable, WsdiracError)
+                     NotNormalizable, ResolutionLimit, WsdiracError)
 from .params import PhysicalParams, QuantumState, derive_coefficients
 from .pekeris import pekeris_coefficients
 from .spectrum import _NO_ROOT_RESULT, SpectrumResult, SweepCell, solve_energy, sweep
@@ -176,7 +176,12 @@ class _Writer:
             lines = [json.dumps(dict(zip(cols, rec))) for rec in zip(*cols.values())]
         else:  # the first block's header opens the output
             lines = [",".join(cols)] if self._fh is None else []
-            lines += map(",".join, zip(*(map(_csv_cell, c) for c in cols.values())))
+            # one % per row: _csv_cell's %.10g in the row's format for a
+            # column of Python floats alone, _csv_cell's strings for any other
+            floats = [set(map(type, c)) == {float} for c in cols.values()]
+            row = ",".join("%.10g" if f else "%s" for f in floats)
+            lines += map(row.__mod__, zip(*(c if f else map(_csv_cell, c)
+                                             for c, f in zip(cols.values(), floats))))
         self.line("\n".join(lines))
 
     def close(self):
@@ -226,10 +231,16 @@ def _cmd_wavefunction(args, p, state, writer) -> int:
     sp = solve_susy_parameters(derive_coefficients(p, state),
                                pekeris_coefficients(p.R, p.a), p, result.e_upper)
     wf = normalize(sp.A, sp.B, p.a, p.R)
-    r = np.linspace(0.0, wf.r_max, args.samples)
-    F = evaluate(wf, r)
-    for k in range(0, args.samples, _BLOCK):  # Python floats for one block at a time
-        writer.block(r=r[k:k + _BLOCK].tolist(), F=F[k:k + _BLOCK].tolist())
+    # one block at a time, each radius as np.linspace(0, r_max, samples)
+    # forms it: k step + 0.0, the last one r_max (linspace's branch for a
+    # step of 0 needs over 1e160 samples: r_max > R, and R^2 > 0)
+    last = args.samples - 1
+    step = wf.r_max / last if last else 0.0
+    for k in range(0, args.samples, _BLOCK):
+        r = np.arange(k, min(k + _BLOCK, args.samples), dtype=float) * step + 0.0
+        if k + _BLOCK > last > 0:
+            r[-1] = wf.r_max
+        writer.block(r=r.tolist(), F=evaluate(wf, r).tolist())
     return EXIT_OK
 
 
@@ -291,7 +302,8 @@ def main(argv: list[str] | None = None) -> int:
         "verify": _cmd_verify,
     }[args.command]
     writer = _Writer(args)
-    # typed failures to their exit codes; float64 range errors, numpy's too, to 2
+    # typed failures to their exit codes; float64 range errors, numpy's too,
+    # and resolution errors to 2
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return handler(args, *_inputs(args), writer)
@@ -300,6 +312,7 @@ def main(argv: list[str] | None = None) -> int:
         return {DegenerateSuperpotential: EXIT_DEGENERATE,
                 NoRealRoot: EXIT_NO_REAL_ROOT,
                 NotNormalizable: EXIT_NOT_NORMALIZABLE,
+                ResolutionLimit: EXIT_USAGE,
                 }.get(type(exc), EXIT_CHECK_FAILED
                       if isinstance(exc, WsdiracError) else EXIT_USAGE)
     finally:

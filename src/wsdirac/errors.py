@@ -51,6 +51,11 @@ class IntegrationBlowup(WsdiracError):
     product of the kernel's tree or a sweep's state is not finite."""
 
 
+class ResolutionLimit(WsdiracError):
+    """A quantity is finer than float64 resolves at its size: the shooting
+    check's bracket E +- 0.5, which rounds to E once ulp(E) exceeds 1."""
+
+
 class NoEigenvalueInBracket(WsdiracError):
     """The shooting scan found no eigenvalue inside the requested energy bracket."""
 

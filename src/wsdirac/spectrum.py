@@ -133,7 +133,10 @@ def _records(eq: _EnergyQuadratic, upper, lower, no_root, overflow=False) -> lis
     a_n = eq.p * upper + eq.q
     columns = (upper, lower, upper - eq.M, (a_n < 0.0) & (0.0 < a_n + eq.B_n))
     e_up, e_lo, e_b, bound = (np.ravel(x).tolist() for x in columns)  # of one shape
-    out = list(map(SpectrumResult._make, zip(e_up, e_lo, e_b, bound)))
+    # _make without its Python frame per record, or its length check, which
+    # columns of one length make moot
+    out = list(map(tuple.__new__, itertools.repeat(SpectrumResult),
+                   zip(e_up, e_lo, e_b, bound)))
     for i in np.flatnonzero(no_root).tolist():  # a few cells per sweep
         out[i] = _NO_ROOT_RESULT
     for i in np.flatnonzero((eq.code != 0) | overflow).tolist():
@@ -266,13 +269,15 @@ def sweep(
     upper, lower, no_root, overflow = _solve_quadratic(eq)
     errors = np.where(overflow, OverflowError.__name__, np.where(
         no_root, NoRealRoot.__name__, None)).ravel().tolist()
-    # each (alpha_prime, D, ell, n) cell extended by its (result, error)
-    out = list(map(SweepCell._make, map(tuple.__add__, itertools.product(*grids), zip(
-        _records(eq, upper, lower, no_root, overflow), errors))))
+    # each (alpha_prime, D, ell, n) cell extended by its (result, error), built
+    # as _records builds its records
+    out = list(map(tuple.__new__, itertools.repeat(SweepCell), map(
+        tuple.__add__, itertools.product(*grids),
+        zip(_records(eq, upper, lower, no_root, overflow), errors))))
     for i in np.flatnonzero(eq.code).tolist():  # B = 0 or B_n = 0, at a few cells
-        alpha, D, ell, n, _, _ = out[i]
+        alpha, D, ell, n, result, _ = out[i]
         try:
             solve_energy(at_alpha[alpha], QuantumState(n=n, ell=ell, D=D))
         except WsdiracError as exc:
-            out[i] = out[i]._replace(error=type(exc).__name__)
+            out[i] = SweepCell(alpha, D, ell, n, result, type(exc).__name__)
     return out

@@ -5,9 +5,11 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -493,6 +495,112 @@ class TestBlocks:
         assert lines[0].startswith(prefix)
         assert lines[1:] == out.out.splitlines()
         assert lines.count("r,F") == (fmt == "csv")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    @pytest.mark.parametrize("samples", [1, 2, 3 * WF_BLOCK + 5])
+    def test_samples_match_whole_array(self, capsys, fmt, samples):
+        # the blockwise radii and amplitudes are those of one np.linspace
+        # over every sample, written as the per-cell join writes them
+        code, out = run(capsys, "wavefunction", *BOUND_FLAGS, "--format", fmt,
+                        "--samples", str(samples))
+        p, state = cli._inputs(cli._build_parser().parse_args(
+            ["wavefunction", *BOUND_FLAGS]))
+        E = wsdirac.solve_energy(p, state).e_upper
+        sp = wsdirac.solve_susy_parameters(wsdirac.derive_coefficients(p, state),
+                                           wsdirac.pekeris_coefficients(p.R, p.a),
+                                           p, E)
+        wf = wsdirac.normalize(sp.A, sp.B, p.a, p.R)
+        r = np.linspace(0.0, wf.r_max, samples)
+        rows = zip(r.tolist(), wsdirac.evaluate(wf, r).tolist())
+        want = (["r,F", *(",".join(map(cli._csv_cell, row)) for row in rows)]
+                if fmt == "csv" else
+                [json.dumps({"r": x, "F": F}) for x, F in rows])
+        assert code == 0
+        assert out.out == "\n".join(want) + "\n"
+
+    def test_memory_does_not_grow_with_samples(self, tmp_path):
+        # one block's arrays at a time: the peak at 20 blocks is that of one
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                assert main(["wavefunction", *BOUND_FLAGS, "--samples",
+                             str(samples), "--output", str(tmp_path / "F.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(WF_BLOCK)  # caches the parser
+        assert peak(20 * WF_BLOCK) < 2 * peak(WF_BLOCK)
+
+
+class TestCsvRows:
+    # a column of Python floats alone, one with a numpy float, NaN, +-inf and
+    # -0.0 among them, and columns of None, bool, int and str, mixed within
+    # a column too
+    COLUMNS = {
+        "x": [1.5, -0.0, math.nan, math.inf, -math.inf, 1e-320, 1 / 3],
+        "y": [np.float64(2.5), 1.25, np.float64(math.nan), -0.0, 7.0, 0.1, 1e300],
+        "z": [None, True, False, 3, "NoRealRoot", 2.5, ""],
+        "w": [None] * 7,
+        "b": [False, True, False, True, True, False, False],
+        "s": ["upper", "", "a,b", "%s", "%", "x", "y"],
+        "i": [0, 1, -2, 3, 10**20, 5, 6],
+    }
+
+    def _written(self, capsys, fmt, **cols):
+        args = cli._build_parser().parse_args(["solve", "--format", fmt])
+        writer = cli._Writer(args)
+        writer.block(**cols)
+        writer.block(**cols)  # a later block repeats no header
+        writer.close()
+        return capsys.readouterr().out
+
+    def test_csv_rows_are_the_per_cell_join(self, capsys):
+        for names in (list(self.COLUMNS), ["x"], ["z"], ["x", "y"], ["s", "x"]):
+            cols = {name: self.COLUMNS[name] for name in names}
+            rows = [",".join(map(cli._csv_cell, rec)) for rec in zip(*cols.values())]
+            want = "\n".join([",".join(cols), *rows]) + "\n" + "\n".join(rows) + "\n"
+            assert self._written(capsys, "csv", **cols) == want
+
+    def test_json_lines_unchanged(self, capsys):
+        rows = [json.dumps(dict(zip(self.COLUMNS, rec)))
+                for rec in zip(*self.COLUMNS.values())]
+        assert self._written(capsys, "json-lines", **self.COLUMNS) == \
+            "\n".join(rows) + "\n" + "\n".join(rows) + "\n"
+
+    def test_float_column_formats_without_a_call_per_cell(self, capsys, monkeypatch):
+        # _csv_cell runs on the cells of the columns that are not all
+        # Python floats, and on no other
+        seen = []
+        csv_cell = cli._csv_cell
+
+        def counted(x):
+            seen.append(x)
+            return csv_cell(x)
+
+        monkeypatch.setattr(cli, "_csv_cell", counted)
+        self._written(capsys, "csv", x=self.COLUMNS["x"], y=self.COLUMNS["y"])
+        assert len(seen) == 2 * len(self.COLUMNS["y"])
+        assert all(a is b for a, b in zip(seen, 2 * self.COLUMNS["y"]))
+
+
+def test_resolution_limit_is_a_typed_error(capsys):
+    # at E0 = 1e17 the root is 6.84e24, where E +- 0.5 rounds to E: the
+    # shooting check's bracket is below float64 resolution, an exit-2 error
+    # line after the root checks' lines, not a traceback
+    code, out = run(capsys, "verify", "--with-oracle", "--e0", "1e17",
+                    "--alpha-prime", "0.0015")
+    assert code == 2
+    assert out.err.count("\n") == 1
+    assert re.fullmatch(r"error: the shooting bracket E \+- 0\.5 collapses to "
+                        r"E = 6\.83871721\d*e\+24: below the float64 resolution "
+                        r"there \(ulp\(E\) = 1\.07e\+09\)\n", out.err)
+    # the lines before it are those of the run without the oracle
+    code_without, without = run(capsys, "verify", "--e0", "1e17",
+                                "--alpha-prime", "0.0015")
+    assert code_without == 1 and without.err == ""
+    assert out.out == without.out.replace(
+        "skip shooting-cross-check oracle disabled\n", "")
 
 
 def test_solver_value_error_is_not_a_usage_error(monkeypatch):

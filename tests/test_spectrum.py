@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import pickle
 import warnings
 from dataclasses import replace
 
@@ -347,6 +348,34 @@ class TestRecords:
         no_root = solve_energy(reference_params(0.0), NO_REAL_ROOT_STATE)
         assert (result.roots_real, result.branch) == (True, "upper")
         assert (no_root.roots_real, no_root.branch) == (False, None)
+
+    def test_records_behave_as_made_ones(self):
+        # records built from the broadcast columns without _make: exact
+        # instances whose named-tuple methods, pickling and equality are
+        # those of the records _make builds from the same items, for rooted,
+        # no-root, overflow and typed-error cells
+        p = replace(reference_params(0.0), R=_ladder_radius(0.5, 20, 3))
+        cells = sweep(p, [0.0, 0.01], [3], [0, 5, 20], [0, 1])
+        cells += sweep(replace(BOUND, V0=1e77), [0.0, 0.001], [3], [20], [0])
+        assert {c.error for c in cells} == {"DegenerateSuperpotential",
+                                            "LadderSingular", "NoRealRoot",
+                                            "OverflowError", None}
+        results = [solve_energy(BOUND, BOUND_STATE),
+                   solve_energy(reference_params(0.0), NO_REAL_ROOT_STATE)]
+        results += [c.result for c in cells if c.result is not None]
+        for record in [*cells, *results]:
+            cls = type(record)
+            assert cls in (spectrum.SweepCell, SpectrumResult)
+            made = cls._make(tuple(record))
+            assert record == made and hash(record) == hash(made)
+            assert record._fields == made._fields == tuple(record._asdict())
+            assert record._asdict() == made._asdict()
+            first = cls._fields[0]
+            assert record._replace(**{first: 0.0}) == made._replace(**{first: 0.0})
+            assert type(record._replace(**{first: 0.0})) is cls
+            loaded = pickle.loads(pickle.dumps(record))
+            assert type(loaded) is cls and loaded == made
+            assert repr(loaded) == repr(record) == repr(made)
 
 
 class TestQuadraticConditioning:
