@@ -163,7 +163,10 @@ class _Writer:
     def line(self, text: str):
         if self._fh is None:
             path = self._args.output
-            self._fh = open(path, "w", encoding="utf-8") if path else sys.stdout
+            try:
+                self._fh = open(path, "w", encoding="utf-8") if path else sys.stdout
+            except OSError as exc:  # a missing directory, a directory, no access
+                raise _InvalidInput(f"cannot open output file: {exc}") from None
             if self._args.timestamp:
                 stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
                 self._fh.write(f"# generated {stamp}\n" if self._args.format == "csv"

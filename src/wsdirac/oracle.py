@@ -2,30 +2,23 @@
 
 Independent cross-check of the closed-form spectrum: F'' = U(r; E) F is
 integrated outward from r_min and inward from r_max with the classical
-Runge-Kutta scheme, and the Wronskian of the two sweeps' (F, F') vectors at
-the match radius, each scaled to unit length, is driven to zero over E.  A
-solve builds one grid of both sweeps' steps, which grow away from the match
-radius where errors reach the mismatch damped (_sweeps).  The equation is
-linear, so one RK4 step is a 2x2 transfer matrix, closed-form in the step's h
-and its three values of U, which is quadratic in E: each entry is a quartic
-in E - E_ref, E_ref the bracket's midpoint, whose coefficients the grid holds
-(_transfer_entries).  A sweep's end state is the matrices' ordered product,
-the root of a pairwise tree renormalized by powers of two: exact, so its
-direction keeps every bit, sign included, and needed only as often as a bound
-on the grid's matrices over the bracket says the float range requires.  That
-bound is the one range rule: an energy outside a config's bracket gets the
-grid of the bracket widened to hold it (_holding), and each pass runs once.
-The mismatch is bounded, has no poles and changes sign only at eigenvalues.
-One kernel, _mismatches, takes a block of energies through one pass of the
-tree over both directions (_tops), so its fixed cost per level is paid once
-per block.  The scan takes its energies through it a block at a time, and its
-sign changes are refined together by a port of scipy's brentq, run as
-generators in lockstep so that one pass serves every root's next step; the
-oracle imports no scipy.  Where node counts rise with E (Sturm), the scan
-stops at its count-th state.  The amplitudes along a sweep, for node counts
-and the eigenfunction, take no tree but a forward pass over blocks of steps,
-their scales carried as powers of two (_trajectory).  Each eigenvalue is a
-float that carries its node count and solve (ShootingState).
+Runge-Kutta scheme, and the Wronskian of the two sweeps at the match radius
+is driven to zero over E.  The map, in order of use:
+
+  _sweeps, _grid      one _Grid per solve: the nodes, each RK4 matrix's
+                      coefficients as a polynomial in E, and the bound that
+                      is the oracle's one range rule
+  _slopes             the start slopes, the boundary condition
+  _tops, _mismatches  the kernel: one pairwise-tree pass over a block of
+                      energies gives each one's mismatch
+  _refine, _brentq    scipy's brentq, ported (the oracle imports no scipy),
+                      run in lockstep over its roots
+  _trajectory         the amplitudes along one direction, for node counts
+                      and the eigenfunction
+  find_eigenvalues    the scan, Sturm stop and refinement; its states are
+                      ShootingStates, which carry their solve
+  shoot_mismatch, shoot_eigenfunction
+                      the public passes at one energy, on _grid_at's grid
 """
 from __future__ import annotations
 
@@ -109,33 +102,19 @@ def default_config(p: PhysicalParams, energy_bracket: tuple[float, float],
     return ShootingConfig(energy_bracket=energy_bracket, step_count=step_count)
 
 
-# Grid points per kernel pass of find_eigenvalues' scan.  A pass has a fixed
-# cost per tree level, which a block shares, and a cost per matrix, which it
-# does not once its arrays outgrow the cache; a pass builds a matrix per
-# energy for each of the grid's steps, both directions' and their pads' (1408
-# on the attractive well at 6000 steps).  One energy's share of a pass near
-# the ground state of the attractive well (V0 = 10, alpha' = 0.0015, ell =
-# 20, D = 3), in ms (best of 3 tables, each best of 9 runs of 9 rounds of 64
-# energies, 6 of 3 at 80000 steps; 2-core Xeon):
-#   steps    k = 1    4      8      16     32     64
-#    6000     0.140  0.049  0.034  0.028  0.026  0.027
-#   10000     0.149  0.062  0.050  0.045  0.044  0.047
-#   20000     0.209  0.109  0.092  0.090  0.096  0.102
-#   80000     0.466  0.383  0.397  0.399  0.492  0.634
-# 32 is 2-7% cheaper per energy at 6000 and 10000 steps, but a block bounds
-# the points a pass scans past the stop: at 32 the bench scans, which stop
-# after 48 of 60 points (oracle-ladder) and 16 of 25 (oracle-ground), scan
-# them all, and their requests took 17% and 12% longer (medians of 3
-# alternated pairs).  16 is the best at 20000 steps and 4% above it at 80000.
+# Grid points per kernel pass of find_eigenvalues' scan: 16, not the 2-7%
+# cheaper 32, as a block bounds the points scanned past the stop (the
+# measurements: CHANGES.md, "the shooting oracle's constants")
 _SCAN_BLOCK = 16
 
 
-# A solve's grid: each direction's nodes r (outward ones ascending, inward
+# A solve's grid, the one record its passes read: the coefficients rc of its
+# well and state, each direction's nodes r (outward ones ascending, inward
 # ones descending), the coefficients D at E_ref of _coefficients of both
 # directions' steps end to end, outward first, each padded with steps of h = 0
 # to whole rows of _ROW steps (rows[d] of them), f_ends, the shape at r_min
 # and at the match node, and every, a pass's levels per renormalization
-_Grid = namedtuple("_Grid", "r D E_ref rows f_ends every")
+_Grid = namedtuple("_Grid", "rc r D E_ref rows f_ends every")
 
 # Steps per row of the grid, a power of two.  A step of h = 0 is the
 # identity to the bit where U is finite, and a product with it leaves the
@@ -177,7 +156,14 @@ def _grid(rc: RadialCoefficients, out: np.ndarray, inw: np.ndarray,
         bits = 1.0 + math.log2((powers @ np.abs(D).reshape(5, -1)).max())
     every = max((j for j in range(1, _ROW.bit_length()) if 2 ** j * bits < 1024),
                 default=1)
-    return _Grid((out, inw), D, E_ref, rows, (f[0], f[2 * (len(out) - 1)]), every)
+    return _Grid(rc, (out, inw), D, E_ref, rows, (f[0], f[2 * (len(out) - 1)]),
+                 every)
+
+
+def _direction(grid: _Grid, d: int) -> np.ndarray:
+    """The coefficients of direction d's rows (0 outward, 1 inward)."""
+    start = _ROW * sum(grid.rows[:d])
+    return grid.D[..., start:start + _ROW * grid.rows[d]]
 
 
 def _coefficients(rc: RadialCoefficients, f: np.ndarray, h: np.ndarray,
@@ -223,20 +209,16 @@ def _coefficients(rc: RadialCoefficients, f: np.ndarray, h: np.ndarray,
 # the mismatch damped by about e^{-2 kappa x}, and RK4's error there goes as
 # step^4.  So each sweep keeps the base step h out to x_g, where |U - U_end|
 # = |c1' g + c2 g^2| is at most _TAIL_ASYMPTOTE U_end at every energy of the
-# bracket (on BOUND's ground state about 3.5a past R and 5a inside it; 6a
-# past R on the weakly bound state at alpha' = 0.01, whose U dips below zero
-# just outside R), and beyond it grows the step as h e^{beta (x - x_g)},
-# beta = _TAIL_GROWTH kappa_min: below kappa_min / 2, so step^4 e^{-2 kappa
-# x} still decays at the slowest rate the bracket allows, kappa_min =
+# bracket, and beyond it grows the step as h e^{beta (x - x_g)}, beta =
+# _TAIL_GROWTH kappa_min: below kappa_min / 2, so step^4 e^{-2 kappa x}
+# still decays at the slowest rate the bracket allows, kappa_min =
 # sqrt(min(U_end(lo), U_end(hi))).  The step is capped at _TAIL_CAP h, and at
 # 1 / kappa_max (but not below h), where RK4's one-step factors for the
 # fastest rate in the bracket, e^{+-kappa h}, are within 2% and well inside
 # its stability interval (kappa h < 2.78).  Where the bracket reaches U_end
 # <= 0 (the continuum past R, an oscillatory interior inside it) the sweep
-# stays uniform.  On BOUND's ground state at the default step count the
-# grading takes the inward sweep from 4456 to 584 steps and the outward one
-# from 1544 to 763; over the 60 oracle-ground bench wells of seeds 1-6 it
-# moves no eigenvalue by more than 2e-15.
+# stays uniform (the steps this saves and the eigenvalues it keeps:
+# CHANGES.md, "the shooting oracle's constants").
 _TAIL_ASYMPTOTE = 0.1
 _TAIL_GROWTH = 0.4
 _TAIL_CAP = 30.0
@@ -314,23 +296,16 @@ def _sweeps(rc: RadialCoefficients, cfg: ShootingConfig) -> _Grid:
     return _grid(rc, *sweeps, cfg.energy_bracket)
 
 
-def _inward_slope(rc: RadialCoefficients, E: float) -> float:
-    """Start slope F'/F at E decaying at r_max, -sqrt(c0(E)); raises
-    NotBoundRegime where c0(E) <= 0 (oscillatory tail)."""
-    c0 = rc.c0(E)
+def _slopes(E: float, grid: _Grid) -> tuple[float, float]:
+    """Start slopes F'/F at E, growing at r_min, sqrt(max(U(r_min), 0)), and
+    decaying at r_max, -sqrt(c0(E)); raises NotBoundRegime where c0(E) <= 0
+    (oscillatory tail)."""
+    c0 = grid.rc.c0(E)
     if c0 <= 0.0:
         raise NotBoundRegime(
             f"asymptotic coefficient <= 0 at E = {E}: oscillatory tail"
         )
-    return -math.sqrt(c0)
-
-
-def _slopes(rc: RadialCoefficients, E: float, grid: _Grid) -> tuple[float, float]:
-    """Start slopes F'/F at E, growing at r_min and decaying at r_max; raises
-    NotBoundRegime where c0(E) <= 0 (oscillatory tail)."""
-    inward = _inward_slope(rc, E)
-    u_min = rc.u(grid.f_ends[0], E)
-    return math.sqrt(max(float(u_min), 0.0)), inward
+    return math.sqrt(max(float(grid.rc.u(grid.f_ends[0], E)), 0.0)), -math.sqrt(c0)
 
 
 def _transfer_entries(E, D: np.ndarray, E_ref: float, T=None):
@@ -417,7 +392,7 @@ def _tops(E, grid: _Grid) -> np.ndarray:
     return _halve(G, halves, 1 - side, grid.every)[0].reshape(2, 2, k, 2)
 
 
-def _mismatches(Es, rc: RadialCoefficients, grid: _Grid) -> np.ndarray:
+def _mismatches(Es, grid: _Grid) -> np.ndarray:
     """Mismatch at each energy of the sequence Es, NaN where the tail
     oscillates: one pass of _tops over the whole block.  The Wronskian of
     the sweeps' end states (F, F') from (1, slope0), each scaled to unit
@@ -426,7 +401,7 @@ def _mismatches(Es, rc: RadialCoefficients, grid: _Grid) -> np.ndarray:
     bound, slopes = [], []
     for i, E in enumerate(Es):
         try:
-            slopes.append(_slopes(rc, E, grid))
+            slopes.append(_slopes(E, grid))
         except NotBoundRegime:
             continue
         bound.append(i)
@@ -440,12 +415,18 @@ def _mismatches(Es, rc: RadialCoefficients, grid: _Grid) -> np.ndarray:
     return out
 
 
-def _holding(cfg: ShootingConfig, E: float) -> ShootingConfig:
-    """cfg, its bracket widened to hold E where E is finite, so that the
-    grid's bound (see _grid) holds at E; an E inside it keeps cfg's grid."""
-    lo, hi = cfg.energy_bracket
-    return (ShootingConfig((min(lo, E), max(hi, E)), cfg.step_count)
-            if math.isfinite(E) else cfg)
+def _grid_at(E: float, cfg: ShootingConfig, p: PhysicalParams,
+             state: QuantumState) -> _Grid:
+    """The grid of a pass at the one energy E: that of cfg's bracket widened
+    to hold E where E is finite, so that the grid's bound (see _grid) holds
+    at E, and an E inside the bracket gets the bracket's own grid.  Raises
+    ValueError where E is NaN or past the float range."""
+    if math.isnan(_as_float("E", E)):
+        raise ValueError(f"E must be a number, got {E}")
+    if math.isfinite(E):
+        lo, hi = cfg.energy_bracket
+        cfg = ShootingConfig((min(lo, E), max(hi, E)), cfg.step_count)
+    return _sweeps(radial_coefficients(p, state), cfg)
 
 
 def shoot_mismatch(E: float, cfg: ShootingConfig, p: PhysicalParams,
@@ -463,12 +444,9 @@ def shoot_mismatch(E: float, cfg: ShootingConfig, p: PhysicalParams,
     energies of cfg's bracket widened to hold E (see _sweeps), so an E
     inside the bracket gets the bracket's own grid.
     """
-    if math.isnan(_as_float("E", E)):
-        raise ValueError(f"E must be a number, got {E}")
-    rc = radial_coefficients(p, state)
-    grid = _sweeps(rc, _holding(cfg, E))
-    _slopes(rc, E, grid)  # raises NotBoundRegime where the tail oscillates
-    return float(_mismatches([E], rc, grid)[0])
+    grid = _grid_at(E, cfg, p, state)
+    _slopes(E, grid)  # raises NotBoundRegime where the tail oscillates
+    return float(_mismatches([E], grid)[0])
 
 
 # The bound on |F| of _trajectory: a block's start state is scaled by the
@@ -479,32 +457,28 @@ def shoot_mismatch(E: float, cfg: ShootingConfig, p: PhysicalParams,
 _RESCALE = 2.0 ** 500
 
 # Steps per block of _trajectory, a divisor of _ROW, so that a direction's
-# rows are whole blocks.  Its outward and inward trajectories at the ground
-# state of the attractive well (V0 = 10, alpha' = 0.0015, ell = 20, D = 3)
-# at 6000 steps, 763 and 584 steps long, took in ms (best of 3 runs of best
-# of 7 x 30 calls; a 2-core Xeon), against 0.515 ms at one step per block:
-#   steps per block   4      8      16     32
-#   ms               0.234  0.225  0.271  0.400
+# rows are whole blocks: the fastest of 4, 8, 16 and 32 (the measurements:
+# CHANGES.md, "the shooting oracle's constants")
 _TRAJECTORY_BLOCK = 8
 
 
-def _trajectory(E: float, D: np.ndarray, E_ref: float, every: int, n: int,
-                slope0: float):
-    """Amplitudes F at the n nodes of a direction from (1, slope0), D the
-    coefficients at E_ref of its steps from its first, as (mantissas,
-    exponents): F at node j is mantissas[j] * 2^exponents[j].  The transfer
-    matrices of the whole blocks of _TRAJECTORY_BLOCK steps that hold its
-    n - 1 steps give every block's prefix products P at once, blocks on the
-    last axis; y <- P @ y steps the state by each block's product on Python
-    floats, and row 0 of the block's P applied to its start state gives F
-    inside it, up to the direction's last node.  At energies inside the
-    bracket of the grid whose `every` is given, a block's 8 prefixes stay
-    below 2^7 L^8 (see _grid), in range where every >= 3; elsewhere each
-    matrix is first scaled by the power of two of _renormalize.  Raises
-    IntegrationBlowup where a matrix or state is not finite."""
-    width = _TRAJECTORY_BLOCK
-    T = _transfer_entries(E, D[..., :-(-(n - 1) // width) * width], E_ref)
-    scaled = every < width.bit_length() - 1
+def _trajectory(E: float, grid: _Grid, d: int, slope0: float):
+    """Amplitudes F at the n nodes of the grid's direction d (0 outward, 1
+    inward) from (1, slope0), as (mantissas, exponents): F at node j is
+    mantissas[j] * 2^exponents[j].  The transfer matrices of the whole
+    blocks of _TRAJECTORY_BLOCK steps that hold its n - 1 steps give every
+    block's prefix products P at once, blocks on the last axis; y <- P @ y
+    steps the state by each block's product on Python floats, and row 0 of
+    the block's P applied to its start state gives F inside it, up to the
+    direction's last node.  At energies inside the grid's bracket, a block's
+    8 prefixes stay below 2^7 L^8 (see _grid), in range where grid.every >=
+    3; elsewhere each matrix is first scaled by the power of two of
+    _renormalize.  Raises IntegrationBlowup where a matrix or state is not
+    finite."""
+    width, n = _TRAJECTORY_BLOCK, len(grid.r[d])
+    T = _transfer_entries(E, _direction(grid, d)[..., :-(-(n - 1) // width) * width],
+                          grid.E_ref)
+    scaled = grid.every < width.bit_length() - 1
     # each matrix's power of two, then each prefix's
     exponents = (_renormalize(T, np.empty(T.shape), np.empty(T.shape[2:]))
                  if scaled else np.zeros(T.shape[-1], dtype=int))
@@ -599,7 +573,7 @@ def _brentq(xpre: float, xcur: float, fpre: float, fcur: float, xtol: float):
         f"last value {xcur}")
 
 
-def _refine(cells, tol: float, rc: RadialCoefficients, grid: _Grid) -> list[float]:
+def _refine(cells, tol: float, grid: _Grid) -> list[float]:
     """The roots of the mismatch in the sign-change cells (a, b, f(a), f(b)),
     each refined by _brentq to `tol`, in lockstep: one kernel pass takes
     every unfinished root's next point."""
@@ -615,16 +589,15 @@ def _refine(cells, tol: float, rc: RadialCoefficients, grid: _Grid) -> list[floa
                     roots[i] = stop.value
         if not wanted:
             return roots
-        values = _mismatches(list(wanted.values()), rc, grid).tolist()
+        values = _mismatches(list(wanted.values()), grid).tolist()
         sent = dict(zip(wanted, values))
 
 
-# What a ShootingState carries of its solve: key = (cfg, p, state), their
-# coefficients rc, what shoot_eigenfunction reads of the grid, inward = (both
-# directions' nodes, the inward steps' coefficients, E_ref, every), which the
-# states of one solve share, and the outward (mantissas, exponents) at its
-# energy
-_Solve = namedtuple("_Solve", "key rc inward outward")
+# What a ShootingState carries of its solve: key = (cfg, p, state), the
+# solve's grid holding a copy of only its inward rows' coefficients, all
+# that shoot_eigenfunction reads of it, which the states of one solve share,
+# and the outward (mantissas, exponents) at its energy
+_Solve = namedtuple("_Solve", "key grid outward")
 
 
 class ShootingState(float):
@@ -632,8 +605,8 @@ class ShootingState(float):
 
     nodes is the outward sweep's node count at it, by which find_eigenvalues
     ranks its states.  The state also carries its solve: the (cfg, p, state)
-    it was found for, their coefficients, their grid's nodes and inward
-    coefficients, and the outward amplitudes at the energy, which
+    it was found for, their grid, holding only its inward coefficients, and
+    the outward amplitudes at the energy, which
     shoot_eigenfunction reuses when handed the state with equal (cfg, p,
     state).  It hashes, orders, prints and serializes as its float; a pickle
     or copy keeps the energy and nodes, not the solve.
@@ -650,16 +623,13 @@ class ShootingState(float):
         return type(self), (float(self), self.nodes)
 
 
-def _shooting_state(E: float, key, rc: RadialCoefficients, grid: _Grid,
-                    inward) -> ShootingState:
-    """The state at E of the solve key on rc and grid, carrying `inward`,
+def _shooting_state(E: float, key, grid: _Grid, kept: _Grid) -> ShootingState:
+    """The state at E of the solve key on grid, carrying its grid `kept`,
     which the states of one solve share (see _Solve): one outward sweep,
     whose amplitudes give its nodes.  Raises NotBoundRegime where c0(E) <= 0
     (oscillatory tail)."""
-    outward = _trajectory(E, grid.D, grid.E_ref, grid.every, len(grid.r[0]),
-                          _slopes(rc, E, grid)[0])
-    return ShootingState(E, _count_nodes(outward[0]),
-                         _Solve(key, rc, inward, outward))
+    outward = _trajectory(E, grid, 0, _slopes(E, grid)[0])
+    return ShootingState(E, _count_nodes(outward[0]), _Solve(key, kept, outward))
 
 
 def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
@@ -699,28 +669,24 @@ def find_eigenvalues(cfg: ShootingConfig, p: PhysicalParams,
     require_integer("scan_points", scan_points, 2)
     if not (math.isfinite(_as_float("tol", tol)) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    rc = radial_coefficients(p, state)
-    grid = _sweeps(rc, cfg)
-    inward = None  # what the states keep of the grid, made with the first
+    grid = _sweeps(radial_coefficients(p, state), cfg)
+    # what the states keep of the grid: a copy, so the whole grid is freed
+    kept = grid._replace(D=_direction(grid, 1).copy(), rows=(0, grid.rows[1]))
     lo, hi = cfg.energy_bracket
     # w > 0 at both ends of the outward sweep: node counts rise with E
     rising = min(2.0 * lo + p.V0 * f for f in grid.f_ends) > 0.0
     Es = np.linspace(lo, hi, scan_points).tolist()
     values, cells, found = [], [], []  # values: NaN where the tail oscillates
     for start in range(0, scan_points, _SCAN_BLOCK):
-        values += _mismatches(Es[start:start + _SCAN_BLOCK], rc, grid).tolist()
+        values += _mismatches(Es[start:start + _SCAN_BLOCK], grid).tolist()
         cells += [(Es[i - 1], Es[i], values[i - 1], values[i])
                   for i in range(max(start, 1), len(values))
                   if values[i - 1] * values[i] < 0.0]  # false at a NaN
         while cells and (len(found) + len(cells) >= count
                          or len(values) == scan_points):
             take = count - len(found) if rising else len(cells)
-            for e_star in _refine(cells[:take], tol, rc, grid):
-                if inward is None:  # a copy, so the whole grid is freed
-                    inward = (grid.r, grid.D[..., _ROW * grid.rows[0]:].copy(),
-                              grid.E_ref, grid.every)
-                found.append(_shooting_state(e_star, (cfg, p, state), rc,
-                                             grid, inward))
+            for e_star in _refine(cells[:take], tol, grid):
+                found.append(_shooting_state(e_star, (cfg, p, state), grid, kept))
                 found.sort(key=lambda s: (s.nodes, s))
                 rising = rising and all(a < b for a, b in zip(found, found[1:]))
                 floor = found[-1].nodes if rising else 0
@@ -753,18 +719,13 @@ def shoot_eigenfunction(E: float, cfg: ShootingConfig, p: PhysicalParams,
     another solve) builds both, with the same result to the bit.  Raises
     ValueError where E is NaN or past the float range.
     """
-    if math.isnan(_as_float("E", E)):
-        raise ValueError(f"E must be a number, got {E}")
     key = (cfg, p, state)
     solve = getattr(E, "_solve", None)
     if solve is None or solve.key != key:
-        rc = radial_coefficients(p, state)
-        grid = _sweeps(rc, _holding(cfg, E))
-        inward = grid.r, grid.D[..., _ROW * grid.rows[0]:], grid.E_ref, grid.every
-        solve = _shooting_state(E, key, rc, grid, inward)._solve
-    _, rc, (nodes, D, E_ref, every), (val_o, exp_o) = solve
-    val_i, exp_i = _trajectory(E, D, E_ref, every, len(nodes[1]),
-                               _inward_slope(rc, E))
+        grid = _grid_at(E, cfg, p, state)
+        solve = _shooting_state(E, key, grid, grid)._solve
+    _, grid, (val_o, exp_o) = solve
+    val_i, exp_i = _trajectory(E, grid, 1, _slopes(E, grid)[1])
     # restore true relative magnitudes within each branch, exactly
     out = np.ldexp(val_o, exp_o - exp_o[-1])
     inw = np.ldexp(val_i, exp_i - exp_i[-1])[::-1]
@@ -772,7 +733,7 @@ def shoot_eigenfunction(E: float, cfg: ShootingConfig, p: PhysicalParams,
         raise IntegrationBlowup("inward solution vanished at the match radius")
     inw = inw * (out[-1] / inw[0])
     F = np.concatenate([out, inw[1:]])
-    r = np.concatenate([nodes[0], nodes[1][-2::-1]])
+    r = np.concatenate([grid.r[0], grid.r[1][-2::-1]])
     # scaled exactly to a max-abs entry in [1/2, 1), so F^2 cannot overflow
     F = np.ldexp(F, -np.frexp(np.abs(F).max())[1])
     norm = math.sqrt(np.trapezoid(F * F, r))

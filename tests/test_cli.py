@@ -135,6 +135,19 @@ class TestSolve:
         assert lines[0].startswith("# generated ")
         assert lines[1] == CSV_HEADER
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unopenable_output_exit_code(self, capsys, tmp_path, command, target):
+        # an --output that cannot be opened is a usage error: exit 2 and one
+        # error line naming the path, with nothing written and no file made
+        path = tmp_path if target == "directory" else tmp_path / "missing" / "out.csv"
+        code, out = run(capsys, command, "--output", str(path))
+        assert code == 2
+        assert out.out == "" and "Traceback" not in out.err
+        assert out.err.startswith("error: ") and len(out.err.splitlines()) == 1
+        assert str(path) in out.err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestWavefunction:
     def test_bound_configuration(self, capsys):
@@ -321,6 +334,65 @@ class TestVerify:
         code, out = run(capsys, "verify", "--ell", "0")
         assert code == 1
         assert verify_lines(out, "pass fail")
+
+
+SHOOTING = "shooting-cross-check"
+
+
+def shooting_line(out) -> str:
+    """verify's shooting-cross-check line."""
+    return next(l for l in out.out.splitlines() if f" {SHOOTING} " in l)
+
+
+class TestOracleCommands:
+    """The verify --with-oracle commands of CI's command-line cross-check."""
+
+    @pytest.mark.parametrize("flags, code, detail", [
+        ([*BOUND_FLAGS, "--n", "0"], 0, "normalizable=true, gap=1.401e-11"),
+        ([*BOUND_FLAGS, "--n", "1"], 0, "normalizable=true, gap=2.028e-11"),
+        ([*BOUND_FLAGS, "--n", "2"], 0, "normalizable=false, gap=5.482e-03"),
+        # node counts rise with E over the bracket, yet a scan for every
+        # state runs to its end
+        ([*BOUND_FLAGS, "--n", "3"], 0, "normalizable=false, gap=1.977e-01"),
+        ([*BOUND_FLAGS, "--e0", "12", "--n", "0"], 0,
+         "normalizable=true, gap=4.846e-12"),
+        ([*BOUND_FLAGS, "--e0", "12", "--n", "1"], 0,
+         "normalizable=true, gap=2.961e-10"),
+        (["--n", "0"], 0, "normalizable=false, no eigenvalue in bracket"),
+        (["--depth", "1000", "--alpha-prime", "0.0015", "--n", "0"], 0,
+         "normalizable=true, gap=1.936e-10"),
+        # the matching-residual line fails (ROADMAP item 27)
+        (["--depth", "1e4", "--alpha-prime", "0.0015", "--n", "0"], 1,
+         "normalizable=true, gap=1.316e-10"),
+        (["--depth", "10", "--alpha-prime", "0.01", "--dim", "1", "--n", "0"], 0,
+         "normalizable=true, gap=1.402e-10"),
+        # the root lies above the continuum edge: that line fails
+        (["--depth", "10", "--alpha-prime", "0.01", "--ell", "20", "--dim", "4",
+          "--n", "0"], 1, "normalizable=true, gap=1.864e-10"),
+    ])
+    def test_shooting_line(self, capsys, flags, code, detail):
+        got, out = run(capsys, "verify", "--with-oracle", *flags)
+        assert got == code and out.err == ""
+        assert shooting_line(out) == f"pass {SHOOTING} {detail}"
+
+    @pytest.mark.parametrize("depth, statuses", [
+        ("1e8", {"pass"}), ("1e10", {"pass"}), ("1e12", {"pass"}),
+        ("1e13", {"pass"}), ("1e16", {"pass", "fail"}),
+    ])
+    def test_deep_well(self, capsys, depth, statuses):
+        # the values move with ROADMAP items 17, 23 and 25: only the status,
+        # the exit code's bound and the absence of an error line are pinned
+        got, out = run(capsys, "verify", "--with-oracle", "--depth", depth,
+                       "--alpha-prime", "0.0015", "--n", "0")
+        assert got <= 1 and out.err == ""
+        assert shooting_line(out).split()[0] in statuses
+
+    def test_deepest_well_finds_no_eigenvalue(self, capsys):
+        got, out = run(capsys, "verify", "--with-oracle", "--depth", "1e20",
+                       "--alpha-prime", "0.0015", "--n", "0")
+        assert got == 1 and out.err == ""
+        assert shooting_line(out) == (f"fail {SHOOTING} normalizable=true, "
+                                      "no eigenvalue in bracket")
 
 
 @pytest.mark.parametrize("command", [["table", "1"], ["solve"], ["verify"]])

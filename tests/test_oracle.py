@@ -101,8 +101,7 @@ def direction_D(grid, d):
 def trajectory(rc, E, grid, d, slope0):
     """oracle._trajectory of the grid's direction d (0 outward, 1 inward),
     from (1, slope0), called as stepwise_trajectory is."""
-    return oracle._trajectory(E, direction_D(grid, d), grid.E_ref, grid.every,
-                              len(grid.r[d]), slope0)
+    return oracle._trajectory(E, grid, d, slope0)
 
 
 def assert_matches_stepwise(args) -> int:
@@ -289,11 +288,11 @@ class TestMismatch:
             wide = default_config(BOUND, (lo, E), step_count=step_count)
             uniform = uniform_sweeps(rc, wide)
             m = shoot_mismatch(E, cfg, BOUND, BOUND_STATE)
-            assert m == oracle._mismatches([E], rc, oracle._sweeps(rc, wide))[0]
-            assert abs(m - oracle._mismatches([E], rc, uniform)[0]) <= 1e-15
+            assert m == oracle._mismatches([E], oracle._sweeps(rc, wide))[0]
+            assert abs(m - oracle._mismatches([E], uniform)[0]) <= 1e-15
         for E in (lo, bound_root, hi):
             assert shoot_mismatch(E, cfg, BOUND, BOUND_STATE) == (
-                oracle._mismatches([E], rc, oracle._sweeps(rc, cfg))[0])
+                oracle._mismatches([E], oracle._sweeps(rc, cfg))[0])
 
 
 class TestMismatches:
@@ -307,7 +306,7 @@ class TestMismatches:
         e_edge = math.sqrt(BOUND.M**2 + rc.c0_const)  # c0(e_edge) = 0
         Es = [bound_root - 0.05, e_edge + 1.0, bound_root, 1e-9 + bound_root,
               bound_root + 0.3, e_edge + 1e-6, bound_root + 1.0]
-        block = oracle._mismatches(Es, rc, oracle._sweeps(rc, cfg)).tolist()
+        block = oracle._mismatches(Es, oracle._sweeps(rc, cfg)).tolist()
         unbound = []
         for E, m in zip(Es, block):
             try:
@@ -316,7 +315,7 @@ class TestMismatches:
                 assert math.isnan(m)
                 unbound.append(E)
         assert unbound == [e_edge + 1.0, e_edge + 1e-6]
-        out = oracle._mismatches(unbound, rc, oracle._sweeps(rc, cfg))
+        out = oracle._mismatches(unbound, oracle._sweeps(rc, cfg))
         assert out.shape == (2,) and np.isnan(out).all()
 
     @pytest.mark.parametrize("outward", [True, False])
@@ -393,7 +392,7 @@ class TestFusedPass:
         assert grid.D.shape[-1] == 1408 and grid.rows == (6, 5)
         Es = [bound_root - 0.05, e_edge + 1.0, bound_root, e_edge + 1e-6]
         self.assert_tops_match(rc, Es, grid)
-        assert np.isnan(oracle._mismatches(Es, rc, grid)[[1, 3]]).all()
+        assert np.isnan(oracle._mismatches(Es, grid)[[1, 3]]).all()
         self.assert_tops_match(rc, [bound_root], grid)
 
     def test_inward_longer_than_outward(self, bound_root):
@@ -917,7 +916,7 @@ class TestBrentPort:
         rc = radial_coefficients(BOUND, BOUND_STATE)
         sweeps = oracle._sweeps(rc, cfg)
         grid = np.linspace(*cfg.energy_bracket, 40).tolist()
-        values = oracle._mismatches(grid, rc, sweeps).tolist()
+        values = oracle._mismatches(grid, sweeps).tolist()
         cells = [(grid[i - 1], grid[i]) for i in range(1, 40)
                  if values[i - 1] * values[i] < 0.0]
         assert len(cells) == 4
@@ -925,7 +924,7 @@ class TestBrentPort:
 
         def f(E):
             if E not in cache:
-                cache[E] = oracle._mismatches([E], rc, sweeps)[0].item()
+                cache[E] = oracle._mismatches([E], sweeps)[0].item()
             return cache[E]
 
         for a, b in cells:
@@ -933,7 +932,7 @@ class TestBrentPort:
                                                                  xtol=xtol)
         # and in lockstep, as find_eigenvalues refines them
         lockstep = oracle._refine([(a, b, f(a), f(b)) for a, b in cells],
-                                  xtol, rc, sweeps)
+                                  xtol, sweeps)
         assert lockstep == [brent_port_root(f, a, b, xtol) for a, b in cells]
 
 
@@ -1066,7 +1065,8 @@ class TestShootingState:
         # that would keep the whole grid alive
         cfg, s = ground
         full = oracle._sweeps(radial_coefficients(BOUND, BOUND_STATE), cfg)
-        r, D, E_ref, every = s._solve.inward
+        kept = s._solve.grid
+        r, D, E_ref, every = kept.r, kept.D, kept.E_ref, kept.every
         assert (E_ref, every) == (full.E_ref, full.every)
         assert D.base is None and np.array_equal(D, direction_D(full, 1))
         assert all(np.array_equal(a, b) for a, b in zip(r, full.r, strict=True))
@@ -1102,16 +1102,14 @@ class TestScanTrajectory:
         nodes_scan, nodes_step = [], []
         grid = oracle._sweeps(rc, cfg)
         for e in eigs:
-            args = (rc, e, grid, 0, oracle._slopes(rc, e, grid)[0])
+            args = (rc, e, grid, 0, oracle._slopes(e, grid)[0])
             nodes_scan.append(oracle._count_nodes(trajectory(*args)[0]))
             nodes_step.append(oracle._count_nodes(stepwise_trajectory(*args)[0]))
         assert nodes_scan == nodes_step == [0, 1, 2, 3]
 
         _, F_scan = zip(*(shoot_eigenfunction(e, cfg, BOUND, BOUND_STATE)
                           for e in eigs))
-        def stepwise(E, D, E_ref, every, n, slope0):
-            # the outward sweep is handed the whole grid's coefficients
-            d = 0 if D.shape[-1] == grid.D.shape[-1] else 1
+        def stepwise(E, grid, d, slope0):
             return stepwise_trajectory(rc, E, grid, d, slope0)
 
         monkeypatch.setattr(oracle, "_trajectory", stepwise)
@@ -1133,7 +1131,7 @@ class TestScanTrajectory:
     def test_states_share_the_inward_half(self, lowest_states):
         # the states of one solve keep one copy of what they read of its grid
         _, eigs = lowest_states
-        assert len({id(s._solve.inward) for s in eigs}) == 1
+        assert len({id(s._solve.grid) for s in eigs}) == 1
 
     @pytest.mark.parametrize("steps", [1, 2, 3, 5, 7, 8, 9, 16, 17, 1023, 1025])
     @pytest.mark.parametrize("outward", [True, False])
@@ -1145,7 +1143,7 @@ class TestScanTrajectory:
         # to see nodes
         grid = oracle._grid(rc, nodes, nodes[::-1], cfg.energy_bracket)
         d = 0 if outward else 1
-        slopes = oracle._slopes(rc, eigs[3], grid)
+        slopes = oracle._slopes(eigs[3], grid)
         assert_matches_stepwise((rc, eigs[3], grid, d, slopes[d]))
 
     def test_deep_well_keeps_headroom(self):
@@ -1160,7 +1158,7 @@ class TestScanTrajectory:
         assert eigs == pytest.approx([root], abs=1e-9)
         rc = radial_coefficients(p, BOUND_STATE)
         grid = oracle._sweeps(rc, cfg)
-        args = (rc, eigs[0], grid, 0, oracle._slopes(rc, eigs[0], grid)[0])
+        args = (rc, eigs[0], grid, 0, oracle._slopes(eigs[0], grid)[0])
         values, exponents = trajectory(*args)
         assert np.max(np.abs(values)) <= 2.0 ** 500
         assert exponents[-1] * math.log(2.0) > 5000.0
@@ -1196,7 +1194,7 @@ class TestScanTrajectory:
         rc = radial_coefficients(p, BOUND_STATE)
         grid = oracle._sweeps(rc, cfg)
         for d in (0, 1):
-            assert_matches_stepwise((rc, eig, grid, d, oracle._slopes(rc, eig, grid)[d]))
+            assert_matches_stepwise((rc, eig, grid, d, oracle._slopes(eig, grid)[d]))
 
     @pytest.mark.parametrize("depth", [10, 1e12])
     def test_scaled_matrices_keep_every_bit(self, depth):
@@ -1211,7 +1209,7 @@ class TestScanTrajectory:
         rc = radial_coefficients(p, BOUND_STATE)
         grid = oracle._sweeps(rc, cfg)
         for d in (0, 1):
-            slope0 = oracle._slopes(rc, eig, grid)[d]
+            slope0 = oracle._slopes(eig, grid)[d]
             with np.errstate(over="raise", invalid="raise"):
                 (v_a, e_a), (v_b, e_b) = (
                     trajectory(rc, eig, grid._replace(every=every), d, slope0)
@@ -1230,7 +1228,7 @@ class TestScanTrajectory:
         grid, d = oracle._sweeps(rc, cfg), 0 if outward else 1
         rescaled = []
         for e in eigs:
-            args = (rc, e, grid, d, oracle._slopes(rc, e, grid)[d])
+            args = (rc, e, grid, d, oracle._slopes(e, grid)[d])
             v_def, e_def = trajectory(*args)
             with monkeypatch.context() as m:
                 m.setattr(oracle, "_RESCALE", 16.0)
@@ -1316,8 +1314,8 @@ class TestGradedTail:
         cfg = default_config(ref, (e0 - 0.1, e0 + 0.1))
         rc = radial_coefficients(ref, BOUND_STATE)
         grid = np.linspace(*cfg.energy_bracket, 9).tolist()
-        graded = oracle._mismatches(grid, rc, oracle._sweeps(rc, cfg))
-        uniform = oracle._mismatches(grid, rc, uniform_sweeps(rc, cfg))
+        graded = oracle._mismatches(grid, oracle._sweeps(rc, cfg))
+        uniform = oracle._mismatches(grid, uniform_sweeps(rc, cfg))
         assert np.max(np.abs(graded - uniform)) <= 1e-12
         assert len(oracle._sweeps(rc, cfg).r[1]) - 1 <= (len(uniform_sweeps(
             rc, cfg).r[1]) - 1) / 3
@@ -1535,9 +1533,9 @@ def test_shape_evaluated_once_per_solve(bound_root, monkeypatch):
         calls.append(np.size(r))
         return shape_factor(r, R, a)
 
-    def traced(E, D, E_ref, every, n, slope0):
-        sweeps.append(directions[n])
-        return traject(E, D, E_ref, every, n, slope0)
+    def traced(E, grid, d, slope0):
+        sweeps.append(directions[len(grid.r[d])])
+        return traject(E, grid, d, slope0)
 
     monkeypatch.setattr(oracle, "shape_factor", counted)
     monkeypatch.setattr(oracle, "_trajectory", traced)
