@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -31,6 +32,16 @@ CSV_HEADER = ("alpha_prime,dim,ell,n,e_upper,e_lower,e_binding,"
 def run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr()
+
+
+def assert_one_error_line(out):
+    """stderr is one error line that names what failed: no line of the run
+    is float pow's errno tuple, a division by a square that underflowed to 0,
+    or a traceback."""
+    assert out.err.startswith("error: ") and len(out.err.splitlines()) == 1, out.err
+    for line in (out.out + out.err).splitlines():
+        assert not re.match(r"error: \(\d+, '", line), line
+        assert "division by zero" not in line and "Traceback" not in line, line
 
 
 def test_records_follow_the_csv_schema():
@@ -142,9 +153,8 @@ class TestSolve:
         # error line naming the path, with nothing written and no file made
         path = tmp_path if target == "directory" else tmp_path / "missing" / "out.csv"
         code, out = run(capsys, command, "--output", str(path))
-        assert code == 2
-        assert out.out == "" and "Traceback" not in out.err
-        assert out.err.startswith("error: ") and len(out.err.splitlines()) == 1
+        assert code == 2 and out.out == ""
+        assert_one_error_line(out)
         assert str(path) in out.err
         assert list(tmp_path.iterdir()) == []
 
@@ -195,6 +205,12 @@ class TestWavefunction:
     def test_rejects_bad_sample_count(self, capsys):
         code, _ = run(capsys, "wavefunction", "--samples", "0")
         assert code == 2
+
+    def test_no_real_root_exit_code(self, capsys):
+        # the reference well has no real root at ell = 5: no sample is written
+        code, out = run(capsys, "wavefunction", "--ell", "5")
+        assert code == 4 and out.out == ""
+        assert out.err == "error: no real energy root for this configuration\n"
 
 
 # verify's lines in order; a failed energy-solve line is the last
@@ -328,7 +344,7 @@ class TestVerify:
             code, out = run(capsys, "verify", *argv)
             assert code == 2
             assert verify_lines(out, statuses)
-            assert out.err.startswith("error: ") and len(out.err.splitlines()) == 1
+            assert_one_error_line(out)
 
     def test_degenerate_fails(self, capsys):
         code, out = run(capsys, "verify", "--ell", "0")
@@ -345,7 +361,8 @@ def shooting_line(out) -> str:
 
 
 class TestOracleCommands:
-    """The verify --with-oracle commands of CI's command-line cross-check."""
+    """verify --with-oracle's shooting line, pinned where each command
+    reaches a different part of the oracle."""
 
     @pytest.mark.parametrize("flags, code, detail", [
         ([*BOUND_FLAGS, "--n", "0"], 0, "normalizable=true, gap=1.401e-11"),
@@ -354,16 +371,23 @@ class TestOracleCommands:
         # node counts rise with E over the bracket, yet a scan for every
         # state runs to its end
         ([*BOUND_FLAGS, "--n", "3"], 0, "normalizable=false, gap=1.977e-01"),
+        # E0 != M: the deformation's Q and kappa_const terms are nonzero
         ([*BOUND_FLAGS, "--e0", "12", "--n", "0"], 0,
          "normalizable=true, gap=4.846e-12"),
         ([*BOUND_FLAGS, "--e0", "12", "--n", "1"], 0,
          "normalizable=true, gap=2.961e-10"),
+        # the reference well: the 400-point scan ends with no sign change
         (["--n", "0"], 0, "normalizable=false, no eigenvalue in bracket"),
+        # the outward amplitudes grow by about e^6000 and are rescaled
         (["--depth", "1000", "--alpha-prime", "0.0015", "--n", "0"], 0,
          "normalizable=true, gap=1.936e-10"),
-        # the matching-residual line fails (ROADMAP item 27)
+        # the kernel renormalizes every 5 tree levels, fewer than a row's 7,
+        # so a bit that schedule moved shows here; the matching-residual
+        # line fails (ROADMAP item 27)
         (["--depth", "1e4", "--alpha-prime", "0.0015", "--n", "0"], 1,
          "normalizable=true, gap=1.316e-10"),
+        # the bracket reaches the continuum (c0 < 0 at its top), so the
+        # inward sweep stays uniform and outnumbers the outward one in rows
         (["--depth", "10", "--alpha-prime", "0.01", "--dim", "1", "--n", "0"], 0,
          "normalizable=true, gap=1.402e-10"),
         # the root lies above the continuum edge: that line fails
@@ -374,6 +398,8 @@ class TestOracleCommands:
         got, out = run(capsys, "verify", "--with-oracle", *flags)
         assert got == code and out.err == ""
         assert shooting_line(out) == f"pass {SHOOTING} {detail}"
+        # exit 0 exactly when no line fails
+        assert any(l.startswith("fail ") for l in out.out.splitlines()) == (code == 1)
 
     @pytest.mark.parametrize("depth, statuses", [
         ("1e8", {"pass"}), ("1e10", {"pass"}), ("1e12", {"pass"}),
@@ -381,13 +407,20 @@ class TestOracleCommands:
     ])
     def test_deep_well(self, capsys, depth, statuses):
         # the values move with ROADMAP items 17, 23 and 25: only the status,
-        # the exit code's bound and the absence of an error line are pinned
+        # the exit code's bound and the absence of an error line are pinned.
+        # At 1e10 the outward amplitudes reach about 1e225 and the node count
+        # read from their signs must not overflow; from 1e12 on each sweep
+        # scales its transfer matrices before a block's prefix products; at
+        # 1e16 the states' trajectories run with their matrices scaled
         got, out = run(capsys, "verify", "--with-oracle", "--depth", depth,
                        "--alpha-prime", "0.0015", "--n", "0")
         assert got <= 1 and out.err == ""
         assert shooting_line(out).split()[0] in statuses
 
     def test_deepest_well_finds_no_eigenvalue(self, capsys):
+        # transfer-matrix entries reach about 2e72: the kernel renormalizes
+        # every second tree level and stays in range (the line is ROADMAP
+        # item 25's defect)
         got, out = run(capsys, "verify", "--with-oracle", "--depth", "1e20",
                        "--alpha-prime", "0.0015", "--n", "0")
         assert got == 1 and out.err == ""
@@ -442,12 +475,7 @@ def test_non_finite_parameter_exit_code(capsys, argv):
             "pass centrifugal-surrogate-taylor-match max_gap=0.000e+00"]
     else:
         assert out.out == ""
-    assert out.err.startswith("error: ") and len(out.err.splitlines()) == 1
-    # the message names what overflowed, not float pow's errno tuple, nor a
-    # division by a square that underflowed to 0
-    for line in (out.out + out.err).splitlines():
-        assert not re.match(r"error: \(\d+, '", line), line
-        assert "division by zero" not in line, line
+    assert_one_error_line(out)
 
 
 def test_deformation_square_may_underflow(capsys):
@@ -738,6 +766,44 @@ class TestConfigFile:
             main(["solve", "--config", str(tmp_path / "absent.cfg")])
         assert exc.value.code == 2
 
+    def test_blank_and_comment_lines_skipped(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n# the attractive well\ndepth = 10\n\n"
+                       "  # deformed\nalpha_prime = 0.0015\n")
+        assert run(capsys, "solve", "--config", str(cfg)) == \
+            run(capsys, "solve", *BOUND_FLAGS)
+
+    def test_line_without_value_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("depth = 10\nalpha_prime\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", str(cfg)])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "bad config file: line 2: expected key=value" in out.err
+
+
+# the directory that holds the wsdirac package, for a fresh interpreter
+SRC = str(Path(wsdirac.__file__).resolve().parents[1])
+
+
+@pytest.mark.parametrize("argv, code, errors", [
+    (["solve"], 0, 0),
+    (["verify", "--ell", "0"], 1, 0),
+    (["verify", "--with-oracle", "--e0", "1e17", "--alpha-prime", "0.0015"], 2, 1),
+    (["solve", "--ell", "5"], 4, 0),
+])
+def test_module_entry_point_exit_code(argv, code, errors):
+    # python -m wsdirac.cli exits with main's code, and prints no traceback
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "wsdirac.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sum(l.startswith("error: ") for l in proc.stderr.splitlines()) == errors
+
 
 def test_common_commands_load_no_scipy():
     # no command loads scipy: the bracketing route resolves the reference
@@ -764,7 +830,6 @@ def test_common_commands_load_no_scipy():
         "    assert code == (5 if argv == ['wavefunction'] else 0), argv\n"
         "    assert not loaded(), (argv, loaded())\n"
     )
-    src = str(Path(wsdirac.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", script, src],
+    proc = subprocess.run([sys.executable, "-c", script, SRC],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

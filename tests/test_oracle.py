@@ -840,13 +840,14 @@ def brent_branches(cases):
             ran.add(frame.f_lineno)
         return tracer
 
+    previous = sys.gettrace()  # a coverage tool's or a debugger's
     sys.settrace(tracer)
     try:
         for case in cases:
             with contextlib.suppress(RefinementNotConverged):
                 brent_port_root(*case)
     finally:
-        sys.settrace(None)
+        sys.settrace(previous)
     tags = ("interpolate", "extrapolate", "good short step", "bisect",
             "takes no step")
     return {tag for i, line in enumerate(lines) if first + i in ran
