@@ -1,7 +1,8 @@
 """The self-consistency checks behind every reported energy, each defined once.
 
 Each check is a name, a metric of (p, state, result), result the closed-form
-SpectrumResult under check, and a bound the metric must stay below.
+SpectrumResult under check, and a bound the metric must stay below; its
+verdict is the status and detail of its `wsdirac verify` line.
 `wsdirac verify` and the acceptance suite both read them, and hand in the
 record they already hold: the checks call only the independent routes
 (bracketing, companion matrix, shooting), never the closed form itself.
@@ -20,9 +21,27 @@ from .spectrum import ground_state_energy, solve_energy_by_bracketing
 from .susyqm import checked_ladder, closed_form_A, shifted_A, solve_susy_parameters
 
 
-# label names the metric's value in a verify line; a metric of None means the
-# check does not apply, and skip says why
-Check = namedtuple("Check", "name label metric bound skip", defaults=("",))
+class Check(namedtuple("Check", "name label metric bound skip", defaults=("",))):
+    """label names the metric's value in a verify line; a metric of None
+    means the check does not apply, and skip says why."""
+
+    def verdict(self, p, state, result) -> tuple[bool | None, str]:
+        """The check's verify status, pass (true), fail or skip (None), and
+        its detail: label=value, or the skip reason."""
+        value = self.metric(p, state, result)
+        if value is None:
+            return None, self.skip
+        return value < self.bound, f"{self.label}={value:.3e}"
+
+
+class _ShootingCheck(Check):
+    def verdict(self, p, state, result) -> tuple[bool, str]:
+        """Passes by shooting_agrees, not by gap < bound; the detail names
+        the root's normalizable flag and the gap."""
+        gap = self.metric(p, state, result)
+        return shooting_agrees(result.normalizable, state.n, gap), (
+            f"normalizable={str(result.normalizable).lower()}, "
+            + ("no eigenvalue in bracket" if gap == math.inf else f"gap={gap:.3e}"))
 
 
 def _taylor_gap(p, state, result) -> float:
@@ -120,8 +139,7 @@ GROUND_STATE = Check("ground-state-route-agreement", "gap",
 BRACKETING = Check("closed-form-vs-bracketing", "gap", _bracketing_gap, 1e-10)
 CONTINUUM = Check("below-continuum-edge", "margin", _continuum_margin, 0.0,
                   skip="not normalizable")
-# passes by shooting_agrees, not by gap < bound
-SHOOTING = Check("shooting-cross-check", "gap", _shooting_gap, 1e-3)
+SHOOTING = _ShootingCheck("shooting-cross-check", "gap", _shooting_gap, 1e-3)
 
 # the checks of a closed-form root, in verify's order
 ROOT_CHECKS = (MATCHING, ELIMINATION, GROUND_STATE, BRACKETING, CONTINUUM)

@@ -11,7 +11,6 @@ import argparse
 import datetime
 import functools
 import json
-import math
 import operator
 import sys
 
@@ -22,7 +21,7 @@ from .errors import (DegenerateSuperpotential, LadderSingular, NoRealRoot,
                      NotNormalizable, ResolutionLimit, WsdiracError)
 from .params import PhysicalParams, QuantumState, derive_coefficients
 from .pekeris import pekeris_coefficients
-from .spectrum import _NO_ROOT_RESULT, SpectrumResult, SweepCell, solve_energy, sweep
+from .spectrum import _NO_ROOT_RESULT, SweepCell, solve_energy, sweep
 from .susyqm import solve_susy_parameters
 from .wavefunction import evaluate, normalize
 
@@ -34,17 +33,31 @@ EXIT_NO_REAL_ROOT = 4
 EXIT_NOT_NORMALIZABLE = 5
 
 TABLE_ALPHAS = [0.0, 0.001, 0.005, 0.01]
-TABLE1_DIMS = [1, 2, 3, 4, 5]
-TABLE2_ELLS = [20, 21, 22, 23, 24]
+# each reference grid's (dims, ells): table 1's rows are D, table 2's ell
+TABLES = {1: ([1, 2, 3, 4, 5], [20]), 2: ([3], [20, 21, 22, 23, 24])}
 _BLOCK = 4096  # records per write of wavefunction's samples
 # a record's output columns, each a SpectrumResult attribute: a field the
 # record gains appears in no output until it is named here
 _RESULT_COLUMNS = ("e_upper", "e_lower", "e_binding", "branch", "roots_real",
                    "normalizable")
 
+# the physical flags in --help's order: the class and field each sets, its
+# name as a --config key, its default, whose type converts the value, and help
+_PHYSICAL_FLAGS = (
+    (PhysicalParams, "M", "mass", 10.0, "fermion mass M (fm^-1)"),
+    (PhysicalParams, "a", "surface_thickness", 0.5, "surface thickness a (fm)"),
+    (PhysicalParams, "R", "radius", 7.0, "potential width R (fm)"),
+    (PhysicalParams, "V0", "depth", -10.0, "potential depth V0 (fm^-1)"),
+    (PhysicalParams, "E0", "e0", 10.0, "zeroth-order energy E0 (fm^-1)"),
+    (PhysicalParams, "alpha_prime", "alpha_prime", 0.0,
+     "deformation parameter alpha' (fm^2)"),
+    (QuantumState, "ell", "ell", 20, "azimuthal quantum number"),
+    (QuantumState, "D", "dim", 3, "spatial dimension D"),
+    (QuantumState, "n", "n", 0, "principal quantum number"),
+)
+
 # the keys a --config file may set, each the name of a flag
-_CONFIG_KEYS = ("mass", "surface_thickness", "radius", "depth", "e0",
-                "alpha_prime", "ell", "dim", "n", "format", "output")
+_CONFIG_KEYS = (*(key for _, _, key, _, _ in _PHYSICAL_FLAGS), "format", "output")
 
 
 def _csv_cell(x) -> str:
@@ -59,23 +72,9 @@ def _csv_cell(x) -> str:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     phys = common.add_argument_group("physical parameters")
-    phys.add_argument("--mass", type=float, default=10.0,
-                      help="fermion mass M (fm^-1)")
-    phys.add_argument("--surface-thickness", type=float, default=0.5,
-                      help="surface thickness a (fm)")
-    phys.add_argument("--radius", type=float, default=7.0,
-                      help="potential width R (fm)")
-    phys.add_argument("--depth", type=float, default=-10.0,
-                      help="potential depth V0 (fm^-1)")
-    phys.add_argument("--e0", type=float, default=10.0,
-                      help="zeroth-order energy E0 (fm^-1)")
-    phys.add_argument("--alpha-prime", type=float, default=0.0,
-                      help="deformation parameter alpha' (fm^2)")
-    phys.add_argument("--ell", type=int, default=20,
-                      help="azimuthal quantum number")
-    phys.add_argument("--dim", type=int, default=3, help="spatial dimension D")
-    phys.add_argument("--n", type=int, default=0,
-                      help="principal quantum number")
+    for _, _, key, default, text in _PHYSICAL_FLAGS:
+        phys.add_argument("--" + key.replace("_", "-"), type=type(default),
+                          default=default, help=text)
     io = common.add_argument_group("input/output")
     io.add_argument("--config", metavar="FILE",
                     help="key=value configuration file; flags override it")
@@ -91,23 +90,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each subcommand's args.handler runs it
     p_table = sub.add_parser("table", parents=[common],
                              help="reproduce a reference 5x4 grid")
-    p_table.add_argument("which", type=int, choices=[1, 2],
+    p_table.add_argument("which", type=int, choices=TABLES,
                          help="1: dimension grid at ell=20; 2: ell grid at D=3")
+    p_table.set_defaults(handler=_cmd_table)
 
-    p_solve = sub.add_parser("solve", parents=[common],
-                             help="solve one configuration and print the record")
+    sub.add_parser("solve", parents=[common],
+                   help="solve one configuration and print the record"
+                   ).set_defaults(handler=_cmd_solve)
 
     p_wf = sub.add_parser("wavefunction", parents=[common],
                           help="emit normalized ground-state samples (r, F)")
     p_wf.add_argument("--samples", type=int, default=1000,
                       help="number of equally spaced radii on [0, r_max]")
+    p_wf.set_defaults(handler=_cmd_wavefunction)
 
     p_ver = sub.add_parser("verify", parents=[common],
                            help="run the self-consistency checks")
     p_ver.add_argument("--with-oracle", action="store_true",
                        help="also cross-check against the shooting solver")
+    p_ver.set_defaults(handler=_cmd_verify)
     return parser
 
 
@@ -140,15 +144,11 @@ class _InvalidInput(Exception):
 
 
 def _inputs(args) -> tuple[PhysicalParams, QuantumState]:
+    fields = {PhysicalParams: {}, QuantumState: {}}
+    for cls, field, key, _, _ in _PHYSICAL_FLAGS:
+        fields[cls][field] = getattr(args, key)
     try:
-        return PhysicalParams(
-            M=args.mass,
-            a=args.surface_thickness,
-            R=args.radius,
-            V0=args.depth,
-            E0=args.e0,
-            alpha_prime=args.alpha_prime,
-        ), QuantumState(n=args.n, ell=args.ell, D=args.dim)
+        return tuple(cls(**kwargs) for cls, kwargs in fields.items())
     except ValueError as exc:
         raise _InvalidInput(exc) from None
 
@@ -202,11 +202,7 @@ def _cell_columns(cells: list[SweepCell]) -> dict[str, list]:
 
 
 def _cmd_table(args, p, state, writer) -> int:
-    if args.which == 1:
-        dims, ells = TABLE1_DIMS, [20]
-    else:
-        dims, ells = [3], TABLE2_ELLS
-    cells = sweep(p, TABLE_ALPHAS, dims, ells, [state.n])
+    cells = sweep(p, TABLE_ALPHAS, *TABLES[args.which], [state.n])
     # rows are D (table 1) or ell (table 2), columns the deformation values:
     # the sort is stable, so each row keeps the sweep's alpha order
     writer.block(**_cell_columns(sorted(cells, key=lambda c: (c.D, c.ell))))
@@ -258,13 +254,7 @@ def _cmd_verify(args, p, state, writer) -> int:
         writer.line(f"{status} {name} {detail}" if args.format == "csv" else
                     json.dumps({"status": status, "check": name, "detail": detail}))
 
-    def run(check: checks.Check, result: SpectrumResult | None):
-        value = check.metric(p, state, result)
-        if value is None:
-            return report(check.name, None, check.skip)
-        report(check.name, value < check.bound, f"{check.label}={value:.3e}")
-
-    run(checks.TAYLOR_MATCH, None)
+    report(checks.TAYLOR_MATCH.name, *checks.TAYLOR_MATCH.verdict(p, state, None))
     try:
         result = solve_energy(p, state)
         failed = "" if result.roots_real else "no real root"
@@ -276,16 +266,10 @@ def _cmd_verify(args, p, state, writer) -> int:
            failed or f"e_binding={result.e_binding:.10g}")
     if not failed:
         for check in checks.ROOT_CHECKS:
-            run(check, result)
-        if args.with_oracle:
-            gap = checks.SHOOTING.metric(p, state, result)
-            bound = result.normalizable
-            report(checks.SHOOTING.name, checks.shooting_agrees(bound, state.n, gap),
-                   f"normalizable={str(bound).lower()}, "
-                   + ("no eigenvalue in bracket" if gap == math.inf
-                      else f"gap={gap:.3e}"))
-        else:
-            report(checks.SHOOTING.name, None, "oracle disabled")
+            report(check.name, *check.verdict(p, state, result))
+        report(checks.SHOOTING.name, *(checks.SHOOTING.verdict(p, state, result)
+                                       if args.with_oracle
+                                       else (None, "oracle disabled")))
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
@@ -298,18 +282,12 @@ def main(argv: list[str] | None = None) -> int:
         # file's flags go right after it, so a typed flag overrides them
         args = parser.parse_args(
             argv[:1] + _config_flags(parser, args.config) + argv[1:])
-    handler = {
-        "table": _cmd_table,
-        "solve": _cmd_solve,
-        "wavefunction": _cmd_wavefunction,
-        "verify": _cmd_verify,
-    }[args.command]
     writer = _Writer(args)
     # typed failures to their exit codes; float64 range errors, numpy's too,
     # and resolution errors to 2
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return handler(args, *_inputs(args), writer)
+            return args.handler(args, *_inputs(args), writer)
     except (_InvalidInput, ArithmeticError, WsdiracError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return {DegenerateSuperpotential: EXIT_DEGENERATE,

@@ -63,7 +63,12 @@ class ShootingConfig:
     # stored as floats and an int: a numpy uint16 step count wraps in _sweeps,
     # and an array bracket breaks the comparison of solve keys
     def __post_init__(self):
-        lo, hi = (_as_float("energy_bracket", x) for x in self.energy_bracket)
+        try:
+            lo, hi = self.energy_bracket
+        except (TypeError, ValueError):  # not iterable, or not two values
+            raise ValueError(f"energy_bracket must be a pair of numbers, "
+                             f"got {self.energy_bracket!r}") from None
+        lo, hi = _as_float("energy_bracket", lo), _as_float("energy_bracket", hi)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"energy_bracket must be finite, got ({lo}, {hi})")
         if not lo < hi:

@@ -84,7 +84,7 @@ class TestTable:
         code, out = run(capsys, "table", which)
         assert code == 0
         rows = [l.split(",") for l in out.out.strip().splitlines()[1:]]
-        labels = cli.TABLE1_DIMS if which == "1" else cli.TABLE2_ELLS
+        labels = cli.TABLES[key][key - 1]  # table 1's dims, table 2's ells
         assert [(int(r[key]), float(r[0])) for r in rows] == \
             [(v, a) for v in labels for a in cli.TABLE_ALPHAS]
 
@@ -782,6 +782,134 @@ class TestConfigFile:
         out = capsys.readouterr()
         assert out.out == ""
         assert "bad config file: line 2: expected key=value" in out.err
+
+    # a value for each key, none its flag's default; {tmp} is the test's
+    # directory
+    KEY_VALUES = {"mass": "10.5", "surface_thickness": "0.55", "radius": "7.5",
+                  "depth": "10", "e0": "9.5", "alpha_prime": "0.0015",
+                  "ell": "19", "dim": "4", "n": "1", "format": "json-lines",
+                  "output": "{tmp}/run.out"}
+
+    @pytest.mark.parametrize("key", cli._CONFIG_KEYS)
+    def test_every_key_acts_as_its_flag(self, capsys, tmp_path, key):
+        # `key = value` in a file gives the arguments, the inputs and the
+        # solve bytes of the typed --key=value
+        value = self.KEY_VALUES[key].format(tmp=tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        typed = f"--{key.replace('_', '-')}={value}"
+        parser = cli._build_parser()
+        parse = lambda *flags: parser.parse_args(["solve", *flags])
+        from_file = parse(*cli._config_flags(parser, str(cfg)))
+        assert vars(from_file) == vars(parse(typed)) != vars(parse())
+        assert cli._inputs(from_file) == cli._inputs(parse(typed))
+        written = []
+        for argv in (["--config", str(cfg)], [typed]):
+            code, out = run(capsys, "solve", *argv)
+            assert code == 0 and out.err == ""
+            written.append(out.out + (Path(value).read_text() if key == "output"
+                                      else ""))
+        assert written[0] == written[1] != ""
+
+
+# each command's --help at a terminal width of 80 columns: argparse wraps
+# to the width that COLUMNS gives.  Every subcommand's ends with these groups
+HELP_GROUPS = """
+physical parameters:
+  --mass MASS           fermion mass M (fm^-1)
+  --surface-thickness SURFACE_THICKNESS
+                        surface thickness a (fm)
+  --radius RADIUS       potential width R (fm)
+  --depth DEPTH         potential depth V0 (fm^-1)
+  --e0 E0               zeroth-order energy E0 (fm^-1)
+  --alpha-prime ALPHA_PRIME
+                        deformation parameter alpha' (fm^2)
+  --ell ELL             azimuthal quantum number
+  --dim DIM             spatial dimension D
+  --n N                 principal quantum number
+
+input/output:
+  --config FILE         key=value configuration file; flags override it
+  --format {csv,json-lines}
+  --output FILE         write to FILE instead of stdout
+  --timestamp           include a generation timestamp in the output
+"""
+HELP = {
+    "wsdirac": """\
+usage: wsdirac [-h] {table,solve,wavefunction,verify} ...
+
+Bound-state spectra of a deformed Woods-Saxon Dirac problem
+
+positional arguments:
+  {table,solve,wavefunction,verify}
+    table               reproduce a reference 5x4 grid
+    solve               solve one configuration and print the record
+    wavefunction        emit normalized ground-state samples (r, F)
+    verify              run the self-consistency checks
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "table": """\
+usage: wsdirac table [-h] [--mass MASS]
+                     [--surface-thickness SURFACE_THICKNESS] [--radius RADIUS]
+                     [--depth DEPTH] [--e0 E0] [--alpha-prime ALPHA_PRIME]
+                     [--ell ELL] [--dim DIM] [--n N] [--config FILE]
+                     [--format {csv,json-lines}] [--output FILE] [--timestamp]
+                     {1,2}
+
+positional arguments:
+  {1,2}                 1: dimension grid at ell=20; 2: ell grid at D=3
+
+options:
+  -h, --help            show this help message and exit
+""" + HELP_GROUPS,
+    "solve": """\
+usage: wsdirac solve [-h] [--mass MASS]
+                     [--surface-thickness SURFACE_THICKNESS] [--radius RADIUS]
+                     [--depth DEPTH] [--e0 E0] [--alpha-prime ALPHA_PRIME]
+                     [--ell ELL] [--dim DIM] [--n N] [--config FILE]
+                     [--format {csv,json-lines}] [--output FILE] [--timestamp]
+
+options:
+  -h, --help            show this help message and exit
+""" + HELP_GROUPS,
+    "wavefunction": """\
+usage: wsdirac wavefunction [-h] [--mass MASS]
+                            [--surface-thickness SURFACE_THICKNESS]
+                            [--radius RADIUS] [--depth DEPTH] [--e0 E0]
+                            [--alpha-prime ALPHA_PRIME] [--ell ELL]
+                            [--dim DIM] [--n N] [--config FILE]
+                            [--format {csv,json-lines}] [--output FILE]
+                            [--timestamp] [--samples SAMPLES]
+
+options:
+  -h, --help            show this help message and exit
+  --samples SAMPLES     number of equally spaced radii on [0, r_max]
+""" + HELP_GROUPS,
+    "verify": """\
+usage: wsdirac verify [-h] [--mass MASS]
+                      [--surface-thickness SURFACE_THICKNESS]
+                      [--radius RADIUS] [--depth DEPTH] [--e0 E0]
+                      [--alpha-prime ALPHA_PRIME] [--ell ELL] [--dim DIM]
+                      [--n N] [--config FILE] [--format {csv,json-lines}]
+                      [--output FILE] [--timestamp] [--with-oracle]
+
+options:
+  -h, --help            show this help message and exit
+  --with-oracle         also cross-check against the shooting solver
+""" + HELP_GROUPS,
+}
+
+
+@pytest.mark.parametrize("command", HELP)
+def test_help_text(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*([] if command == "wsdirac" else [command]), "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr()
+    assert out.out == HELP[command] and out.err == ""
 
 
 # the directory that holds the wsdirac package, for a fresh interpreter

@@ -170,6 +170,14 @@ class TestShootingConfig:
                                              "the float range$"):
             ShootingConfig((7.0, 10**400), 6000)
 
+    @pytest.mark.parametrize("bracket", [(6.0, 7.0, 8.0), (6.0,), (), 7.0])
+    def test_rejects_bracket_not_a_pair(self, bracket):
+        # three values, one, none and a bare float: one ValueError naming the
+        # field, not Python's unpacking errors
+        with pytest.raises(ValueError, match="^energy_bracket must be a pair "
+                                             "of numbers, got "):
+            ShootingConfig(bracket, 6000)
+
     def test_accepts_numpy_integer_step_count(self):
         cfg = ShootingConfig(energy_bracket=(6.0, 8.0),
                              step_count=np.int64(7000))
@@ -540,6 +548,25 @@ class TestIntegrationBlowup:
             long = oracle._grid(rc, nodes, inw, bracket)
             with pytest.raises(IntegrationBlowup, match="overflowed"):
                 trajectory(rc, E, long, 0, -1.0)
+
+    @pytest.mark.parametrize("direction", [0, 1])
+    def test_unscaled_trajectory_raises(self, monkeypatch, direction):
+        # at depth 1e13 the grid's bound renormalizes every 2 levels, so a
+        # trajectory scales each matrix first; a grid forced to every = 7
+        # does not, and the unscaled blocks' product leaves the float range
+        p = replace(BOUND, V0=1e13)
+        root = solve_energy(p, BOUND_STATE).e_upper
+        cfg = default_config(p, (root - 0.5, root + 0.5))
+        grid = oracle._sweeps(radial_coefficients(p, BOUND_STATE), cfg)
+        assert grid.every == 2
+        slope0 = oracle._slopes(root, grid)[direction]
+
+        def unscaled(*args):
+            raise AssertionError("the trajectory scaled its matrices")
+        monkeypatch.setattr(oracle, "_renormalize", unscaled)
+        with np.errstate(all="ignore"):
+            with pytest.raises(IntegrationBlowup, match="overflowed"):
+                oracle._trajectory(root, grid._replace(every=7), direction, slope0)
 
     @pytest.mark.parametrize("direction", [0, 1])
     def test_fused_pass_raises(self, blowup, direction):
